@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 benchmarks/run.py --workload bulk --seed 1 --seconds 34 --trace 0
+    python3 benchmarks/run.py --workload bulk --seed 1 --seconds 25 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with nothing wrapped;
 ``--trace 1`` is the separate traced run that gives the per-layer metrics.
@@ -38,7 +38,8 @@ HARD_LIMIT_S = 140  # no operation starts later; every run ends well inside 180 
 # name -> (unit, better); the order is the order of the printed report
 END_TO_END = {
     "setup_s": ("s", "lower"),
-    "session_p10_ms": ("ms", "lower"),
+    "session_p50_ms": ("ms", "lower"),
+    "session_p90_ms": ("ms", "lower"),
     "sweep_cases_per_s": ("cases/s", "higher"),
     "audit_cases_per_s": ("cases/s", "higher"),
     "cli_run_s": ("s", "lower"),
@@ -141,6 +142,14 @@ def environment(workload, seed: int, root: Path) -> dict:
     }
 
 
+def pin_to_one_cpu() -> None:
+    """Run on one CPU, so the host-speed probe and the work it scales share a core.
+
+    The CLI children inherit the pin.
+    """
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+
+
 # --- the end-to-end run -----------------------------------------------------------
 
 
@@ -161,35 +170,44 @@ def percentile(values, p: int) -> float:
 def measure(workload, seed: int, seconds: float, root: Path = ROOT) -> dict:
     """Closed-loop run of the workload's operation mix, nothing traced.
 
-    Operation times on a shared host are bimodal (contended or not), so
-    every gated statistic except ``setup_s`` is the fast 10th percentile
-    of time, or the 90th of throughput; see NOTES.md.
+    Every gated time and throughput is scaled to the nominal host speed
+    measured by the probe around each operation (see ``workloads.probe_s``
+    and NOTES.md); the unscaled medians and the host's slowdown are
+    reported beside them, ungated.
     """
-    from workloads import Runner, schedule
+    from workloads import Runner, SpeedSampler, schedule
 
-    runner = Runner(workload, seed, root)
+    runner = Runner(workload, seed, root, SpeedSampler())
     runner.run("session", -1)  # warm-up: builds the lazy tables, not measured
     outcomes = schedule(runner, seconds, HARD_LIMIT_S)
-    values = {kind: [o.value for o in outs] for kind, outs in outcomes.items()}
+    values = {kind: [o.scaled() for o in outs] for kind, outs in outcomes.items()}
     sessions_ms = [v * 1e3 for v in values["session"]]
     metrics = {
         "setup_s": statistics.median(values["setup"]),
-        "session_p10_ms": percentile(sessions_ms, 10),
-        "sweep_cases_per_s": percentile(values["sweep"], 90),
-        "audit_cases_per_s": percentile(values["audit"], 90),
-        "cli_run_s": percentile(values["cli"], 10),
+        "session_p50_ms": statistics.median(sessions_ms),
+        "session_p90_ms": percentile(sessions_ms, 90),
+        "sweep_cases_per_s": statistics.median(values["sweep"]),
+        "audit_cases_per_s": statistics.median(values["audit"]),
+        "cli_run_s": statistics.median(values["cli"]),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    raw = {kind: statistics.median(o.value for o in outs) for kind, outs in outcomes.items()}
     ungated = {
-        "session_p50_ms": (statistics.median(sessions_ms), "ms"),
-        "session_p90_ms": (percentile(sessions_ms, 90), "ms"),
+        "unscaled.setup_s": (raw["setup"], "s"),
+        "unscaled.session_p50_ms": (raw["session"] * 1e3, "ms"),
+        "unscaled.sweep_cases_per_s": (raw["sweep"], "cases/s"),
+        "unscaled.audit_cases_per_s": (raw["audit"], "cases/s"),
+        "unscaled.cli_run_s": (raw["cli"], "s"),
+        "host.slowdown": (statistics.median(o.slowdown for outs in outcomes.values()
+                                            for o in outs), "ratio"),
     }
     attempted, failed, errors = tally(o for outs in outcomes.values() for o in outs)
     return {
         "metrics": {name: (value, END_TO_END[name][0]) for name, value in metrics.items()},
         "ungated": ungated,
         "samples": {kind: len(v) for kind, v in values.items()},
-        "values": values,
+        "values": {kind: [o.value for o in outs] for kind, outs in outcomes.items()},
+        "slowdowns": {kind: [o.slowdown for o in outs] for kind, outs in outcomes.items()},
         "attempted": attempted,
         "failed": failed,
         "errors": errors,
@@ -422,6 +440,7 @@ def main(argv=None) -> int:
     out.mkdir(exist_ok=True)
     stem = f"{workload.name}-seed{args.seed}-trace{args.trace}"
     env = environment(workload, args.seed, ROOT)
+    pin_to_one_cpu()
     if args.trace:
         result = trace(workload, args.seed, ROOT, out / f"{stem}-spans.json")
     else:

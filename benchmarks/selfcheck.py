@@ -11,8 +11,10 @@ import dataclasses
 import json
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,9 @@ sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
 import run  # noqa: E402
 import tracing  # noqa: E402
-from workloads import WORKLOADS, Inputs, Runner, smoke_variant  # noqa: E402
+from workloads import (  # noqa: E402
+    WORKLOADS, Inputs, Outcome, Runner, SpeedSampler, probe_s, smoke_variant,
+)
 
 from tracepir import harness, pir  # noqa: E402
 
@@ -61,6 +65,32 @@ def test_one_seed_gives_the_same_inputs_twice(name):
 
     assert draw(7) == draw(7)
     assert draw(7) != draw(8)
+
+
+def test_scaling_to_nominal_speed_divides_times_and_multiplies_throughputs():
+    assert Outcome("session", 0.5, 1, 0, [], None, slowdown=2.0).scaled() == 0.25
+    assert Outcome("cli", 0.5, 1, 0, [], None, slowdown=2.0).scaled() == 0.5 / 2.0 ** 0.65
+    assert Outcome("sweep", 100.0, 1, 0, [], None, slowdown=2.0).scaled() == 200.0
+    assert Outcome("audit", 100.0, 1, 0, [], None, slowdown=2.0).scaled() == 200.0
+    assert 0 < probe_s() < 0.1
+
+
+def test_sampler_probes_inside_a_call_and_leaves_the_probes_out_of_its_time():
+    def busy():
+        end = time.perf_counter() + 0.3
+        n = 0
+        while time.perf_counter() < end:
+            n += 1
+        return n
+
+    handler = signal.getsignal(signal.SIGALRM)
+    sampler = SpeedSampler()
+    result, seconds = sampler.timed(busy)
+    assert result > 0
+    assert len(sampler.probes) >= 3
+    assert 0.2 < seconds < 0.3  # the call ran 0.3 s, minus the probes
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_wrappers_are_restored_even_when_the_pass_fails():

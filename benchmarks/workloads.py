@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -31,7 +32,21 @@ from tracepir import harness, pir
 from tracepir.rand import SeededStream
 
 OP_KINDS = ("setup", "session", "sweep", "audit", "cli")
+THROUGHPUT_KINDS = ("sweep", "audit")  # their value is cases per second, not seconds
 CLI_TIMEOUT_S = 120
+
+# Other tenants share the host's cores, and the host runs at two speeds
+# that last from seconds to many minutes; the slow one takes about 1.7x as
+# long for the same pure-Python work.  A fixed loop timed between
+# operations measures the speed, and every gated time is scaled to the
+# speed at which the loop takes PROBE_NOMINAL_S: the fast state of the
+# 2-CPU Xeon host the benchmark was tuned on.  See NOTES.md.
+PROBE_NOMINAL_S = 250e-6
+SAMPLE_PERIOD_S = 0.05
+# A fresh CLI process (interpreter start, imports) slows less than the
+# probe: its log time moved 0.65x as far as the log slowdown, measured
+# across runs and within them on the same host.
+CLI_SLOWDOWN_EXPONENT = 0.65
 
 
 @dataclass(frozen=True)
@@ -69,9 +84,9 @@ WORKLOADS = {
         sweep_scope="randomized",
         sweep_trials=1,
         audit_mode="transfer-matrix",
-        weights={"setup": 0.02, "session": 0.78, "sweep": 0.12, "audit": 0.02, "cli": 0.06},
+        weights={"setup": 0.015, "session": 0.70, "sweep": 0.10, "audit": 0.015, "cli": 0.17},
         # >= 100 sessions so that ten samples lie beyond the p90
-        min_counts={"setup": 15, "session": 100, "sweep": 15, "audit": 15, "cli": 6},
+        min_counts={"setup": 30, "session": 100, "sweep": 8, "audit": 30, "cli": 8},
         trace_cycle={"setup": 3, "session": 12, "sweep": 1, "audit": 3},
     ),
     "small": Workload(
@@ -83,8 +98,8 @@ WORKLOADS = {
         sweep_scope="randomized",
         sweep_trials=20,
         audit_mode="transfer-matrix",
-        weights={"setup": 0.30, "session": 0.10, "sweep": 0.15, "audit": 0.03, "cli": 0.42},
-        min_counts={"setup": 9, "session": 100, "sweep": 15, "audit": 15, "cli": 8},
+        weights={"setup": 0.14, "session": 0.12, "sweep": 0.12, "audit": 0.04, "cli": 0.58},
+        min_counts={"setup": 6, "session": 100, "sweep": 15, "audit": 15, "cli": 8},
         trace_cycle={"setup": 4, "session": 300, "sweep": 1, "audit": 10},
     ),
     "verify": Workload(
@@ -94,8 +109,8 @@ WORKLOADS = {
         sweep_scope="exhaustive",
         sweep_trials=0,
         audit_mode="exhaustive",
-        weights={"setup": 0.04, "session": 0.06, "sweep": 0.66, "audit": 0.12, "cli": 0.12},
-        min_counts={"setup": 15, "session": 100, "sweep": 4, "audit": 15, "cli": 5},
+        weights={"setup": 0.03, "session": 0.15, "sweep": 0.45, "audit": 0.07, "cli": 0.30},
+        min_counts={"setup": 30, "session": 100, "sweep": 3, "audit": 15, "cli": 15},
         trace_cycle={"setup": 5, "session": 200, "sweep": 1, "audit": 4},
     ),
 }
@@ -155,6 +170,66 @@ class Inputs:
         return ("sweep", i), self.stream("sweep", i).getbits(63)
 
 
+# --- host speed ----------------------------------------------------------------
+
+
+def _probe_work() -> list:
+    """Two 10x10 matrix products mod 13: interpreter work like the package's."""
+    m = [[(7 * i + 3 * j) % 13 for j in range(10)] for i in range(10)]
+    for _ in range(2):
+        m = [[sum(x * y for x, y in zip(row, col)) % 13 for col in zip(*m)] for row in m]
+    return m
+
+
+def probe_s() -> float:
+    """Host speed now: the median of three timings of the fixed loop.
+
+    The median, because an interrupt can lengthen one timing, while the
+    fastest of three would miss slow spells shorter than the probe.
+    """
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _probe_work()
+        timings.append(time.perf_counter() - start)
+    return sorted(timings)[1]
+
+
+class SpeedSampler:
+    """Probes the host speed every SAMPLE_PERIOD_S while an operation runs.
+
+    The probe runs in a SIGALRM handler between bytecodes of the
+    operation, so an operation of seconds is scaled by the speed it ran
+    at, not only by the speed before and after it.  The handler's own time
+    is taken out of the operation's time.
+    """
+
+    def __init__(self):
+        self.probes = []
+        self._pauses = []  # (start, end) of each handler run
+
+    def _on_alarm(self, signum, frame):
+        start = time.perf_counter()
+        self.probes.append(probe_s())
+        self._pauses.append((start, time.perf_counter()))
+
+    def timed(self, call) -> tuple:
+        """(result, seconds) of call(), without the probes run inside it."""
+        self.probes, self._pauses = [], []
+        previous = signal.signal(signal.SIGALRM, self._on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_PERIOD_S, SAMPLE_PERIOD_S)
+        try:
+            start = time.perf_counter()
+            result = call()
+            end = time.perf_counter()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # a handler that began before `end` was read also ended before it
+        paused = sum(e - s for s, e in self._pauses if s < end)
+        return result, end - start - paused
+
+
 # --- the operations ------------------------------------------------------------
 
 
@@ -168,15 +243,25 @@ class Outcome:
     failed: int
     errors: list
     output: object  # compared between the traced and untraced passes
+    slowdown: float = 1.0  # host speed around the operation, as probe time / PROBE_NOMINAL_S
+
+    def scaled(self) -> float:
+        """The value at the nominal host speed."""
+        if self.kind in THROUGHPUT_KINDS:
+            return self.value * self.slowdown
+        if self.kind == "cli":
+            return self.value / self.slowdown ** CLI_SLOWDOWN_EXPONENT
+        return self.value / self.slowdown
 
 
 class Runner:
     """Runs operations of one workload against one parameter set."""
 
-    def __init__(self, workload: Workload, seed: int, root: Path):
+    def __init__(self, workload: Workload, seed: int, root: Path, sampler=None):
         self.workload = workload
         self.inputs = Inputs(workload, seed)
         self.root = root
+        self.sampler = sampler  # a SpeedSampler in the measured run; none when traced
         self.params = self.setup_params()
         self.db = self.inputs.database(self.params)
         self.capacity = pir.capacity(workload.t, workload.b, workload.k)
@@ -188,10 +273,16 @@ class Runner:
     def run(self, kind: str, i: int) -> Outcome:
         return getattr(self, f"op_{kind}")(i)
 
-    def op_setup(self, i: int) -> Outcome:
+    def timed(self, call) -> tuple:
+        """(result, seconds) of call(), sampling the host speed if measuring."""
+        if self.sampler is not None:
+            return self.sampler.timed(call)
         start = time.perf_counter()
-        params = self.setup_params()
-        elapsed = time.perf_counter() - start
+        result = call()
+        return result, time.perf_counter() - start
+
+    def op_setup(self, i: int) -> Outcome:
+        params, elapsed = self.timed(self.setup_params)
         errors = [] if params == self.params else ["setup returned different constants"]
         return Outcome("setup", elapsed, 1, len(errors), errors, pir.params_to_json_dict(params))
 
@@ -210,9 +301,8 @@ class Runner:
     def op_session(self, i: int) -> Outcome:
         iota, seed, byz = self.inputs.session(i)
         adversary = harness.AdversaryModel(byzantine_set=byz) if byz else None
-        start = time.perf_counter()
-        report = harness.run_session(self.params, self.db, iota, adversary, mode="trace", seed=seed)
-        elapsed = time.perf_counter() - start
+        report, elapsed = self.timed(lambda: harness.run_session(
+            self.params, self.db, iota, adversary, mode="trace", seed=seed))
         errors = self.session_errors(report, iota, byz)
         return Outcome("session", elapsed, 1, int(bool(errors)), errors,
                        (report.retrieved_file, report.identified_error_positions))
@@ -227,11 +317,8 @@ class Runner:
         w = self.workload
         db_path, seed = self.inputs.sweep(i)
         db = self.inputs.database(self.params, *db_path)
-        start = time.perf_counter()
-        report = harness.byzantine_sweep(
-            self.params, db, scope=w.sweep_scope, trials=w.sweep_trials, seed=seed
-        )
-        elapsed = time.perf_counter() - start
+        report, elapsed = self.timed(lambda: harness.byzantine_sweep(
+            self.params, db, scope=w.sweep_scope, trials=w.sweep_trials, seed=seed))
         errors = []
         if report.cases_failed:
             errors.append(f"sweep: {report.cases_failed} failed cases")
@@ -242,9 +329,7 @@ class Runner:
 
     def op_audit(self, i: int) -> Outcome:
         w = self.workload
-        start = time.perf_counter()
-        report = harness.privacy_audit(self.params, mode=w.audit_mode)
-        elapsed = time.perf_counter() - start
+        report, elapsed = self.timed(lambda: harness.privacy_audit(self.params, mode=w.audit_mode))
         errors = []
         if report.cases_failed:
             errors.append(f"audit: {report.cases_failed} failed cases")
@@ -270,6 +355,7 @@ class Runner:
     def op_cli(self, i: int) -> Outcome:
         iota, seed, byz = self.inputs.cli(i)
         env = dict(os.environ, PYTHONPATH=str(self.root / "src"))
+        # not sampled: on the one pinned CPU the probe would take time from the child
         start = time.perf_counter()
         proc = subprocess.run(self.cli_command(iota, seed, byz), cwd=self.root, env=env,
                               capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
@@ -303,12 +389,17 @@ def schedule(runner: Runner, seconds: float, hard_limit: float) -> dict:
     every kind samples the whole run rather than one stretch of it.  An
     operation that would end past the deadline is not started once its
     kind has its minimum count; no operation starts after `hard_limit`.
+    The host-speed probe runs before the first operation and after each
+    one; an operation's slowdown is the mean of the probes either side and
+    of those its runner's sampler took during it.
     """
     w = runner.workload
     kinds = [k for k in OP_KINDS if w.weights.get(k)]
     spent = dict.fromkeys(kinds, 0.0)
     outcomes = {k: [] for k in kinds}
+    sampler = runner.sampler
     start = time.perf_counter()
+    before = probe_s()
     while True:
         elapsed = time.perf_counter() - start
         if elapsed >= hard_limit:
@@ -323,7 +414,13 @@ def schedule(runner: Runner, seconds: float, hard_limit: float) -> dict:
         if not candidates:
             break
         kind = min(candidates, key=lambda k: spent[k] / w.weights[k])
+        sampler.probes = []
         t0 = time.perf_counter()
-        outcomes[kind].append(runner.run(kind, len(outcomes[kind])))
+        outcome = runner.run(kind, len(outcomes[kind]))
         spent[kind] += time.perf_counter() - t0
+        after = probe_s()
+        probes = [before, *sampler.probes, after]
+        outcome.slowdown = sum(probes) / len(probes) / PROBE_NOMINAL_S
+        outcomes[kind].append(outcome)
+        before = after
     return outcomes
