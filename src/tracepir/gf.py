@@ -6,6 +6,14 @@ length-s tuple of ints (index d = coefficient of xi^d with respect to the
 construction modulus).  Keeping elements as bare ints/tuples lets hot
 loops run through the compiled kernel without boxing.
 
+Bulk data (databases, blinding arrays, queries in `pir`) is stored
+instead as int64 numpy arrays whose last axis holds the s coefficients of
+an extension element, index d for xi^d as in the tuples.  Sums of
+products over them go through `pir.matmul_mod`: with entries in [0, q)
+one product is at most (q-1)^2, so a chunk of (2^63 - 1) // (q-1)^2 terms
+is summed before each reduction mod q.  That is exact for every
+q <= MAX_PRIME; at q near 2^31 a chunk is two terms.
+
 Also provides the trace map, deterministic irreducible-polynomial search,
 minimal polynomials, and trace-orthogonal dual bases.
 """
@@ -279,6 +287,8 @@ class FieldTower:
     @classmethod
     def build(cls, q: int, s: int, modulus=None) -> "FieldTower":
         base = PrimeField(q)
+        if q**s > MAX_FIELD_SIZE:
+            raise ValueError(f"field size {q}^{s} exceeds 2^32")
         if modulus is None:
             modulus = find_irreducibles(base, s, 1)[0]
         return cls(base, ExtField(base, s, modulus))

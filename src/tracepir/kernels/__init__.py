@@ -2,8 +2,8 @@
 
 ``fast`` is the optional Cython extension, ``pure`` the Python fallback.
 The compiled module is used when its build succeeded; set the environment
-variable ``TRACEPIR_PURE_KERNEL=1`` to force the fallback (the benchmark
-does this to compare both).
+variable ``TRACEPIR_PURE_KERNEL=1`` to force the fallback, for example to
+compare the two backends in separate processes.
 """
 
 import os

@@ -9,13 +9,26 @@ inner product of its evaluation with the database, either as a full
 extension symbol or compressed to one base-field symbol through the
 trace map.  Retrieval interpolates (full mode) or runs the base-field
 error-corrected reconstruction (trace mode).
+
+The data plane works on int64 arrays whose last axis holds the s
+coefficients of an extension element: a database is (m, delta, s), the
+blinding is (t, m, delta, s) and the queries are (k, m, delta, s).  The
+query curve is one matrix product of the (m*delta, t*s) blinding with a
+(t*s, k*s) table of multiply-by-constant blocks; an answer is the s x s
+coefficient-product matrix of query and database, folded through the
+modulus.  Every such product goes through `matmul_mod`, which keeps
+partial sums below 2^63 and so is exact for every q <= 2^31.  Scalars
+(setup constants, answers, retrieved symbols) stay Python ints and tuples.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import linalg, polyring, rscodes
 from .gf import (
@@ -33,6 +46,7 @@ from .rand import SeededStream
 from .rscodes import DecodeFailure, GrsCode, dual_multipliers, grs_decode
 
 ROOT_SCAN_LIMIT = 2**20  # exhaustive root search guard for setup
+INT64_MAX = 2**63 - 1
 
 
 class InvalidParameters(ValueError):
@@ -342,6 +356,44 @@ def validate_optimality(params, delta: int | None = None, s: int | None = None) 
     )
 
 
+# --- array arithmetic -------------------------------------------------------
+
+
+def matmul_mod(a, b, q: int) -> np.ndarray:
+    """a @ b mod q for int64 arrays with entries in [0, q), computed exactly.
+
+    The inner dimension is split into chunks short enough that no partial
+    sum leaves int64; each chunk is reduced before it is added.
+    """
+    step = INT64_MAX // max((q - 1) ** 2, 1)
+    inner = a.shape[-1]
+    if inner <= step:
+        return (a @ b) % q
+    out = (a[..., :step] @ b[:step]) % q
+    for start in range(step, inner, step):
+        out += (a[..., start : start + step] @ b[start : start + step]) % q
+        out %= q
+    return out
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _field_array(params: SchemeParams, values, shape: tuple, what: str) -> np.ndarray:
+    """values as an int64 array of the given shape with entries in [0, q)."""
+    try:
+        array = np.asarray(values, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        raise ValueError(f"{what} is not a regular array of field elements") from None
+    if array.shape != shape:
+        raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
+    if array.size and (array.min() < 0 or array.max() >= params.q):
+        raise ValueError(f"{what} has entries outside [0, {params.q})")
+    return array
+
+
 # --- database ---------------------------------------------------------------
 
 
@@ -359,6 +411,14 @@ class Database:
     def delta(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only int64 array of shape (m, delta, s)."""
+        try:
+            return _frozen(np.array(self.entries, dtype=np.int64))
+        except (ValueError, TypeError, OverflowError):
+            raise ValueError("database entries are not an m x delta array of field elements") from None
+
     def row(self, iota: int) -> tuple:
         """File iota (1-based)."""
         if not 1 <= iota <= self.m:
@@ -367,20 +427,15 @@ class Database:
 
 
 def check_dimensions(params: SchemeParams, db: Database):
-    if db.m != params.m or any(len(row) != params.delta for row in db.entries):
-        raise ValueError(
-            f"database is {db.m}x{db.delta}, scheme expects {params.m}x{params.delta}"
-        )
+    """Raise ValueError unless db holds m x delta elements of the scheme's field."""
+    _field_array(params, db.array, (params.m, params.delta, params.s), "database")
 
 
 def random_database(params: SchemeParams, randomness) -> Database:
     stream = _as_stream(randomness, "db")
-    ext = params.ext
-    rows = tuple(
-        tuple(stream.field_element(ext) for _ in range(params.delta))
-        for _ in range(params.m)
-    )
-    return Database(entries=rows)
+    draws = stream.randrange_array(params.q, params.m * params.delta * params.s)
+    rows = draws.reshape(params.m, params.delta, params.s).tolist()
+    return Database(entries=tuple(tuple(map(tuple, row)) for row in rows))
 
 
 def format_database(params: SchemeParams, db: Database) -> str:
@@ -430,8 +485,8 @@ def save_database(params: SchemeParams, db: Database, path):
 class QuerySet:
     """Per-server curve evaluations plus the client-side secrets."""
 
-    per_server: tuple  # k arrays, each m x delta over the extension field
-    blinding: tuple  # t random m x delta arrays (never sent to servers)
+    per_server: np.ndarray  # (k, m, delta, s); entry j - 1 goes to server j
+    blinding: np.ndarray  # (t, m, delta, s) random arrays (never sent to servers)
     iota: int  # requested file (1-based; never sent to servers)
 
 
@@ -501,47 +556,53 @@ def _as_stream(randomness, default_label: str) -> SeededStream:
     return SeededStream(int(randomness), default_label)
 
 
+@functools.lru_cache(maxsize=None)
+def _units(ext: ExtField) -> tuple:
+    """xi^0, ..., xi^(s-1): the coordinate basis of the extension."""
+    return tuple(tuple(int(a == d) for d in range(ext.s)) for a in range(ext.s))
+
+
+@functools.lru_cache(maxsize=None)
+def _query_tables(params: SchemeParams) -> tuple:
+    """(curve, indicator): the query map as read-only int64 arrays.
+
+    curve is (t*s, k*s); its (h, j) block is the s x s matrix whose row a
+    is chi_vals[h] * xi^a at beta_j, so a row of blinding coefficients
+    times it gives every server's blinding term.  indicator is
+    (k, delta, s): alpha_vals at each beta_j, added at the requested row.
+    """
+    ext = params.ext
+    table = lagrange_basis_values(params)
+    curve = np.array(
+        [
+            [[ext.mul(chi_vals[h], unit) for _, chi_vals in table] for unit in _units(ext)]
+            for h in range(params.t)
+        ],
+        dtype=np.int64,
+    )
+    indicator = np.array([alpha_vals for alpha_vals, _ in table], dtype=np.int64)
+    return _frozen(curve.reshape(params.t * params.s, -1)), _frozen(indicator)
+
+
 def queries_from_blinding(params: SchemeParams, iota: int, blinding) -> QuerySet:
     """Evaluate the indicator-plus-blinding curve at every server point."""
     if not 1 <= iota <= params.m:
         raise IndexError(f"file index {iota} outside [1, {params.m}]")
-    ext = params.ext
-    blinding = tuple(
-        tuple(tuple(entry for entry in row) for row in array) for array in blinding
-    )
-    if len(blinding) != params.t or any(
-        len(array) != params.m or any(len(row) != params.delta for row in array)
-        for array in blinding
-    ):
-        raise ValueError("blinding must be t arrays of shape m x delta")
-    table = lagrange_basis_values(params)
-    per_server = []
-    for j in range(params.k):
-        alpha_vals, chi_vals = table[j]
-        rows = []
-        for i in range(params.m):
-            row = []
-            for l in range(params.delta):
-                val = alpha_vals[l] if i == iota - 1 else ext.zero
-                for h in range(params.t):
-                    val = ext.add(val, ext.mul(chi_vals[h], blinding[h][i][l]))
-                row.append(val)
-            rows.append(tuple(row))
-        per_server.append(tuple(rows))
-    return QuerySet(per_server=tuple(per_server), blinding=blinding, iota=iota)
+    k, t, m, delta, s = params.k, params.t, params.m, params.delta, params.s
+    blinding = _field_array(params, blinding, (t, m, delta, s), "blinding")
+    curve, indicator = _query_tables(params)
+    rows = blinding.transpose(1, 2, 0, 3).reshape(m * delta, t * s)
+    per_server = matmul_mod(rows, curve, params.q).reshape(m, delta, k, s)
+    per_server = np.ascontiguousarray(per_server.transpose(2, 0, 1, 3))
+    per_server[:, iota - 1] = (per_server[:, iota - 1] + indicator) % params.q
+    return QuerySet(per_server=per_server, blinding=blinding, iota=iota)
 
 
 def gen_queries(params: SchemeParams, iota: int, randomness) -> QuerySet:
     """Sample the t blinding arrays and evaluate the query curve."""
     stream = _as_stream(randomness, "query")
-    ext = params.ext
-    blinding = tuple(
-        tuple(
-            tuple(stream.field_element(ext) for _ in range(params.delta))
-            for _ in range(params.m)
-        )
-        for _ in range(params.t)
-    )
+    shape = (params.t, params.m, params.delta, params.s)
+    blinding = stream.randrange_array(params.q, math.prod(shape)).reshape(shape)
     return queries_from_blinding(params, iota, blinding)
 
 
@@ -557,6 +618,30 @@ class AnswerSet:
     values: tuple
 
 
+@functools.lru_cache(maxsize=None)
+def _trace_forms(params: SchemeParams) -> np.ndarray:
+    """(k, s) read-only array whose row j - 1 holds Tr(v_j * xi^d) for each d.
+
+    Tr(v_j * a) is then the dot product of a's coefficients with row j - 1.
+    """
+    ext = params.ext
+    forms = [[ext.trace(ext.mul(v, unit)) for unit in _units(ext)] for v in params.v]
+    return _frozen(np.array(forms, dtype=np.int64))
+
+
+def inner_product(params: SchemeParams, x, y) -> tuple:
+    """Sum of x * y over all entries of two (..., s) arrays of one shape.
+
+    G = x^T y, with x and y flattened to (n, s), holds in G[a, b] the
+    coefficient of xi^a * xi^b.  Row a of G is the element sum_b G[a, b]
+    xi^b, so the dot product of the rows with xi^0..xi^(s-1) folds G
+    through the modulus.
+    """
+    s = params.s
+    g = matmul_mod(np.reshape(x, (-1, s)).T, np.reshape(y, (-1, s)), params.q)
+    return params.ext.dot([tuple(row) for row in g.tolist()], _units(params.ext))
+
+
 def server_answer(params: SchemeParams, j: int, query_j, db: Database, mode: str = "trace"):
     """Answer of server j: the Frobenius inner product of query and database.
 
@@ -566,16 +651,12 @@ def server_answer(params: SchemeParams, j: int, query_j, db: Database, mode: str
     if not 1 <= j <= params.k:
         raise IndexError(f"server id {j} outside [1, {params.k}]")
     check_dimensions(params, db)
-    if len(query_j) != params.m or any(len(row) != params.delta for row in query_j):
-        raise ValueError("query array shape does not match the database")
-    ext = params.ext
-    flat_q = [entry for row in query_j for entry in row]
-    flat_x = [entry for row in db.entries for entry in row]
-    answer = ext.dot(flat_q, flat_x)
+    query = _field_array(params, query_j, db.array.shape, "query array")
+    answer = inner_product(params, query, db.array)
     if mode == "full":
         return answer
     if mode == "trace":
-        return ext.trace(ext.mul(params.v[j - 1], answer))
+        return int(matmul_mod(np.array(answer), _trace_forms(params)[j - 1], params.q))
     raise ValueError(f"unknown answer mode {mode!r}")
 
 
@@ -606,10 +687,13 @@ class Retrieval:
 def _trace_code_tables(params: SchemeParams) -> tuple:
     """Constants of the base-field decoding step.
 
-    Returns (w, P, P_excl) where w are the dual multipliers of the
-    beta-point code, P[j] = prod_l f_l(beta_j), and P_excl[i][j] leaves
-    factor i out of the product.  All products are nonzero because the
-    evaluation sets are disjoint.
+    Returns (w, P, recon) where w are the dual multipliers of the
+    beta-point code and P[j] = prod_l f_l(beta_j); all P[j] are nonzero
+    because the evaluation sets are disjoint.  recon is the read-only
+    (k, delta, s) array that maps the corrected scaled word c to the file:
+    coordinate (i, :) of the file is -sum_d total_(i,d) theta_d, with
+    total_(i,d) = sum_j h_(i,d)(beta_j) P_excl[i][j] c_j / P[j], where
+    P_excl[i][j] leaves factor i out of the product P[j].
     """
     base = params.base
     evals = [
@@ -624,18 +708,24 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
         if prod == base.zero:
             raise ArithmeticError("minimal polynomial vanishes at a beta point")
         P.append(prod)
-    P_excl = []
-    for i in range(params.delta):
-        row = []
-        for j in range(params.k):
-            prod = base.one
+    weights = []  # [j][i][d]: h_(i,d)(beta_j) * P_excl[i][j] / P[j]
+    for j, beta in enumerate(params.omega_beta):
+        scale = base.inv(P[j])
+        per_symbol = []
+        for i in range(params.delta):
+            excl = scale
             for l in range(params.delta):
                 if l != i:
-                    prod = base.mul(prod, evals[l][j])
-            row.append(prod)
-        P_excl.append(tuple(row))
+                    excl = base.mul(excl, evals[l][j])
+            per_symbol.append([
+                base.mul(polyring.poly_eval(base, list(h), beta), excl)
+                for h in params.recovery_polys[i]
+            ])
+        weights.append(per_symbol)
+    theta = np.array(params.theta, dtype=np.int64)
+    recon = -matmul_mod(np.array(weights, dtype=np.int64), theta, params.q) % params.q
     _, w = dual_multipliers(base, (), params.omega_beta)
-    return tuple(w), tuple(P), tuple(P_excl)
+    return tuple(w), tuple(P), _frozen(recon)
 
 
 def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
@@ -670,15 +760,16 @@ def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
     Step 1 scales answer j by prod_l f_l(beta_j); the scaled word lives in
     a base-field code of dimension k - 2b (its parity checks are the
     power sums of the beta points), which corrects up to b wrong answers.
-    Step 2 rebuilds each file symbol from the corrected traces through the
-    recovery polynomials and the dual basis.
+    Step 2 rebuilds each file symbol from the corrected word through one
+    precomputed base-field matrix, which combines the traces, the recovery
+    polynomials and the dual basis.
     """
     if answers.mode != "trace":
         raise ValueError("retrieve_from_k needs trace-mode answers")
     if answers.server_ids != tuple(range(1, params.k + 1)):
         raise ValueError("trace retrieval needs answers from all k servers in order")
-    base, ext = params.base, params.ext
-    w, P, P_excl = _trace_code_tables(params)
+    base = params.base
+    w, P, recon = _trace_code_tables(params)
     scaled = tuple(base.mul(P[j], answers.values[j]) for j in range(params.k))
     code = GrsCode(
         field=base,
@@ -690,22 +781,10 @@ def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
         result = grs_decode(code, scaled)
     except DecodeFailure as exc:
         raise ByzantineBudgetExceeded(str(exc)) from exc
-    traces = tuple(
-        base.mul(result.corrected_word[j], base.inv(P[j])) for j in range(params.k)
-    )
-    symbols = []
-    for i in range(params.delta):
-        acc = ext.zero
-        for d in range(params.s):
-            h = params.recovery_polys[i][d]
-            total = base.zero
-            for j in range(params.k):
-                hval = polyring.poly_eval(base, list(h), params.omega_beta[j])
-                total = base.add(total, base.mul(base.mul(hval, traces[j]), P_excl[i][j]))
-            acc = ext.add(acc, ext.scalar_mul(total, params.theta[d]))
-        symbols.append(ext.neg(acc))
+    corrected = np.array(result.corrected_word, dtype=np.int64)
+    symbols = matmul_mod(corrected, recon.reshape(params.k, -1), params.q)
     return Retrieval(
-        symbols=tuple(symbols),
+        symbols=tuple(map(tuple, symbols.reshape(params.delta, params.s).tolist())),
         error_servers=tuple(p + 1 for p in result.error_positions),
     )
 

@@ -36,10 +36,6 @@ def poly_sub(field, a, b):
     return normalize(field, out)
 
 
-def poly_neg(field, a):
-    return [field.neg(c) for c in a]
-
-
 def poly_scale(field, c, a):
     if c == field.zero:
         return []

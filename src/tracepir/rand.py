@@ -2,14 +2,18 @@
 
 Blocks are SHA-256(key || counter) with the key derived from an integer
 seed and a path label, so runs are reproducible across platforms and
-Python versions.  Values are mapped to bounded ranges by rejection
-sampling, which keeps every draw exactly uniform.  Child streams forked
-with distinct labels are independent and order-insensitive.
+Python versions.  The bits of each block are consumed least significant
+first, the block read as one big-endian integer.  Values are mapped to
+bounded ranges by rejection sampling, which keeps every draw exactly
+uniform.  Child streams forked with distinct labels are independent and
+order-insensitive.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 
 class SeededStream:
@@ -27,8 +31,11 @@ class SeededStream:
         """Independent child stream addressed by a path label."""
         return SeededStream(self.seed, f"{self.label}/{label}")
 
+    def _block(self, counter: int) -> bytes:
+        return hashlib.sha256(self._key + counter.to_bytes(8, "big")).digest()
+
     def _refill(self):
-        block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
+        block = self._block(self._counter)
         self._counter += 1
         self._buffer |= int.from_bytes(block, "big") << self._bits
         self._bits += 256
@@ -50,6 +57,47 @@ class SeededStream:
             value = self.getbits(nbits)
             if value < bound:
                 return value
+
+    def randrange_array(self, bound: int, n: int) -> np.ndarray:
+        """n draws of randrange(bound) as an int64 array, in the same order.
+
+        The stream is left in the state n sequential randrange calls leave:
+        the blocks those calls would have fetched are consumed, and the
+        bits after the last accepted group stay buffered.
+        """
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        if bound > 2**63:
+            raise ValueError("bound does not fit an int64 array")
+        nbits = (bound - 1).bit_length() or 1
+        held = np.unpackbits(
+            np.frombuffer(self._buffer.to_bytes((self._bits + 7) // 8, "little"), np.uint8),
+            bitorder="little",
+        )[: self._bits]
+        weights = 1 << np.arange(nbits, dtype=np.int64)
+        # a value takes 2**nbits / bound < 2 groups on average: start from
+        # that mean plus slack, and double until n values are accepted
+        groups = n * 2**nbits // bound + 64
+        blocks = []
+        while True:
+            wanted = -(-(groups * nbits - self._bits) // 256)
+            blocks += [self._block(self._counter + c) for c in range(len(blocks), wanted)]
+            raw = np.frombuffer(b"".join(blocks), np.uint8).reshape(-1, 32)[:, ::-1]
+            bits = np.concatenate([held, np.unpackbits(raw, bitorder="little")])
+            usable = len(bits) // nbits
+            values = bits[: usable * nbits].reshape(usable, nbits) @ weights
+            accepted = np.flatnonzero(values < bound)
+            if len(accepted) >= n:
+                break
+            groups *= 2
+        used = int(accepted[n - 1]) + 1 if n else 0
+        consumed = used * nbits
+        fetched = max(0, -(-(consumed - self._bits) // 256))
+        rest = bits[consumed : self._bits + 256 * fetched]
+        self._counter += fetched
+        self._buffer = int.from_bytes(np.packbits(rest, bitorder="little").tobytes(), "little")
+        self._bits = len(rest)
+        return values[accepted[:n]]
 
     def randrange_excluding(self, bound: int, excluded: int) -> int:
         """Uniform over [0, bound) minus one excluded value."""

@@ -135,6 +135,26 @@ class TestPrivacyAudit:
         assert report.subsets == ((3,),)
         assert report.max_tv_distance == 0
 
+    def test_exhaustive_audit_flags_a_leaking_curve(self, monkeypatch):
+        # with the blinding term zeroed at server 1, its query shows which
+        # row is requested: every iota pair that separates an entry differs
+        params = pir.setup(4, 1, 1, 4, m=3)
+        table = pir.lagrange_basis_values(params)
+        leaking = ((table[0][0], (params.ext.zero,)),) + table[1:]
+        monkeypatch.setattr(pir, "lagrange_basis_values", lambda p: leaking)
+        pir._query_tables.cache_clear()
+        try:
+            report = privacy_audit(params, mode="exhaustive")
+        finally:
+            pir._query_tables.cache_clear()
+        assert report.verdict == "fail"
+        assert report.max_tv_distance == 1
+        assert (report.cases_total, report.cases_failed) == (36, 6)
+        assert {tuple(f["subset"]) for f in report.failures} == {(1,)}
+        assert report.failures[0] == {
+            "subset": [1], "entry": [1, 1], "iota_pair": [1, 2], "tv_distance": "1",
+        }
+
     def test_transfer_matrix_all_subsets(self, params_ext):
         report = privacy_audit(params_ext, mode="transfer-matrix")
         assert report.verdict == "pass"

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from tracepir import kernels
 from tracepir.kernels import pure
+from tracepir.pir import matmul_mod
 
 try:
     from tracepir.kernels import fast
@@ -64,6 +66,26 @@ def test_dot_matches_bigint_reference(q, s):
         term = ref_ext_mul(x, y, mod, q)
         acc = tuple((u + v) % q for u, v in zip(acc, term))
     assert kernels.ext_dot(xs, ys, red, q) == acc
+
+
+@pytest.mark.parametrize("q,s", FIELDS)
+@pytest.mark.parametrize("largest", [False, True])
+def test_chunked_contraction_matches_dot(q, s, largest):
+    # the s x s coefficient products of an int64 contraction, folded through
+    # the modulus, equal the kernel's dot product; at q near 2^31 the 31
+    # terms are summed two at a time
+    rng = random.Random(q * 31 + s)
+    _, red = random_modulus(rng, q, s)
+    pick = (lambda: q - 1) if largest else (lambda: rng.randrange(q))
+    xs = [tuple(pick() for _ in range(s)) for _ in range(31)]
+    ys = [tuple(pick() for _ in range(s)) for _ in range(31)]
+    g = matmul_mod(np.array(xs, dtype=np.int64).T, np.array(ys, dtype=np.int64), q)
+    assert g.tolist() == [
+        [sum(x[a] * y[b] for x, y in zip(xs, ys)) % q for b in range(s)] for a in range(s)
+    ]
+    units = [tuple(int(a == d) for d in range(s)) for a in range(s)]
+    folded = pure.ext_dot([tuple(row) for row in g.tolist()], units, red, q)
+    assert folded == pure.ext_dot(xs, ys, red, q)
 
 
 @pytest.mark.skipif(fast is None, reason="compiled kernel not built")

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from tracepir.pir import (
     InvalidParameters,
 )
 from tracepir.rand import SeededStream
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestSetup:
@@ -129,18 +132,18 @@ class TestQueries:
                 if i == 3 - 1:
                     curve = list(alpha_polys[l])
                 for h in range(p.t):
-                    term = polyring.poly_scale(ext, queries.blinding[h][i][l], list(chi_polys[h]))
+                    term = polyring.poly_scale(ext, tuple(queries.blinding[h][i][l]), list(chi_polys[h]))
                     curve = polyring.poly_add(ext, curve, term)
                 assert polyring.degree(curve) <= p.t + p.delta - 1
                 for n, alpha in enumerate(p.omega_alpha):
                     expected = ext.one if (i == 3 - 1 and l == n) else ext.zero
                     assert polyring.poly_eval(ext, curve, alpha) == expected
                 for h, chi in enumerate(p.omega_chi):
-                    assert polyring.poly_eval(ext, curve, chi) == queries.blinding[h][i][l]
+                    assert polyring.poly_eval(ext, curve, chi) == tuple(queries.blinding[h][i][l])
                 for j, beta in enumerate(p.omega_beta):
                     assert (
                         polyring.poly_eval(ext, curve, ext.embed(beta))
-                        == queries.per_server[j][i][l]
+                        == tuple(queries.per_server[j][i][l])
                     )
 
     def test_iota_out_of_range(self, params_small):
@@ -152,7 +155,7 @@ class TestQueries:
     def test_golden_query_set(self):
         # frozen once from the implementation itself; catches any silent
         # change to the randomness layout or curve evaluation
-        with open("tests/data/golden_queries.json") as fh:
+        with open(DATA / "golden_queries.json") as fh:
             golden = json.load(fh)
         p = pir.setup(4, 1, 1, 4, m=2)
         queries = pir.gen_queries(p, golden["iota"], SeededStream(golden["seed"], "query"))
@@ -168,6 +171,30 @@ class TestQueries:
         ]
         assert got_blinding == golden["blinding"]
 
+    def test_golden_vectors_s2_s3(self):
+        # frozen from the tuple implementation before the array data plane:
+        # blinding, queries, database and both answer modes at s = 2 and 3
+        with open(DATA / "golden_vectors.json") as fh:
+            cases = json.load(fh)
+        assert [case["s"] for case in cases] == [2, 3]
+        for case in cases:
+            sc = case["scheme"]
+            p = pir.setup(sc["k"], sc["t"], sc["b"], sc["r"], m=sc["m"])
+            assert (p.q, p.s) == (case["q"], case["s"])
+            fmt = p.ext.format_element
+            db = pir.random_database(p, case["db_seed"])
+            queries = pir.gen_queries(p, case["iota"], SeededStream(case["seed"], "query"))
+            assert [[fmt(x) for x in row] for row in db.entries] == case["database"]
+            for name in ("blinding", "per_server"):
+                got = [[[fmt(x) for x in row] for row in arr] for arr in getattr(queries, name)]
+                assert got == case[name]
+            trace = pir.collect_answers(p, queries, db, "trace").values
+            full = pir.collect_answers(p, queries, db, "full").values
+            assert list(trace) == case["trace_answers"]
+            assert all(type(v) is int for v in trace)
+            assert [fmt(x) for x in full] == case["full_answers"]
+            assert all(type(c) is int for x in full for c in x)
+
     def test_marginal_uniformity_exhaustive(self):
         # for every server and entry, the query value is a bijection of the
         # single blinding value, hence exactly uniform
@@ -180,12 +207,14 @@ class TestQueries:
                     for blind in ext.elements():
                         blinding = (((blind,), (blind,)),)  # same value in both rows
                         queries = pir.queries_from_blinding(p, iota, blinding)
-                        seen.add(queries.per_server[j][i][0])
+                        seen.add(tuple(queries.per_server[j][i][0]))
                     assert len(seen) == ext.size
 
     def test_blinding_shape_validated(self, params_small):
         with pytest.raises(ValueError):
             pir.queries_from_blinding(params_small, 1, ((),))
+        with pytest.raises(ValueError):
+            pir.queries_from_blinding(params_small, 1, (((7,),) * 3,))  # 7 is not in GF(7)
 
 
 class TestAnswers:
@@ -248,6 +277,16 @@ class TestAnswers:
             pir.server_answer(params_small, 1, queries.per_server[0], bad_db)
         with pytest.raises(IndexError):
             pir.server_answer(params_small, 9, queries.per_server[0], db_small)
+        with pytest.raises(ValueError):
+            pir.server_answer(params_small, 1, queries.per_server[0], Database(entries=((7,),) * 3))
+
+    def test_database_array_built_once_and_read_only(self, params_ext, db_ext):
+        array = db_ext.array
+        assert array is db_ext.array
+        assert array.shape == (params_ext.m, params_ext.delta, params_ext.s)
+        assert array.tolist() == [[list(x) for x in row] for row in db_ext.entries]
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 1
 
 
 class TestRetrieveFromR:
