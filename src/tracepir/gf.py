@@ -392,8 +392,10 @@ def find_irreducibles(base: PrimeField, s: int, count: int) -> list:
     """First `count` monic irreducible degree-s polynomials over F_q.
 
     Scanned in lexicographic order of the coefficient vector
-    (c_0, ..., c_{s-1}); deterministic, so every derived artifact is
-    reproducible without seeds.
+    (c_0, ..., c_{s-1}), c_0 major; deterministic, so every derived
+    artifact is reproducible without seeds.  For s >= 2 the scan starts
+    at c_0 = 1: x divides every polynomial with c_0 = 0, so skipping
+    them leaves the list unchanged and saves q^(s-1) Rabin tests.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -403,14 +405,13 @@ def find_irreducibles(base: PrimeField, s: int, count: int) -> list:
             f"only {available} monic irreducible polynomials of degree {s} "
             f"exist over GF({base.q}), {count} requested"
         )
-    found = []
-    for tail in itertools.product(range(base.q), repeat=s):
-        poly = list(tail) + [1]
-        if rabin_irreducible(base, poly):
-            found.append(tuple(poly))
-            if len(found) == count:
-                break
-    return found
+    candidates = (
+        (c0, *tail, 1)
+        for c0 in range(1 if s >= 2 else 0, base.q)
+        for tail in itertools.product(range(base.q), repeat=s - 1)
+    )
+    irreducible = (poly for poly in candidates if rabin_irreducible(base, poly))
+    return list(itertools.islice(irreducible, count))
 
 
 def minimal_poly(ext: ExtField, alpha: tuple) -> tuple:

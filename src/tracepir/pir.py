@@ -32,6 +32,7 @@ import numpy as np
 
 from . import linalg, polyring, rscodes
 from .gf import (
+    MAX_FIELD_SIZE,
     DualBasisPair,
     ExtField,
     FieldTower,
@@ -45,7 +46,6 @@ from .gf import (
 from .rand import SeededStream
 from .rscodes import DecodeFailure, GrsCode, dual_multipliers, grs_decode
 
-ROOT_SCAN_LIMIT = 2**20  # exhaustive root search guard for setup
 INT64_MAX = 2**63 - 1
 
 
@@ -122,16 +122,42 @@ def _require(condition: bool, constraint: str, message: str):
 
 
 def _find_root(ext: ExtField, poly) -> tuple:
-    """Lexicographically smallest root of a base-field polynomial in ext."""
-    if ext.size > ROOT_SCAN_LIMIT:
-        raise InvalidParameters(
-            "field-size-guard",
-            f"field size {ext.size} exceeds the root-scan guard {ROOT_SCAN_LIMIT}",
-        )
-    for x in ext.elements():
-        if ext.eval_base_poly(poly, x) == ext.zero:
-            return x
-    raise ArithmeticError(f"irreducible {poly} has no root in {ext!r}")
+    """Lexicographically smallest root in ext of a degree-s irreducible poly.
+
+    The roots of such a polynomial are the s Frobenius conjugates of any
+    one of them, so one root found algebraically gives all of them and
+    the smallest is returned; the result does not depend on how the first
+    root was found.  For the construction modulus that root is xi.  For
+    any other polynomial, Cantor-Zassenhaus equal-degree splitting finds
+    it: gcd(f, (x + a)^((q^s - 1)/2) - 1) holds the roots r with r + a a
+    nonzero square, and the smaller factor is split again until one is
+    linear.  The shifts a run over ext in `elements()` order, skipping
+    the base field: all roots of f are conjugate, so r + a has the same
+    quadratic character for every root when a is in F_q.  The search
+    needs odd q, which s >= 2 implies (q >= k >= 3).
+    """
+    s = ext.s
+    if tuple(poly) == ext.modulus:
+        root = (0, 1) + (0,) * (s - 2)
+    else:
+        f = [ext.embed(c) for c in poly]
+        half = (ext.size - 1) // 2
+        for a in ext.elements():
+            if len(f) == 2:
+                break
+            if not any(a[1:]):
+                continue
+            power = polyring.poly_powmod(ext, [a, ext.one], half, f)
+            g = polyring.poly_gcd(ext, polyring.poly_sub(ext, power, [ext.one]), f)
+            if 1 < len(g) < len(f):
+                f = min(g, polyring.poly_divmod(ext, f, g)[0], key=len)
+        if len(f) != 2:
+            raise ArithmeticError(f"{poly} does not split into linear factors in {ext!r}")
+        root = ext.neg(f[0])
+    conjugates = [root]
+    for _ in range(s - 1):
+        conjugates.append(ext.frobenius(conjugates[-1]))
+    return min(conjugates)
 
 
 def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1) -> SchemeParams:
@@ -139,11 +165,13 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
 
     The evaluation sets are pairwise disjoint by construction: the beta
     points are the first k base-field elements; for s >= 2 the alpha and
-    chi points are canonical roots of the first delta + t monic
-    irreducible degree-s polynomials in lexicographic order (roots of
-    distinct irreducibles can collide neither with each other nor with
-    the base field), while for s = 1 the three sets tile the first
-    k + t + delta base elements.
+    chi points are the lexicographically smallest roots (`_find_root`) of
+    the first delta + t monic irreducible degree-s polynomials in
+    lexicographic order (roots of distinct irreducibles can collide
+    neither with each other nor with the base field), while for s = 1 the
+    three sets tile the first k + t + delta base elements.  Towers above
+    2^32 elements are refused (constraint "field-size-guard") before any
+    irreducible search; below that, setup is polynomial in s and log q.
     """
     for name, value in (("k", k), ("t", t), ("b", b), ("r", r), ("m", m)):
         if not isinstance(value, int):
@@ -174,6 +202,11 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
             f"q={q_hint} is below the minimum {q_min} for these parameters",
         )
         q = base_probe.q
+    _require(
+        q**s <= MAX_FIELD_SIZE,
+        "field-size-guard",
+        f"field size {q}^{s} exceeds 2^32",
+    )
 
     base = PrimeField(q)
     omega_beta = tuple(range(k))
@@ -419,6 +452,11 @@ class Database:
         except (ValueError, TypeError, OverflowError):
             raise ValueError("database entries are not an m x delta array of field elements") from None
 
+    @functools.cached_property
+    def bounds(self) -> tuple:
+        """(min, max) of the non-empty `array`, scanned once."""
+        return int(self.array.min()), int(self.array.max())
+
     def row(self, iota: int) -> tuple:
         """File iota (1-based)."""
         if not 1 <= iota <= self.m:
@@ -427,8 +465,17 @@ class Database:
 
 
 def check_dimensions(params: SchemeParams, db: Database):
-    """Raise ValueError unless db holds m x delta elements of the scheme's field."""
-    _field_array(params, db.array, (params.m, params.delta, params.s), "database")
+    """Raise ValueError unless db holds m x delta elements of the scheme's field.
+
+    The range check reads the database's cached bounds, so validating the
+    same read-only database again costs no scan.
+    """
+    shape = (params.m, params.delta, params.s)
+    if db.array.shape != shape:
+        raise ValueError(f"database has shape {db.array.shape}, expected {shape}")
+    low, high = db.bounds
+    if low < 0 or high >= params.q:
+        raise ValueError(f"database has entries outside [0, {params.q})")
 
 
 def random_database(params: SchemeParams, randomness) -> Database:

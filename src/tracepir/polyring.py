@@ -66,14 +66,17 @@ def poly_divmod(field, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
     quo = [field.zero] * max(len(a) - len(b) + 1, 0)
-    inv_lead = field.inv(b[-1])
+    top = len(b) - 1
+    monic_divisor = b[top] == field.one
+    inv_lead = field.one if monic_divisor else field.inv(b[top])
     for i in range(len(rem) - len(b), -1, -1):
-        factor = field.mul(rem[i + len(b) - 1], inv_lead)
+        factor = rem[i + top] if monic_divisor else field.mul(rem[i + top], inv_lead)
         if factor == field.zero:
             continue
         quo[i] = factor
-        for j, c in enumerate(b):
-            rem[i + j] = field.sub(rem[i + j], field.mul(factor, c))
+        rem[i + top] = field.zero  # factor * b[top] cancels it exactly
+        for j in range(top):
+            rem[i + j] = field.sub(rem[i + j], field.mul(factor, b[j]))
     return normalize(field, quo), normalize(field, rem)
 
 

@@ -34,6 +34,12 @@ class TestParams:
         assert "delta | (k-2b-t)" in err
         assert "does not divide" in err
 
+    def test_field_size_guard_exit_2(self, capsys):
+        # s = 12 over GF(13) is above the 2^32 field cap
+        code, _, err = run_cli(capsys, "params", "--k", "13", "--t", "1", "--b", "0", "--r", "2")
+        assert code == 2
+        assert "field-size-guard" in err
+
     def test_extension_parameters(self, capsys):
         code, out, _ = run_cli(capsys, "params", "--k", "7", "--t", "1", "--b", "1", "--r", "5")
         assert code == 0

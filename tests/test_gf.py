@@ -1,5 +1,6 @@
 """Field tower: construction, trace, irreducibles, minimal polys, dual bases."""
 
+import itertools
 import random
 
 import pytest
@@ -157,6 +158,16 @@ class TestIrreducibles:
         assert len(found) == count
         with pytest.raises(ValueError):
             find_irreducibles(F, s, count + 1)
+
+    @pytest.mark.parametrize("q,s", [(3, 2), (5, 3), (7, 3), (3, 4), (2, 4)])
+    def test_matches_full_lexicographic_scan(self, q, s):
+        F = PrimeField(q)
+        full = [
+            (*tail, 1)
+            for tail in itertools.product(range(q), repeat=s)
+            if gf.rabin_irreducible(F, (*tail, 1))
+        ]
+        assert find_irreducibles(F, s, len(full)) == full
 
     def test_outputs_have_no_roots_for_quadratics(self):
         F = PrimeField(11)

@@ -88,6 +88,15 @@ class TestRunSession:
         )
         assert byz.respond(params_small, queries.per_server[1], "trace") == (honest + 2) % 7
 
+    @pytest.mark.parametrize("scheme,s,q", [((13, 1, 2, 6), 8, 13), ((8, 1, 0, 2), 7, 11)])
+    def test_large_tower_round_trip(self, scheme, s, q):
+        params = pir.setup(*scheme)
+        assert (params.s, params.q) == (s, q)
+        pir.verify_params(params)
+        db = pir.random_database(params, 17)
+        report = run_session(params, db, 1, seed=5)
+        assert report.ok and report.ground_truth_match
+
 
 class TestAdversaryModel:
     def test_strategies_produce_in_field_wrong_symbols(self, params_small, db_small):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tracepir import pir, polyring, rscodes
+from tracepir import gf, pir, polyring, rscodes
 from tracepir.pir import (
     AnswerSet,
     ByzantineBudgetExceeded,
@@ -50,6 +50,39 @@ class TestSetup:
             pir.setup(4, 1, 1, 4, q_hint=5)  # below k + delta + t
         with pytest.raises(ValueError):
             pir.setup(4, 1, 1, 4, q_hint=9)  # not prime
+
+    def test_field_size_guard_before_search(self, monkeypatch):
+        # s = 12 over GF(13): the guard must fire before any irreducible work
+        def no_search(*args):
+            raise AssertionError("irreducible search ran before the field-size guard")
+
+        monkeypatch.setattr(pir, "irreducible_count", no_search)
+        monkeypatch.setattr(pir, "find_irreducibles", no_search)
+        with pytest.raises(InvalidParameters) as err:
+            pir.setup(13, 1, 0, 2)
+        assert err.value.constraint == "field-size-guard"
+
+    def test_golden_params(self):
+        # frozen from the exhaustive root scan and full irreducible search,
+        # at s = 2, 3, 4 and 5
+        with open(DATA / "golden_params.json") as fh:
+            cases = json.load(fh)
+        assert [case["params"]["s"] for case in cases] == [2, 3, 4, 5]
+        for case in cases:
+            sc = case["scheme"]
+            p = pir.setup(sc["k"], sc["t"], sc["b"], sc["r"])
+            assert pir.params_to_json_dict(p) == case["params"]
+
+    @pytest.mark.parametrize("q,s", [(3, 2), (7, 2), (3, 3), (3, 4)])
+    def test_find_root_is_smallest_root(self, q, s):
+        base = gf.PrimeField(q)
+        irreducibles = gf.find_irreducibles(base, s, gf.irreducible_count(q, s))
+        # the first modulus takes the xi shortcut for itself, the last does not
+        for modulus in (irreducibles[0], irreducibles[-1]):
+            ext = gf.ExtField(base, s, modulus)
+            for f in irreducibles:
+                smallest = min(x for x in ext.elements() if ext.eval_base_poly(f, x) == ext.zero)
+                assert pir._find_root(ext, f) == smallest
 
     def test_sets_disjoint_and_alpha_roots(self, params_ext):
         p = params_ext
@@ -287,6 +320,18 @@ class TestAnswers:
         assert array.tolist() == [[list(x) for x in row] for row in db_ext.entries]
         with pytest.raises(ValueError):
             array[0, 0, 0] = 1
+
+    def test_database_bounds_scanned_once(self, params_ext, params_small):
+        db = pir.random_database(params_ext, 91)
+        pir.check_dimensions(params_ext, db)
+        bounds = db.bounds
+        assert bounds == (int(db.array.min()), int(db.array.max()))
+        pir.check_dimensions(params_ext, db)
+        assert db.bounds is bounds
+        # right shape, entries outside [0, q) at either end
+        for bad in (7, -1):
+            with pytest.raises(ValueError, match="outside"):
+                pir.check_dimensions(params_small, Database(entries=(((bad,),),) * 3))
 
 
 class TestRetrieveFromR:

@@ -63,6 +63,18 @@ def test_divmod_roundtrip(field):
         assert polyring.degree(rem) < polyring.degree(b) or rem == []
 
 
+def test_divmod_by_monic_skips_inverse():
+    class NoInverse(PrimeField):
+        def inv(self, a):
+            raise AssertionError("inverted the leading coefficient of a monic divisor")
+
+    field = NoInverse(7)
+    a, b = [3, 1, 4, 1, 5], [2, 6, 1]
+    quo, rem = polyring.poly_divmod(field, a, b)
+    assert polyring.poly_add(F7, polyring.poly_mul(F7, quo, b), rem) == a
+    assert polyring.degree(rem) < polyring.degree(b)
+
+
 def test_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         polyring.poly_divmod(F7, [1, 2], [])
