@@ -3,8 +3,7 @@
 Fields act as arithmetic contexts rather than element wrappers: a
 PrimeField element is a plain int in [0, q) and an ExtField element is a
 length-s tuple of ints (index d = coefficient of xi^d with respect to the
-construction modulus).  Keeping elements as bare ints/tuples lets hot
-loops run through the compiled kernel without boxing.
+construction modulus).  The scalar arithmetic on them is `kernels`.
 
 Bulk data (databases, blinding arrays, queries in `pir`) is stored
 instead as int64 numpy arrays whose last axis holds the s coefficients of
@@ -20,6 +19,7 @@ minimal polynomials, and trace-orthogonal dual bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -202,17 +202,28 @@ class ExtField:
         return kernels.ext_pow(a, self.q, self._red, self.q)
 
     def trace(self, a: tuple) -> int:
-        """Tr(a) = sum of a^{q^i} for i < s; always a base-field element."""
-        acc = a
-        power = a
-        for _ in range(self.s - 1):
-            power = self.frobenius(power)
-            acc = self.add(acc, power)
-        if any(acc[1:]):
-            raise ArithmeticError(
-                f"trace of {a} left the base field; construction modulus is broken"
-            )
-        return acc[0]
+        """Tr(a) = sum of a^{q^i} for i < s; always a base-field element.
+
+        The trace is F_q-linear, so it is the dot product of a's
+        coefficients with (Tr(xi^0), ..., Tr(xi^(s-1))).
+        """
+        return sum(c * t for c, t in zip(a, self._trace_form, strict=True)) % self.q
+
+    @functools.cached_property
+    def _trace_form(self) -> tuple:
+        """Tr(xi^d) for d < s, each summed over the s Frobenius powers."""
+        form = []
+        for d in range(self.s):
+            acc = power = tuple(int(i == d) for i in range(self.s))
+            for _ in range(self.s - 1):
+                power = self.frobenius(power)
+                acc = self.add(acc, power)
+            if any(acc[1:]):
+                raise ArithmeticError(
+                    f"trace of xi^{d} left the base field; construction modulus is broken"
+                )
+            form.append(acc[0])
+        return tuple(form)
 
     def eval_base_poly(self, coeffs, x: tuple) -> tuple:
         """Evaluate a base-field polynomial at an extension point."""

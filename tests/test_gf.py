@@ -100,6 +100,15 @@ class TestExtField:
             tr = E.embed(E.trace(x))
             assert E.frobenius(tr) == tr
 
+    @pytest.mark.parametrize("q,s", [(3, 2), (5, 3), (3, 4)])
+    def test_trace_is_sum_of_frobenius_powers(self, q, s):
+        E = tower(q, s).ext
+        for x in E.elements():
+            acc = E.zero
+            for i in range(s):
+                acc = E.add(acc, E.pow(x, q**i))
+            assert E.trace(x) == E.project(acc)
+
     def test_inverse_and_pow(self):
         E = tower(7, 2).ext
         rng = random.Random(9)
