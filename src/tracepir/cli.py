@@ -80,13 +80,18 @@ def cmd_run(args) -> int:
         return _fail(EXIT_IO, f"database-parse: {exc}")
     if not 1 <= args.iota <= params.m:
         return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [iota]: {args.iota} outside [1, {params.m}]")
+    if any(not 1 <= j <= params.k for j in args.byzantine):
+        return _fail(EXIT_INVALID_PARAMS, "invalid-parameters [byzantine]: server id outside [1, k]")
+    if len(set(args.byzantine)) != len(args.byzantine):
+        return _fail(EXIT_INVALID_PARAMS, "invalid-parameters [byzantine]: duplicate server id")
+    if args.strategy == "offset" and args.offset % params.q == 0:
+        # an offset that is 0 mod q leaves every answer honest
+        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [offset]: {args.offset} is 0 mod q={params.q}")
     adversary = AdversaryModel(
         byzantine_set=args.byzantine,
         strategy=args.strategy,
         offset=args.offset,
     )
-    if any(not 1 <= j <= params.k for j in adversary.byzantine_set):
-        return _fail(EXIT_INVALID_PARAMS, "invalid-parameters [byzantine]: server id outside [1, k]")
     report = harness.run_session(
         params, db, args.iota, adversary, mode=args.mode, seed=args.seed
     )
@@ -99,6 +104,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.randomized is not None and args.randomized < 1:
+        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [randomized]: {args.randomized} cases, need at least 1")
     try:
         params = _setup_from_args(args)
     except InvalidParameters as exc:
@@ -202,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit", parents=[scheme], help="privacy audit")
-    p.add_argument("--exhaustive", action="store_true", help="exact distribution comparison (default)")
-    p.add_argument("--transfer-matrix", action="store_true", help="transfer-matrix invertibility audit")
+    audit_mode = p.add_mutually_exclusive_group()
+    audit_mode.add_argument("--exhaustive", action="store_true", help="exact distribution comparison (default)")
+    audit_mode.add_argument("--transfer-matrix", action="store_true", help="transfer-matrix invertibility audit")
     p.add_argument("--subset", type=_parse_id_list, default=None, help="specific server subset to audit")
     p.set_defaults(func=cmd_audit)
 

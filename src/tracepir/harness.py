@@ -59,20 +59,18 @@ def _params_summary(params: SchemeParams) -> dict:
 
 @dataclass(frozen=True)
 class AdversaryModel:
-    """Byzantine set plus corruption strategy, and the colluding set.
+    """Byzantine set plus corruption strategy.
 
     Strategies: 'random' draws a uniformly random wrong symbol, 'offset'
     adds a fixed nonzero constant, 'targeted' hands the query (and the
     honest answer) to a caller-supplied function that may compute
-    anything well-typed.  The collusion set is only meaningful to the
-    privacy auditor, which plays those servers.
+    anything well-typed.
     """
 
     byzantine_set: tuple = ()
     strategy: str = "random"
     offset: int = 1
     targeted_fn: object = None
-    collusion_set: tuple = ()
 
     def __post_init__(self):
         if self.strategy not in ("random", "offset", "targeted"):
@@ -179,13 +177,11 @@ def run_session(
     adversary: AdversaryModel | None = None,
     mode: str = "trace",
     seed: int = DEFAULT_SEED,
-    responders: tuple | None = None,
 ) -> SessionReport:
     """One full query/answer/retrieve round, deterministic given the seed.
 
-    Trace mode involves all k servers; full mode the first r (or the
-    given responders).  A decode failure is reported as a failed session,
-    never raised.
+    Trace mode involves all k servers; full mode the first r.  A decode
+    failure is reported as a failed session, never raised.
     """
     pir.check_dimensions(params, db)
     adversary = adversary or AdversaryModel()
@@ -197,7 +193,7 @@ def run_session(
     if mode == "trace":
         ids = tuple(range(1, params.k + 1))
     elif mode == "full":
-        ids = tuple(responders) if responders else tuple(range(1, params.r + 1))
+        ids = tuple(range(1, params.r + 1))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     nodes = [

@@ -7,16 +7,15 @@ nonzero".
 """
 
 
-def solve(field, rows, rhs):
-    """One solution of rows * x = rhs with free variables set to zero.
+def _eliminate(field, aug, ncols: int) -> list:
+    """Gauss-Jordan on the first ncols columns of aug, in place.
 
-    Returns None when the system is inconsistent.
+    Each pivot row is scaled to 1 and its column cleared in every other
+    row; a column that is zero in every row not yet holding a pivot is
+    skipped.  Returns the pivot columns: row r holds the pivot of column
+    pivots[r].
     """
-    m = len(rows)
-    if m != len(rhs):
-        raise ValueError("matrix/vector size mismatch")
-    ncols = len(rows[0]) if m else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    m = len(aug)
     pivots = []
     row = 0
     for col in range(ncols):
@@ -38,9 +37,22 @@ def solve(field, rows, rhs):
         row += 1
         if row == m:
             break
-    for i in range(row, m):
-        if aug[i][ncols] != field.zero:
-            return None
+    return pivots
+
+
+def solve(field, rows, rhs):
+    """One solution of rows * x = rhs with free variables set to zero.
+
+    Returns None when the system is inconsistent.
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise ValueError("matrix/vector size mismatch")
+    ncols = len(rows[0]) if m else 0
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    pivots = _eliminate(field, aug, ncols)
+    if any(aug[i][ncols] != field.zero for i in range(len(pivots), m)):
+        return None
     x = [field.zero] * ncols
     for r, col in enumerate(pivots):
         x[col] = aug[r][ncols]
@@ -54,21 +66,8 @@ def invert(field, rows):
         raise ValueError("matrix is not square")
     aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
            for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if aug[i][col] != field.zero:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, c) for c in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != field.zero:
-                f = aug[i][col]
-                aug[i] = [field.sub(c, field.mul(f, p)) for c, p in zip(aug[i], aug[col])]
+    if len(_eliminate(field, aug, n)) < n:
+        return None
     return [row[n:] for row in aug]
 
 

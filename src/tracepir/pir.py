@@ -33,7 +33,6 @@ import numpy as np
 from . import linalg, polyring, rscodes
 from .gf import (
     MAX_FIELD_SIZE,
-    DualBasisPair,
     ExtField,
     FieldTower,
     PrimeField,
@@ -99,10 +98,6 @@ class SchemeParams:
     @property
     def ext(self) -> ExtField:
         return self.tower.ext
-
-    @property
-    def dual_pair(self) -> DualBasisPair:
-        return DualBasisPair(theta=self.theta, eta=self.eta)
 
     @property
     def file_base_symbols(self) -> int:
@@ -516,8 +511,14 @@ def parse_database(params: SchemeParams, text: str) -> Database:
 
 
 def load_database(params: SchemeParams, path) -> Database:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_database(params, fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DatabaseFormatError(f"byte {data[exc.start]:#04x} is not ASCII", line) from None
+    return parse_database(params, text)
 
 
 def save_database(params: SchemeParams, db: Database, path):
@@ -555,26 +556,16 @@ def lagrange_basis_values(params: SchemeParams) -> tuple:
 
 def _basis_values_at(params: SchemeParams, point) -> tuple:
     ext = params.ext
-    alphas, chis = params.omega_alpha, params.omega_chi
-    alpha_vals = []
-    for n, alpha_n in enumerate(alphas):
-        val = ext.one
-        for l, alpha_l in enumerate(alphas):
+    nodes = params.omega_alpha + params.omega_chi
+    values = []
+    for n, node in enumerate(nodes):
+        num = den = ext.one
+        for l, other in enumerate(nodes):
             if l != n:
-                val = ext.mul(val, ext.mul(ext.sub(point, alpha_l), ext.inv(ext.sub(alpha_n, alpha_l))))
-        for chi in chis:
-            val = ext.mul(val, ext.mul(ext.sub(point, chi), ext.inv(ext.sub(alpha_n, chi))))
-        alpha_vals.append(val)
-    chi_vals = []
-    for h, chi_h in enumerate(chis):
-        val = ext.one
-        for alpha in alphas:
-            val = ext.mul(val, ext.mul(ext.sub(point, alpha), ext.inv(ext.sub(chi_h, alpha))))
-        for l, chi_l in enumerate(chis):
-            if l != h:
-                val = ext.mul(val, ext.mul(ext.sub(point, chi_l), ext.inv(ext.sub(chi_h, chi_l))))
-        chi_vals.append(val)
-    return tuple(alpha_vals), tuple(chi_vals)
+                num = ext.mul(num, ext.sub(point, other))
+                den = ext.mul(den, ext.sub(node, other))
+        values.append(ext.mul(num, ext.inv(den)))
+    return tuple(values[: params.delta]), tuple(values[params.delta :])
 
 
 @functools.lru_cache(maxsize=None)
@@ -734,12 +725,14 @@ class Retrieval:
 def _trace_code_tables(params: SchemeParams) -> tuple:
     """Constants of the base-field decoding step.
 
-    Returns (w, P, recon) where w are the dual multipliers of the
-    beta-point code and P[j] = prod_l f_l(beta_j); all P[j] are nonzero
-    because the evaluation sets are disjoint.  recon is the read-only
-    (k, delta, s) array that maps the corrected scaled word c to the file:
-    coordinate (i, :) of the file is -sum_d total_(i,d) theta_d, with
-    total_(i,d) = sum_j h_(i,d)(beta_j) P_excl[i][j] c_j / P[j], where
+    Returns (code, recon).  Answer j is w_j g(beta_j) / P[j] for a
+    polynomial g of degree below k - 2b, where w are the dual multipliers
+    of the beta points and P[j] = prod_l f_l(beta_j); every P[j] is
+    nonzero because the evaluation sets are disjoint.  code is therefore
+    the GRS code on the beta points with multipliers w_j / P[j].  recon is
+    the read-only (k, delta, s) array that maps its corrected word c to
+    the file: coordinate (i, :) of the file is -sum_d total_(i,d) theta_d,
+    with total_(i,d) = sum_j h_(i,d)(beta_j) P_excl[i][j] c_j, where
     P_excl[i][j] leaves factor i out of the product P[j].
     """
     base = params.base
@@ -755,12 +748,11 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
         if prod == base.zero:
             raise ArithmeticError("minimal polynomial vanishes at a beta point")
         P.append(prod)
-    weights = []  # [j][i][d]: h_(i,d)(beta_j) * P_excl[i][j] / P[j]
+    weights = []  # [j][i][d]: h_(i,d)(beta_j) * P_excl[i][j]
     for j, beta in enumerate(params.omega_beta):
-        scale = base.inv(P[j])
         per_symbol = []
         for i in range(params.delta):
-            excl = scale
+            excl = base.one
             for l in range(params.delta):
                 if l != i:
                     excl = base.mul(excl, evals[l][j])
@@ -772,7 +764,13 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
     theta = np.array(params.theta, dtype=np.int64)
     recon = -matmul_mod(np.array(weights, dtype=np.int64), theta, params.q) % params.q
     _, w = dual_multipliers(base, (), params.omega_beta)
-    return tuple(w), tuple(P), _frozen(recon)
+    code = GrsCode(
+        field=base,
+        points=params.omega_beta,
+        multipliers=tuple(base.mul(w_j, base.inv(p_j)) for w_j, p_j in zip(w, P)),
+        dim=params.k - 2 * params.b,
+    )
+    return code, _frozen(recon)
 
 
 def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
@@ -804,28 +802,21 @@ def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
 def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
     """Reconstruct the file from all k trace answers, tolerating b errors.
 
-    Step 1 scales answer j by prod_l f_l(beta_j); the scaled word lives in
-    a base-field code of dimension k - 2b (its parity checks are the
-    power sums of the beta points), which corrects up to b wrong answers.
-    Step 2 rebuilds each file symbol from the corrected word through one
-    precomputed base-field matrix, which combines the traces, the recovery
-    polynomials and the dual basis.
+    The k answers form a word of a base-field GRS code of dimension
+    k - 2b on the beta points (its parity checks are the power sums of
+    the beta points, weighted by prod_l f_l(beta_j)), so one
+    bounded-distance decode corrects up to b wrong answers.  One
+    precomputed base-field matrix then rebuilds every file symbol from
+    the corrected word; it combines the traces, the recovery polynomials
+    and the dual basis.
     """
     if answers.mode != "trace":
         raise ValueError("retrieve_from_k needs trace-mode answers")
     if answers.server_ids != tuple(range(1, params.k + 1)):
         raise ValueError("trace retrieval needs answers from all k servers in order")
-    base = params.base
-    w, P, recon = _trace_code_tables(params)
-    scaled = tuple(base.mul(P[j], answers.values[j]) for j in range(params.k))
-    code = GrsCode(
-        field=base,
-        points=params.omega_beta,
-        multipliers=w,
-        dim=params.k - 2 * params.b,
-    )
+    code, recon = _trace_code_tables(params)
     try:
-        result = grs_decode(code, scaled)
+        result = grs_decode(code, answers.values)
     except DecodeFailure as exc:
         raise ByzantineBudgetExceeded(str(exc)) from exc
     corrected = np.array(result.corrected_word, dtype=np.int64)
@@ -903,7 +894,7 @@ def recovery_dual_words(params: SchemeParams) -> list:
 
 def parity_check_words(params: SchemeParams) -> list:
     """The 2b check words xi^e * prod_l f_l (e < 2b); they vanish at every
-    alpha, which restricts the scaled trace answers to a decodable code."""
+    alpha, which restricts the trace answers to a decodable code."""
     base = params.base
     full = [base.one]
     for f in params.min_polys:

@@ -2,10 +2,12 @@
 
 A GRS code is the set of words (m_1 h(x_1), ..., m_n h(x_n)) for message
 polynomials h of degree below the dimension.  Decoding is errors-only
-Berlekamp-Welch: solve E(x_i) r_i = N(x_i) for a monic error locator E
-and masked message N, then divide.  ``oracle_decode`` is the brute-force
-counterpart used to cross-check the decoder; it enumerates every
-codeword, so it is guarded by an enumeration bound.
+Berlekamp-Welch: one linear solve of N(x_i) = r_i E(x_i), with r_i the
+received symbol over its multiplier, for a monic error locator E of
+degree tau = floor((n - dim) / 2) and a masked message N, then one
+division N / E.  ``oracle_decode`` is the brute-force counterpart used
+to cross-check the decoder; it enumerates every codeword, so it is
+guarded by an enumeration bound.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ class DecodeResult:
     error_positions: tuple
     corrected_word: tuple
 
-    @property
-    def error_count(self) -> int:
-        return len(self.error_positions)
-
 
 def lagrange_interpolate(field, points):
     """Unique polynomial of degree < n through n points with distinct x."""
@@ -105,66 +103,52 @@ def grs_encode(code: GrsCode, message_poly):
     )
 
 
-def _distance(a, b) -> int:
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
-def _berlekamp_welch(code: GrsCode, ratios, tau: int):
-    # Unknowns: kappa+tau coefficients of N, tau low coefficients of E
-    # (E is monic of degree exactly tau).  Equation per position i:
-    #   sum_d N_d x^d - r_i sum_{d<tau} E_d x^d = r_i x^tau
-    F = code.field
-    kappa = code.dim
-    rows = []
-    rhs = []
-    for x, r in zip(code.points, ratios):
-        powers = [F.one]
-        for _ in range(kappa + 2 * tau - 1):
-            powers.append(F.mul(powers[-1], x))
-        row = powers[: kappa + tau]
-        row = row + [F.neg(F.mul(r, powers[d])) for d in range(tau)]
-        rows.append(row)
-        rhs.append(F.mul(r, powers[tau]))
-    solution = linalg.solve(F, rows, rhs)
-    if solution is None:
-        return None
-    n_coeffs = polyring.normalize(F, solution[: kappa + tau])
-    e_coeffs = list(solution[kappa + tau :]) + [F.one]
-    quotient, remainder = polyring.poly_divmod(F, n_coeffs, e_coeffs)
-    if remainder:
-        return None
-    if polyring.degree(quotient) >= kappa:
-        return None
-    return quotient
-
-
 def grs_decode(code: GrsCode, received) -> DecodeResult:
-    """Bounded-distance decode up to radius floor((n - dim)/2).
+    """Bounded-distance decode up to radius tau = floor((n - dim)/2).
 
-    When fewer than tau errors occurred the monic-locator system can be
-    degenerate; any solution that passes the division and distance checks
-    is accepted, retrying with a smaller locator degree otherwise.
+    One Berlekamp-Welch solve at locator degree tau suffices.  Its
+    unknowns are the dim + tau coefficients of N and the tau low
+    coefficients of the monic E; position i contributes
+    sum_d N_d x_i^d - r_i sum_{d<tau} E_d x_i^d = r_i x_i^tau, where r_i
+    is the received symbol divided by its multiplier.  If a codeword with
+    message f differs from the word in e <= tau positions, whose monic
+    locator is L, then (E, N) = (L x^(tau - e), L f) solves the system,
+    and every solution (E', N') has N' = E' f: N' E - N E' has degree
+    below dim + 2 tau <= n and vanishes at all n points.  So when the
+    solve or the division fails, no codeword lies within tau, and
+    DecodeFailure is raised.  An exact quotient has degree below dim,
+    because N has degree below dim + tau, and it agrees with the word
+    wherever E is nonzero, that is at all but at most tau points; the
+    distance check therefore cannot fail and stays only as a guard.
     """
     received = tuple(received)
     if len(received) != code.n:
         raise ValueError(f"received word has length {len(received)}, expected {code.n}")
     F = code.field
-    tau = code.radius
-    # minimum distance n-dim+1 > 2*tau: bounded-distance uniqueness holds
-    assert code.n - code.dim + 1 > 2 * tau
-    ratios = [F.mul(r, F.inv(m)) for r, m in zip(received, code.multipliers)]
-    for trial_tau in range(tau, -1, -1):
-        message = _berlekamp_welch(code, ratios, trial_tau)
-        if message is None:
-            continue
-        corrected = grs_encode(code, message)
-        positions = tuple(i for i, (a, b) in enumerate(zip(corrected, received)) if a != b)
-        if len(positions) <= tau:
-            return DecodeResult(
-                message_poly=tuple(message),
-                error_positions=positions,
-                corrected_word=corrected,
-            )
+    kappa, tau = code.dim, code.radius
+    rows = []
+    rhs = []
+    for x, y, m in zip(code.points, received, code.multipliers):
+        r = F.mul(y, F.inv(m))
+        powers = [F.one]
+        for _ in range(kappa + tau - 1):
+            powers.append(F.mul(powers[-1], x))
+        rows.append(powers + [F.neg(F.mul(r, powers[d])) for d in range(tau)])
+        rhs.append(F.mul(r, powers[tau]))  # tau < kappa + tau since dim >= 1
+    solution = linalg.solve(F, rows, rhs)
+    if solution is not None:
+        n_coeffs = polyring.normalize(F, solution[: kappa + tau])
+        e_coeffs = list(solution[kappa + tau :]) + [F.one]
+        message, remainder = polyring.poly_divmod(F, n_coeffs, e_coeffs)
+        if not remainder:
+            corrected = grs_encode(code, message)
+            positions = tuple(i for i, (a, b) in enumerate(zip(corrected, received)) if a != b)
+            if len(positions) <= tau:
+                return DecodeResult(
+                    message_poly=tuple(message),
+                    error_positions=positions,
+                    corrected_word=corrected,
+                )
     raise DecodeFailure(
         f"no codeword within distance {tau} of the received word"
     )

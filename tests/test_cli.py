@@ -112,6 +112,40 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("offset", ["0", "7", "-14"])
+    def test_offset_zero_mod_q_exit_2(self, capsys, offset):
+        # q = 7 here, so each of these offsets would leave the answer honest
+        code, out, err = run_cli(
+            capsys, "run", *BASE, "--m", "3", "--random-db", "--byzantine", "2",
+            "--strategy", "offset", "--offset", offset
+        )
+        assert (code, out) == (2, "")
+        assert "invalid-parameters [offset]" in err
+
+    def test_offset_nonzero_mod_q_corrupts(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", *BASE, "--m", "3", "--random-db", "--byzantine", "2",
+            "--strategy", "offset", "--offset", "8"
+        )
+        assert code == 0
+        assert json.loads(out)["identified_error_positions"] == [2]
+
+    def test_duplicate_byzantine_ids_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", *BASE, "--m", "3", "--random-db", "--byzantine", "1,1"
+        )
+        assert (code, out) == (2, "")
+        assert "invalid-parameters [byzantine]" in err
+
+    def test_non_ascii_database_exit_4_names_line(self, capsys, tmp_path):
+        path = tmp_path / "db.txt"
+        path.write_bytes(b"1\n2\xc3\xa9\n3\n")
+        code, _, err = run_cli(
+            capsys, "run", *BASE, "--m", "3", "--iota", "1", "--db", str(path)
+        )
+        assert code == 4
+        assert "database-parse" in err and "line 2" in err
+
 
 class TestSweepAudit:
     def test_sweep_exhaustive(self, capsys):
@@ -127,6 +161,14 @@ class TestSweepAudit:
         )
         assert code == 0
         assert json.loads(out)["cases_total"] == 25
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sweep_randomized_needs_a_case_exit_2(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "sweep", *BASE, "--m", "3", "--random-db", "--randomized", count
+        )
+        assert (code, out) == (2, "")
+        assert "invalid-parameters [randomized]" in err
 
     def test_sweep_guard_exit_5(self, capsys):
         code, _, err = run_cli(
@@ -150,6 +192,12 @@ class TestSweepAudit:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+    def test_audit_modes_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["audit", *BASE, "--m", "2", "--exhaustive", "--transfer-matrix"])
+        assert err.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_audit_beyond_threshold(self, capsys):
         code, out, _ = run_cli(

@@ -26,6 +26,11 @@ def test_solve_inconsistent_returns_none():
 def test_solve_underdetermined_picks_a_solution():
     sol = linalg.solve(F7, [[1, 1]], [3])
     assert sol is not None and sum(sol) % 7 == 3
+    # the middle column has no pivot: the pivots of later columns must
+    # still land in their own rows
+    rows, rhs = [[1, 2, 0], [2, 4, 1]], [3, 5]
+    sol = linalg.solve(F7, rows, rhs)
+    assert sol is not None and linalg.mat_vec(F7, rows, sol) == rhs
 
 
 def test_invert_roundtrip_prime_field():

@@ -154,6 +154,32 @@ class TestDecode:
         with pytest.raises(ValueError):
             grs_decode(CODE_5_3, (0, 0, 0))
 
+    @pytest.mark.parametrize("dim,multipliers", [(1, (1,) * 5), (2, (1, 2, 3, 4, 2))])
+    def test_every_word_matches_oracle_with_one_solve(self, monkeypatch, dim, multipliers):
+        # all 5^5 words over GF(5): the single locator-degree-tau solve must
+        # give the oracle's verdict, DecodeFailure included
+        code = GrsCode(field=F5, points=(0, 1, 2, 3, 4), multipliers=multipliers, dim=dim)
+        solve = rscodes.linalg.solve
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(rscodes.linalg, "solve", counted)
+        for word in itertools.product(range(5), repeat=5):
+            del calls[:]
+            try:
+                ours = grs_decode(code, word)
+            except DecodeFailure:
+                ours = None
+            assert len(calls) == 1, word
+            try:
+                ref = oracle_decode(code, word)
+            except DecodeFailure:
+                ref = None
+            assert ours == ref, word
+
 
 class TestOracle:
     def test_all_zero_word(self):
