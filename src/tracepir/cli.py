@@ -82,11 +82,10 @@ def cmd_run(args) -> int:
         return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [iota]: {args.iota} outside [1, {params.m}]")
     if any(not 1 <= j <= params.k for j in args.byzantine):
         return _fail(EXIT_INVALID_PARAMS, "invalid-parameters [byzantine]: server id outside [1, k]")
-    if len(set(args.byzantine)) != len(args.byzantine):
-        return _fail(EXIT_INVALID_PARAMS, "invalid-parameters [byzantine]: duplicate server id")
-    if args.strategy == "offset" and args.offset % params.q == 0:
-        # an offset that is 0 mod q leaves every answer honest
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [offset]: {args.offset} is 0 mod q={params.q}")
+    try:
+        harness.check_adversary(params, args.byzantine, args.strategy, args.offset)
+    except InvalidParameters as exc:
+        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [{exc.constraint}]: {exc}")
     adversary = AdversaryModel(
         byzantine_set=args.byzantine,
         strategy=args.strategy,

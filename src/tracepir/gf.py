@@ -100,6 +100,10 @@ class PrimeField:
     def inv(self, a: int) -> int:
         return kernels.mod_inv(a, self.q)
 
+    def dot(self, xs, ys) -> int:
+        """Sum of pairwise products."""
+        return sum(x * y for x, y in zip(xs, ys, strict=True)) % self.q
+
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.q)
 

@@ -100,6 +100,21 @@ class AdversaryModel:
         return fake
 
 
+def check_adversary(params: SchemeParams, byzantine_set, strategy: str, offset: int) -> None:
+    """Reject an adversary that would not act as its report says.
+
+    Raises InvalidParameters (a ValueError) naming the constraint:
+    "byzantine" for a server id given twice, which the report would list
+    twice, and "offset" for an offset strategy whose offset is 0 mod q,
+    which leaves every answer honest.  ``run_session`` and the CLI's
+    ``run`` share it.
+    """
+    if len(set(byzantine_set)) != len(byzantine_set):
+        raise InvalidParameters("byzantine", "duplicate server id")
+    if strategy == "offset" and offset % params.q == 0:
+        raise InvalidParameters("offset", f"{offset} is 0 mod q={params.q}")
+
+
 @dataclass(frozen=True)
 class ServerNode:
     """One replicated server; byzantine nodes corrupt their own answers."""
@@ -181,13 +196,15 @@ def run_session(
     """One full query/answer/retrieve round, deterministic given the seed.
 
     Trace mode involves all k servers; full mode the first r.  A decode
-    failure is reported as a failed session, never raised.
+    failure is reported as a failed session, never raised; an adversary
+    that ``check_adversary`` rejects raises InvalidParameters.
     """
     pir.check_dimensions(params, db)
     adversary = adversary or AdversaryModel()
     byz = tuple(sorted(adversary.byzantine_set))
     if any(not 1 <= j <= params.k for j in byz):
         raise IndexError("byzantine server id outside [1, k]")
+    check_adversary(params, byz, adversary.strategy, adversary.offset)
     stream = SeededStream(seed, "session")
     queries = gen_queries(params, iota, stream.fork("query"))
     if mode == "trace":

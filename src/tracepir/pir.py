@@ -723,13 +723,14 @@ class Retrieval:
 
 @functools.lru_cache(maxsize=None)
 def _trace_code_tables(params: SchemeParams) -> tuple:
-    """Constants of the base-field decoding step.
+    """Constants of the base-field decoding step, built once per params.
 
     Returns (code, recon).  Answer j is w_j g(beta_j) / P[j] for a
     polynomial g of degree below k - 2b, where w are the dual multipliers
     of the beta points and P[j] = prod_l f_l(beta_j); every P[j] is
     nonzero because the evaluation sets are disjoint.  code is therefore
-    the GRS code on the beta points with multipliers w_j / P[j].  recon is
+    the GRS code on the beta points with multipliers w_j / P[j], and its
+    cached check rows are P[j] beta_j^e for e < 2b.  recon is
     the read-only (k, delta, s) array that maps its corrected word c to
     the file: coordinate (i, :) of the file is -sum_d total_(i,d) theta_d,
     with total_(i,d) = sum_j h_(i,d)(beta_j) P_excl[i][j] c_j, where
@@ -803,12 +804,13 @@ def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
     """Reconstruct the file from all k trace answers, tolerating b errors.
 
     The k answers form a word of a base-field GRS code of dimension
-    k - 2b on the beta points (its parity checks are the power sums of
-    the beta points, weighted by prod_l f_l(beta_j)), so one
-    bounded-distance decode corrects up to b wrong answers.  One
-    precomputed base-field matrix then rebuilds every file symbol from
-    the corrected word; it combines the traces, the recovery polynomials
-    and the dual basis.
+    k - 2b on the beta points.  Its 2b parity checks are the power sums
+    of the beta points weighted by P[j] = prod_l f_l(beta_j), the checks
+    of ``parity_check_words``.  Honest answers have a zero syndrome and
+    are used as they are; otherwise the syndrome decoder locates and
+    corrects up to b wrong answers.  One precomputed base-field matrix
+    then rebuilds every file symbol from the corrected word; it combines
+    the traces, the recovery polynomials and the dual basis.
     """
     if answers.mode != "trace":
         raise ValueError("retrieve_from_k needs trace-mode answers")
@@ -894,7 +896,9 @@ def recovery_dual_words(params: SchemeParams) -> list:
 
 def parity_check_words(params: SchemeParams) -> list:
     """The 2b check words xi^e * prod_l f_l (e < 2b); they vanish at every
-    alpha, which restricts the trace answers to a decodable code."""
+    alpha, which restricts the trace answers to a decodable code.  On the
+    trace answers they are the checks P[j] beta_j^e from which
+    ``retrieve_from_k`` computes its syndromes."""
     base = params.base
     full = [base.one]
     for f in params.min_polys:

@@ -1,17 +1,22 @@
 """Reed-Solomon / Generalized Reed-Solomon machinery.
 
 A GRS code is the set of words (m_1 h(x_1), ..., m_n h(x_n)) for message
-polynomials h of degree below the dimension.  Decoding is errors-only
-Berlekamp-Welch: one linear solve of N(x_i) = r_i E(x_i), with r_i the
-received symbol over its multiplier, for a monic error locator E of
-degree tau = floor((n - dim) / 2) and a masked message N, then one
-division N / E.  ``oracle_decode`` is the brute-force counterpart used
-to cross-check the decoder; it enumerates every codeword, so it is
-guarded by an enumeration bound.
+polynomials h of degree below the dimension.  Decoding is errors-only and
+syndrome first.  The n - dim check rows y_i x_i^e, with y_i the inverse
+of m_i prod_{l != i}(x_i - x_l), give the syndromes of the received
+word; a zero syndrome means the word is a codeword and is returned as it
+is.  Otherwise Berlekamp-Massey finds the shortest linear recurrence of
+the syndromes, the reversal of its connection polynomial is the error
+locator, a Chien search finds its roots among the code points, and one
+linear solve on dim unlocated positions gives the message, which is
+re-encoded.  ``oracle_decode`` is the brute-force counterpart used to
+cross-check the decoder; it enumerates every codeword, so it is guarded
+by an enumeration bound.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +66,36 @@ class GrsCode:
         """Unique-decoding radius floor((n - dim) / 2)."""
         return (self.n - self.dim) // 2
 
+    @functools.cached_property
+    def check_rows(self) -> tuple:
+        """The n - dim parity checks: row e is (y_i x_i^e)_i.
+
+        y_i = 1 / (m_i prod_{l != i}(x_i - x_l)).  For every h of degree
+        below dim and e < n - dim, sum_i y_i m_i h(x_i) x_i^e is the
+        coefficient of x^(n-1) in the interpolant of h x^e, which is 0.
+        """
+        F = self.field
+        _, v = dual_multipliers(F, (), self.points)
+        row = [F.mul(v_i, F.inv(m)) for v_i, m in zip(v, self.multipliers)]
+        rows = []
+        for _ in range(self.n - self.dim):
+            rows.append(tuple(row))
+            row = [F.mul(c, x) for c, x in zip(row, self.points)]
+        return tuple(rows)
+
 
 @dataclass(frozen=True)
 class DecodeResult:
-    message_poly: tuple
+    """A codeword of ``code`` and the positions where the received word differs."""
+
+    code: GrsCode
     error_positions: tuple
     corrected_word: tuple
+
+    @functools.cached_property
+    def message_poly(self) -> tuple:
+        """The message of the corrected word, solved on demand from its first dim positions."""
+        return _message(self.code, self.corrected_word, range(self.code.dim))
 
 
 def lagrange_interpolate(field, points):
@@ -103,52 +132,100 @@ def grs_encode(code: GrsCode, message_poly):
     )
 
 
+def _message(code: GrsCode, word, positions) -> tuple:
+    """The h of degree below dim with m_i h(x_i) = word_i at dim positions.
+
+    One Vandermonde solve; the positions are distinct points, so its
+    solution is unique.
+    """
+    F = code.field
+    rows, rhs = [], []
+    for i in positions:
+        power, row = F.one, []
+        for _ in range(code.dim):
+            row.append(power)
+            power = F.mul(power, code.points[i])
+        rows.append(row)
+        rhs.append(F.mul(word[i], F.inv(code.multipliers[i])))
+    return tuple(polyring.normalize(F, linalg.solve(F, rows, rhs)))
+
+
+def _berlekamp_massey(F, seq) -> tuple:
+    """Shortest linear recurrence of seq, as (C, L).
+
+    C[0] = 1, C has degree at most L, and sum_{l <= L} C[l] seq[j - l] = 0
+    for every L <= j < len(seq) (Massey 1969).
+    """
+    conn, prev = [F.one], [F.one]
+    length, shift, prev_disc = 0, 1, F.one
+    for j, s in enumerate(seq):
+        disc = s
+        for l in range(1, min(length, len(conn) - 1) + 1):
+            disc = F.add(disc, F.mul(conn[l], seq[j - l]))
+        if disc == F.zero:
+            shift += 1
+            continue
+        scale = F.mul(disc, F.inv(prev_disc))
+        updated = conn + [F.zero] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev):
+            updated[i + shift] = F.sub(updated[i + shift], F.mul(scale, c))
+        if 2 * length <= j:
+            length, prev, prev_disc, shift = j + 1 - length, conn, disc, 1
+        else:
+            shift += 1
+        conn = updated
+    return conn, length
+
+
 def grs_decode(code: GrsCode, received) -> DecodeResult:
     """Bounded-distance decode up to radius tau = floor((n - dim)/2).
 
-    One Berlekamp-Welch solve at locator degree tau suffices.  Its
-    unknowns are the dim + tau coefficients of N and the tau low
-    coefficients of the monic E; position i contributes
-    sum_d N_d x_i^d - r_i sum_{d<tau} E_d x_i^d = r_i x_i^tau, where r_i
-    is the received symbol divided by its multiplier.  If a codeword with
-    message f differs from the word in e <= tau positions, whose monic
-    locator is L, then (E, N) = (L x^(tau - e), L f) solves the system,
-    and every solution (E', N') has N' = E' f: N' E - N E' has degree
-    below dim + 2 tau <= n and vanishes at all n points.  So when the
-    solve or the division fails, no codeword lies within tau, and
-    DecodeFailure is raised.  An exact quotient has degree below dim,
-    because N has degree below dim + tau, and it agrees with the word
-    wherever E is nonzero, that is at all but at most tau points; the
-    distance check therefore cannot fail and stays only as a guard.
+    The syndromes are S_e = sum_i y_i r_i x_i^e for e < n - dim (the
+    rows of ``code.check_rows``).  A zero syndrome means the word is a
+    codeword: it is returned with no error positions, and nothing is
+    solved, divided or re-encoded.
+
+    Otherwise write the word as c + err for a codeword c and an error
+    err supported on E.  The syndromes depend on err alone:
+    S_e = sum_(i in E) Y_i x_i^e with Y_i = y_i err_i nonzero, a
+    sequence of linear complexity exactly |E|.  If |E| <= tau, its
+    n - dim >= 2|E| terms determine the shortest recurrence uniquely, so
+    Berlekamp-Massey returns length L = |E| and the connection
+    polynomial C = prod_(i in E, x_i != 0)(1 - x_i z).  The locator is
+    the reversal z^L C(1/z) = prod_(i in E)(z - x_i); C itself would
+    lose the root of a point x_i = 0.  A Chien search over the n points
+    then finds exactly E, the first dim points outside E are clean, one
+    solve gives the message of c, and re-encoding gives c.
+
+    So a codeword within tau forces L <= tau and exactly L located
+    roots; when either fails, no codeword lies within tau and
+    DecodeFailure is raised.  When both hold, the syndromes are those of
+    an error on the located positions (its values solve the first L
+    syndromes, and the recurrence extends them to the rest), so a
+    codeword lies within L <= tau, the clean positions give its message,
+    and the re-encoded word is that codeword; the distance check cannot
+    fail and stays only as a guard.  Every verdict is therefore the
+    bounded-distance decoder's (``oracle_decode``), failures included.
     """
     received = tuple(received)
     if len(received) != code.n:
         raise ValueError(f"received word has length {len(received)}, expected {code.n}")
     F = code.field
-    kappa, tau = code.dim, code.radius
-    rows = []
-    rhs = []
-    for x, y, m in zip(code.points, received, code.multipliers):
-        r = F.mul(y, F.inv(m))
-        powers = [F.one]
-        for _ in range(kappa + tau - 1):
-            powers.append(F.mul(powers[-1], x))
-        rows.append(powers + [F.neg(F.mul(r, powers[d])) for d in range(tau)])
-        rhs.append(F.mul(r, powers[tau]))  # tau < kappa + tau since dim >= 1
-    solution = linalg.solve(F, rows, rhs)
-    if solution is not None:
-        n_coeffs = polyring.normalize(F, solution[: kappa + tau])
-        e_coeffs = list(solution[kappa + tau :]) + [F.one]
-        message, remainder = polyring.poly_divmod(F, n_coeffs, e_coeffs)
-        if not remainder:
-            corrected = grs_encode(code, message)
+    syndromes = [F.dot(row, received) for row in code.check_rows]
+    if all(s == F.zero for s in syndromes):
+        return DecodeResult(code=code, error_positions=(), corrected_word=received)
+    tau = code.radius
+    conn, length = _berlekamp_massey(F, syndromes)
+    if length <= tau:
+        locator = (conn + [F.zero] * length)[length::-1]
+        located = [i for i, x in enumerate(code.points)
+                   if polyring.poly_eval(F, locator, x) == F.zero]
+        if len(located) == length:
+            clean = [i for i in range(code.n) if i not in located][: code.dim]
+            corrected = grs_encode(code, _message(code, received, clean))
             positions = tuple(i for i, (a, b) in enumerate(zip(corrected, received)) if a != b)
             if len(positions) <= tau:
-                return DecodeResult(
-                    message_poly=tuple(message),
-                    error_positions=positions,
-                    corrected_word=corrected,
-                )
+                return DecodeResult(code=code, error_positions=positions, corrected_word=corrected)
     raise DecodeFailure(
         f"no codeword within distance {tau} of the received word"
     )
@@ -167,8 +244,7 @@ class _OracleTable:
     elements: list
     index: dict
     codewords: np.ndarray  # shape (size^dim, n), dtype uint16
-    messages: np.ndarray  # shape (size^dim, dim)
-    buckets: list  # [tau + 1][field size] -> (row ids, contiguous subtable)
+    buckets: list  # [tau + 1][field size] -> (row ids, their codewords as (n, rows))
 
     @classmethod
     def build(cls, code: GrsCode) -> "_OracleTable":
@@ -202,19 +278,17 @@ class _OracleTable:
             for d in range(code.dim - 2, -1, -1):
                 acc = add_t[mul_t[acc, xi], digits[d]]
             codewords[:, col] = mul_t[acc, index[m]]
-        messages = np.stack(digits, axis=1)
         buckets = []
         for p in range(code.radius + 1):
             per_value = []
             for v in range(size):
                 rows = np.flatnonzero(codewords[:, p] == v)
-                per_value.append((rows, np.ascontiguousarray(codewords[rows])))
+                per_value.append((rows, np.ascontiguousarray(codewords[rows].T)))
             buckets.append(per_value)
         return cls(
             elements=elements,
             index=index,
             codewords=codewords,
-            messages=messages,
             buckets=buckets,
         )
 
@@ -250,8 +324,8 @@ def oracle_decode(code: GrsCode, received, full_scan: bool = False) -> DecodeRes
         hit_rows.update(np.flatnonzero(distances <= code.radius).tolist())
     else:
         for p in range(code.radius + 1):
-            rows, subtable = table.buckets[p][int(rec[p])]
-            distances = np.count_nonzero(subtable != rec, axis=1)
+            rows, columns = table.buckets[p][int(rec[p])]
+            distances = np.count_nonzero(columns != rec[:, None], axis=0)
             hit_rows.update(rows[distances <= code.radius].tolist())
     if not hit_rows:
         raise DecodeFailure(
@@ -260,15 +334,9 @@ def oracle_decode(code: GrsCode, received, full_scan: bool = False) -> DecodeRes
     # bounded-distance uniqueness: two hits would contradict the minimum distance
     assert len(hit_rows) == 1, "two codewords inside the unique-decoding radius"
     hit = hit_rows.pop()
-    F = code.field
     word = tuple(table.elements[i] for i in table.codewords[hit])
-    message = polyring.normalize(F, [table.elements[i] for i in table.messages[hit]])
     positions = tuple(i for i, (a, b) in enumerate(zip(word, received)) if a != b)
-    return DecodeResult(
-        message_poly=tuple(message),
-        error_positions=positions,
-        corrected_word=word,
-    )
+    return DecodeResult(code=code, error_positions=positions, corrected_word=word)
 
 
 def dual_multipliers(field, alphas, betas):

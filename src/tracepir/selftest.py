@@ -122,17 +122,30 @@ def check_privacy() -> CheckResult:
                    f"transfer {len(transfer.subsets)}/7 subsets invertible", started)
 
 
+def _decode(decoder, code, word):
+    """The decoder's DecodeResult, or None on DecodeFailure."""
+    try:
+        return decoder(code, word)
+    except rscodes.DecodeFailure:
+        return None
+
+
 def check_decoder_oracle_equivalence() -> CheckResult:
-    """6: bounded-distance decoder agrees with brute-force enumeration."""
+    """6: bounded-distance decoder agrees with brute-force enumeration.
+
+    Within the radius the decoder must also return the planted message;
+    beyond it (tau + 1 and tau + 2 errors) its verdict, DecodeFailure
+    included, must be the oracle's.
+    """
     started = time.perf_counter()
     F7 = PrimeField(7)
     code = rscodes.GrsCode(field=F7, points=(0, 1, 2, 3, 4), multipliers=(1,) * 5, dim=3)
     checked = 0
     for message in itertools.product(range(7), repeat=3):
-        msg = polyring.normalize(F7, list(message))
+        msg = tuple(polyring.normalize(F7, list(message)))
         word = rscodes.grs_encode(code, msg)
         clean = rscodes.grs_decode(code, word)
-        if clean.corrected_word != word or clean.error_positions != ():
+        if (clean.corrected_word, clean.error_positions, clean.message_poly) != (word, (), msg):
             return _result(6, "decoder oracle equivalence", False,
                            f"clean decode failed for {message}", started)
         for pos in range(5):
@@ -142,12 +155,7 @@ def check_decoder_oracle_equivalence() -> CheckResult:
                 received = list(word)
                 received[pos] = wrong
                 got = rscodes.grs_decode(code, received)
-                oracle = rscodes.oracle_decode(code, received)
-                if (got.corrected_word, got.error_positions, got.message_poly) != (
-                    oracle.corrected_word,
-                    oracle.error_positions,
-                    oracle.message_poly,
-                ):
+                if got != rscodes.oracle_decode(code, received) or got.message_poly != msg:
                     return _result(6, "decoder oracle equivalence", False,
                                    f"disagreement at word {word}, received {received}", started)
                 checked += 1
@@ -155,26 +163,30 @@ def check_decoder_oracle_equivalence() -> CheckResult:
     code11 = rscodes.GrsCode(
         field=F11, points=tuple(range(7)), multipliers=(1, 2, 3, 4, 5, 6, 7), dim=5
     )
-    stream = SeededStream(6, "oracle")
-    random_checked = 0
-    for _ in range(10_000):
-        msg = polyring.normalize(F11, [stream.randrange(11) for _ in range(5)])
-        word = list(rscodes.grs_encode(code11, msg))
-        errors = stream.randrange(code11.radius + 1)
-        for pos in stream.sample(7, errors):
-            word[pos] = stream.randrange_excluding(11, word[pos])
-        got = rscodes.grs_decode(code11, word)
-        oracle = rscodes.oracle_decode(code11, word)
-        if (got.corrected_word, got.error_positions, got.message_poly) != (
-            oracle.corrected_word,
-            oracle.error_positions,
-            oracle.message_poly,
-        ):
-            return _result(6, "decoder oracle equivalence", False,
-                           f"disagreement on random case {word}", started)
-        random_checked += 1
+    tau = code11.radius
+    random_checked = beyond_checked = 0
+    for label, cases, error_counts in (("oracle", 10_000, range(tau + 1)),
+                                       ("oracle-beyond", 4_000, (tau + 1, tau + 2))):
+        stream = SeededStream(6, label)
+        for _ in range(cases):
+            msg = tuple(polyring.normalize(F11, [stream.randrange(11) for _ in range(5)]))
+            word = list(rscodes.grs_encode(code11, msg))
+            planted = tuple(word)
+            errors = error_counts[stream.randrange(len(error_counts))]
+            for pos in stream.sample(7, errors):
+                word[pos] = stream.randrange_excluding(11, word[pos])
+            got = _decode(rscodes.grs_decode, code11, word)
+            if got != _decode(rscodes.oracle_decode, code11, word) or (
+                    got is not None and got.corrected_word == planted and got.message_poly != msg):
+                return _result(6, "decoder oracle equivalence", False,
+                               f"disagreement on random case {word}", started)
+            if errors <= tau:
+                random_checked += 1
+            else:
+                beyond_checked += 1
     return _result(6, "decoder oracle equivalence", True,
-                   f"{checked} exhaustive single-error cases; {random_checked} random cases", started)
+                   f"{checked} exhaustive single-error cases; {random_checked} random cases; "
+                   f"{beyond_checked} random cases beyond the radius", started)
 
 
 def check_dual_code_identities() -> CheckResult:

@@ -1,11 +1,14 @@
 """Command-line surface: flags, exit codes, output formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tracepir
 from tracepir import cli, pir
 
 
@@ -249,8 +252,11 @@ def test_identical_invocations_byte_identical_stdout():
         "--k", "4", "--t", "1", "--b", "1", "--r", "4",
         "--m", "3", "--iota", "2", "--random-db", "--seed", "0xBEEF",
     ]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the child imports the package this test imported, whatever PYTHONPATH says
+    src = str(Path(tracepir.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # not empty

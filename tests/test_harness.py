@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from tracepir.harness import (
 )
 from tracepir.rand import SeededStream
 from tracepir.rscodes import EnumerationTooLarge
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestRunSession:
@@ -76,6 +79,21 @@ class TestRunSession:
     def test_bad_byzantine_id(self, params_small, db_small):
         with pytest.raises(IndexError):
             run_session(params_small, db_small, 1, AdversaryModel(byzantine_set=(9,)))
+
+    @pytest.mark.parametrize("offset", [7, -14, 70])
+    def test_offset_zero_mod_q_rejected(self, params_small, db_small, offset):
+        # q = 7: each of these offsets would leave the "byzantine" answer honest
+        adversary = AdversaryModel(byzantine_set=(2,), strategy="offset", offset=offset)
+        with pytest.raises(ValueError) as err:
+            run_session(params_small, db_small, 1, adversary)
+        assert err.value.constraint == "offset"
+        assert str(err.value) == f"{offset} is 0 mod q=7"
+
+    def test_duplicate_byzantine_id_rejected(self, params_small, db_small):
+        with pytest.raises(ValueError) as err:
+            run_session(params_small, db_small, 1, AdversaryModel(byzantine_set=(2, 2)))
+        assert err.value.constraint == "byzantine"
+        assert str(err.value) == "duplicate server id"
 
     def test_server_node_interface(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(1, "n"))
@@ -296,3 +314,32 @@ def test_measured_rate_equals_capacity_across_instances():
         report = run_session(params, db, 1, seed=6)
         assert report.ok
         assert report.measured_rate == pir.capacity(t, b, k)
+
+
+def test_golden_decodes():
+    # session reports frozen before the syndrome decoder: (11,1,2,8) and
+    # (7,1,1,5), 0 to b+2 corrupt answers, random, offset and targeted
+    # strategies, trace and full mode.  Beyond b corrupt answers a session
+    # fails or returns a wrong file, and must keep doing so identically.
+    with open(DATA / "golden_decodes.json") as fh:
+        cases = json.load(fh)
+    setups = {}
+    outcomes = set()
+    for case in cases:
+        sc = case["scheme"]
+        key = (sc["k"], sc["t"], sc["b"], sc["r"], sc["m"], case["db_seed"])
+        if key not in setups:
+            params = pir.setup(*key[:4], m=key[4])
+            setups[key] = params, pir.random_database(params, key[5])
+        params, db = setups[key]
+        adversary = AdversaryModel(
+            byzantine_set=tuple(case["byzantine_set"]),
+            strategy=case["strategy"],
+            offset=case["offset"],
+        )
+        report = run_session(params, db, case["iota"], adversary, mode=case["mode"], seed=case["seed"])
+        assert report.to_json_dict(params.ext.format_element) == case["report"], case
+        outcome = "corrected" if report.ok else "failed" if report.error else "wrong file"
+        outcomes.add((case["mode"], outcome))
+    assert outcomes == {(mode, outcome) for mode in ("trace", "full")
+                        for outcome in ("corrected", "failed", "wrong file")}

@@ -435,6 +435,45 @@ class TestRetrieveFromK:
         assert outcomes["failed"] + outcomes["mismatch"] > 0
         assert outcomes["silent"] == 0
 
+    @pytest.mark.parametrize("scheme", [(13, 1, 2, 9), (17, 1, 2, 8), (11, 1, 2, 8)])
+    def test_honest_answers_decode_without_solve_or_encode(self, monkeypatch, scheme):
+        p = pir.setup(*scheme, m=2)
+        db = pir.random_database(p, 11)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rscodes.linalg, "solve", counted("solve", rscodes.linalg.solve))
+        monkeypatch.setattr(rscodes, "grs_encode", counted("encode", rscodes.grs_encode))
+        for iota in (1, 2):
+            answers = pir.collect_answers(p, pir.gen_queries(p, iota, SeededStream(iota, "hp")), db)
+            assert pir.retrieve_from_k(p, answers).symbols == db.row(iota)
+            assert calls == []
+            # one wrong answer takes the error path, through the same counters
+            values = ((answers.values[0] + 1) % p.q,) + answers.values[1:]
+            got = pir.retrieve_from_k(p, AnswerSet("trace", answers.server_ids, values))
+            assert got.symbols == db.row(iota) and got.error_servers == (1,)
+            assert calls == ["solve", "encode"]
+            del calls[:]
+
+    @pytest.mark.parametrize("scheme", [(4, 1, 1, 4), (7, 1, 1, 5), (11, 1, 2, 8), (17, 1, 2, 8)])
+    def test_trace_code_checks_are_weighted_power_sums(self, scheme):
+        # row e of the check matrix is P_j beta_j^e with P_j = prod_l f_l(beta_j)
+        p = pir.setup(*scheme)
+        q = p.q
+        code, _ = pir._trace_code_tables(p)
+        assert len(code.check_rows) == 2 * p.b
+        for j, beta in enumerate(p.omega_beta):
+            weight = 1
+            for f in p.min_polys:
+                weight = weight * sum(c * beta**d for d, c in enumerate(f)) % q
+            for e, row in enumerate(code.check_rows):
+                assert row[j] == weight * pow(beta, e, q) % q
+
     def test_identical_path_for_b0(self):
         # the byzantine-free scheme is the b=0 instance of the same code path
         p = pir.setup(5, 1, 0, 3, m=2)
