@@ -55,10 +55,7 @@ def _load_db(params, args):
 
 
 def cmd_params(args) -> int:
-    try:
-        params = _setup_from_args(args)
-    except InvalidParameters as exc:
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [{exc.constraint}]: {exc}")
+    params = _setup_from_args(args)
     report = pir.validate_optimality(params)
     _emit_json({
         "params": pir.params_to_json_dict(params),
@@ -68,24 +65,13 @@ def cmd_params(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        params = _setup_from_args(args)
-    except InvalidParameters as exc:
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [{exc.constraint}]: {exc}")
-    try:
-        db = _load_db(params, args)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"io: {exc}")
-    except DatabaseFormatError as exc:
-        return _fail(EXIT_IO, f"database-parse: {exc}")
+    params = _setup_from_args(args)
+    db = _load_db(params, args)
     if not 1 <= args.iota <= params.m:
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [iota]: {args.iota} outside [1, {params.m}]")
+        raise InvalidParameters("iota", f"{args.iota} outside [1, {params.m}]")
     if any(not 1 <= j <= params.k for j in args.byzantine):
-        return _fail(EXIT_INVALID_PARAMS, "invalid-parameters [byzantine]: server id outside [1, k]")
-    try:
-        harness.check_adversary(params, args.byzantine, args.strategy, args.offset)
-    except InvalidParameters as exc:
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [{exc.constraint}]: {exc}")
+        raise InvalidParameters("byzantine", "server id outside [1, k]")
+    harness.check_adversary(params, args.byzantine, args.strategy, args.offset)
     adversary = AdversaryModel(
         byzantine_set=args.byzantine,
         strategy=args.strategy,
@@ -103,25 +89,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.randomized is not None and args.randomized < 1:
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [randomized]: {args.randomized} cases, need at least 1")
-    try:
-        params = _setup_from_args(args)
-    except InvalidParameters as exc:
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [{exc.constraint}]: {exc}")
-    try:
-        db = _load_db(params, args)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"io: {exc}")
-    except DatabaseFormatError as exc:
-        return _fail(EXIT_IO, f"database-parse: {exc}")
+    if args.randomized is not None:
+        harness.check_sweep_trials(args.randomized)
+    params = _setup_from_args(args)
+    db = _load_db(params, args)
     scope = "randomized" if args.randomized is not None else "exhaustive"
-    try:
-        report = harness.byzantine_sweep(
-            params, db, scope=scope, trials=args.randomized or 0, seed=args.seed
-        )
-    except EnumerationTooLarge as exc:
-        return _fail(EXIT_GUARD, f"guard-exceeded: {exc}")
+    report = harness.byzantine_sweep(
+        params, db, scope=scope, trials=args.randomized or 0, seed=args.seed
+    )
     _emit_json(report.to_json_dict())
     if report.cases_failed:
         return _fail(EXIT_RETRIEVAL_FAILED, f"sweep-failures: {report.cases_failed} counterexamples")
@@ -129,15 +104,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        params = _setup_from_args(args)
-    except InvalidParameters as exc:
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [{exc.constraint}]: {exc}")
+    params = _setup_from_args(args)
     mode = "transfer-matrix" if args.transfer_matrix else "exhaustive"
-    try:
-        report = harness.privacy_audit(params, t_subset=args.subset, mode=mode)
-    except EnumerationTooLarge as exc:
-        return _fail(EXIT_GUARD, f"guard-exceeded: {exc}")
+    report = harness.privacy_audit(params, t_subset=args.subset, mode=mode)
     _emit_json(report.to_json_dict())
     if report.verdict == "fail":
         return _fail(EXIT_RETRIEVAL_FAILED, "privacy-audit-failed")
@@ -145,10 +114,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        table = harness.scheme_comparison(args.k, args.t, args.b, args.r, l=args.l, q=args.q)
-    except InvalidParameters as exc:
-        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [{exc.constraint}]: {exc}")
+    table = harness.scheme_comparison(args.k, args.t, args.b, args.r, l=args.l, q=args.q)
     if args.out == "csv":
         sys.stdout.write(table.to_csv())
     elif args.out == "json":
@@ -161,7 +127,7 @@ def cmd_table(args) -> int:
 def cmd_selftest(args) -> int:
     results = selftest.run_selftest(criteria=args.criteria or None)
     if not results:
-        return _fail(EXIT_INVALID_PARAMS, "invalid-parameters [criteria]: nothing selected")
+        raise InvalidParameters("criteria", "nothing selected")
     return EXIT_OK if all(r.passed for r in results) else 1
 
 
@@ -228,9 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the exceptions that end it map to exit codes here alone."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidParameters as exc:
+        return _fail(EXIT_INVALID_PARAMS, f"invalid-parameters [{exc.constraint}]: {exc}")
+    except DatabaseFormatError as exc:
+        return _fail(EXIT_IO, f"database-parse: {exc}")
+    except OSError as exc:
+        return _fail(EXIT_IO, f"io: {exc}")
+    except EnumerationTooLarge as exc:
+        return _fail(EXIT_GUARD, f"guard-exceeded: {exc}")
 
 
 if __name__ == "__main__":

@@ -117,16 +117,15 @@ def check_adversary(params: SchemeParams, byzantine_set, strategy: str, offset: 
 
 @dataclass(frozen=True)
 class ServerNode:
-    """One replicated server; byzantine nodes corrupt their own answers."""
+    """One replicated server; a node with an adversary corrupts its own answers."""
 
     server_id: int
     db: Database
-    behavior: str = "honest"  # "honest" | "byzantine"
     adversary: AdversaryModel | None = None
 
     def respond(self, params: SchemeParams, query_j, mode: str, stream=None):
         honest = server_answer(params, self.server_id, query_j, self.db, mode)
-        if self.behavior == "honest":
+        if self.adversary is None:
             return honest
         return self.adversary.corrupt(params, self.server_id, query_j, honest, mode, stream)
 
@@ -214,12 +213,7 @@ def run_session(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     nodes = [
-        ServerNode(
-            server_id=j,
-            db=db,
-            behavior="byzantine" if j in byz else "honest",
-            adversary=adversary if j in byz else None,
-        )
+        ServerNode(server_id=j, db=db, adversary=adversary if j in byz else None)
         for j in ids
     ]
     values = tuple(
@@ -308,14 +302,19 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     compares the resulting query distributions across requested file
     indices; a distance of exactly zero certifies privacy.  Transfer
     mode checks instead that the blinding-to-query evaluation matrix is
-    invertible for every t-subset (a bijection forces uniformity).
+    invertible for every t-subset (a bijection forces uniformity).  A
+    `t_subset` must be a nonempty set of ids in [1, k] (else
+    InvalidParameters("subset")).
     """
     summary = _params_summary(params)
     if t_subset is not None:
-        subsets = (tuple(sorted(t_subset)),)
-        if any(not 1 <= j <= params.k for j in subsets[0]):
-            raise IndexError("subset server id outside [1, k]")
-        if len(subsets[0]) > params.t:
+        subset = tuple(sorted(t_subset))
+        if not subset or len(set(subset)) != len(subset) or not 1 <= subset[0] <= subset[-1] <= params.k:
+            raise InvalidParameters(
+                "subset", f"{list(subset)} is not a nonempty set of server ids in [1, {params.k}]"
+            )
+        subsets = (subset,)
+        if len(subset) > params.t:
             return PrivacyAuditReport(
                 params=summary,
                 mode=mode,
@@ -446,6 +445,12 @@ def _sweep_case(params, db, iota, answers, byz_ids, injected, failures):
     return ok
 
 
+def check_sweep_trials(trials: int) -> None:
+    """Reject a randomized sweep of no cases; ``byzantine_sweep`` and the CLI share it."""
+    if trials < 1:
+        raise InvalidParameters("randomized", f"{trials} cases, need at least 1")
+
+
 def byzantine_sweep(
     params: SchemeParams,
     db: Database,
@@ -456,9 +461,11 @@ def byzantine_sweep(
     """Assert universal recovery under every tolerated corruption pattern.
 
     Exhaustive scope iterates file index x byzantine set (size b) x all
-    wrong base-field values; randomized scope samples `trials` cases.
+    wrong base-field values; randomized scope samples `trials` >= 1 cases.
     Counterexamples are reported, never silently swallowed.
     """
+    if scope == "randomized":
+        check_sweep_trials(trials)
     pir.check_dimensions(params, db)
     base_stream = SeededStream(seed, "sweep")
     failures: list = []

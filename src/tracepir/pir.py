@@ -7,18 +7,20 @@ F_{q^s}.  A query hides the wanted row index inside evaluations of a
 random degree-(t + delta - 1) curve; each server returns the Frobenius
 inner product of its evaluation with the database, either as a full
 extension symbol or compressed to one base-field symbol through the
-trace map.  Retrieval interpolates (full mode) or runs the base-field
-error-corrected reconstruction (trace mode).
+trace map.  Both retrieval modes decode the answer word (r full symbols
+or k traces) and rebuild the file as one product of the corrected word
+with a base-field matrix cached per code.
 
 The data plane works on int64 arrays whose last axis holds the s
-coefficients of an extension element: a database is (m, delta, s), the
-blinding is (t, m, delta, s) and the queries are (k, m, delta, s).  The
-query curve is one matrix product of the (m*delta, t*s) blinding with a
-(t*s, k*s) table of multiply-by-constant blocks; an answer is the s x s
-coefficient-product matrix of query and database, folded through the
-modulus.  Every such product goes through `matmul_mod`, which keeps
-partial sums below 2^63 and so is exact for every q <= 2^31.  Scalars
-(setup constants, answers, retrieved symbols) stay Python ints and tuples.
+coefficients of an extension element: a database is one read-only
+(m, delta, s) array, the blinding is (t, m, delta, s) and the queries
+are (k, m, delta, s).  The query curve is one matrix product of the
+(m*delta, t*s) blinding with a (t*s, k*s) table of multiply-by-constant
+blocks; an answer is the s x s coefficient-product matrix of query and
+database, folded through the modulus.  Every such product goes through
+`matmul_mod`, which keeps partial sums below 2^63 and so is exact for
+every q <= 2^31.  Scalars (setup constants, answers, retrieved symbols)
+stay Python ints and tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg, polyring, rscodes
+from . import linalg, polyring
 from .gf import (
     MAX_FIELD_SIZE,
     ExtField,
@@ -425,27 +427,28 @@ def _field_array(params: SchemeParams, values, shape: tuple, what: str) -> np.nd
 # --- database ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Database:
-    """m x delta array of extension-field symbols; row i is file i."""
+    """m x delta extension-field symbols as a read-only int64 (m, delta, s) array.
 
-    entries: tuple  # m rows, each a delta-tuple of elements
+    Construction copies any rectangular nested sequence of ints and raises
+    ValueError for ragged input, non-integers or values outside int64.
+    """
 
-    @property
-    def m(self) -> int:
-        return len(self.entries)
+    array: np.ndarray
 
-    @property
-    def delta(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @functools.cached_property
-    def array(self) -> np.ndarray:
-        """The entries as a read-only int64 array of shape (m, delta, s)."""
+    def __post_init__(self):
         try:
-            return _frozen(np.array(self.entries, dtype=np.int64))
-        except (ValueError, TypeError, OverflowError):
-            raise ValueError("database entries are not an m x delta array of field elements") from None
+            array = np.array(self.array)
+        except (ValueError, TypeError):
+            raise ValueError("database is not a rectangular array") from None
+        kind = array.dtype.kind
+        if kind not in "iu" or (kind == "u" and array.size and array.max() > INT64_MAX):
+            raise ValueError("database entries are not int64 integers")
+        object.__setattr__(self, "array", _frozen(array.astype(np.int64, copy=False)))
+
+    def __eq__(self, other):
+        return isinstance(other, Database) and np.array_equal(self.array, other.array)
 
     @functools.cached_property
     def bounds(self) -> tuple:
@@ -453,10 +456,10 @@ class Database:
         return int(self.array.min()), int(self.array.max())
 
     def row(self, iota: int) -> tuple:
-        """File iota (1-based)."""
-        if not 1 <= iota <= self.m:
-            raise IndexError(f"file index {iota} outside [1, {self.m}]")
-        return self.entries[iota - 1]
+        """File iota (1-based), as a delta-tuple of element tuples."""
+        if not 1 <= iota <= len(self.array):
+            raise IndexError(f"file index {iota} outside [1, {len(self.array)}]")
+        return tuple(map(tuple, self.array[iota - 1].tolist()))
 
 
 def check_dimensions(params: SchemeParams, db: Database):
@@ -476,14 +479,13 @@ def check_dimensions(params: SchemeParams, db: Database):
 def random_database(params: SchemeParams, randomness) -> Database:
     stream = _as_stream(randomness, "db")
     draws = stream.randrange_array(params.q, params.m * params.delta * params.s)
-    rows = draws.reshape(params.m, params.delta, params.s).tolist()
-    return Database(entries=tuple(tuple(map(tuple, row)) for row in rows))
+    return Database(draws.reshape(params.m, params.delta, params.s))
 
 
 def format_database(params: SchemeParams, db: Database) -> str:
     ext = params.ext
     return "\n".join(
-        ",".join(ext.format_element(x) for x in row) for row in db.entries
+        ",".join(ext.format_element(x) for x in row) for row in db.array.tolist()
     ) + "\n"
 
 
@@ -507,7 +509,7 @@ def parse_database(params: SchemeParams, text: str) -> Database:
         raise DatabaseFormatError(
             f"expected {params.m} files, found {len(rows)}", len(rows) + 1
         )
-    return Database(entries=tuple(rows))
+    return Database(rows)
 
 
 def load_database(params: SchemeParams, path) -> Database:
@@ -538,6 +540,23 @@ class QuerySet:
     iota: int  # requested file (1-based; never sent to servers)
 
 
+def _lagrange_values(field, nodes, points) -> tuple:
+    """The Lagrange basis on `nodes`, evaluated at each of `points`.
+
+    Entry [p][n] is l_n(points[p]) = w_n prod_{l != n}(points[p] - nodes[l]),
+    where w_n = 1 / prod_{l != n}(nodes[n] - nodes[l]) are the weights that
+    ``dual_multipliers`` gives for the nodes alone.  A point may be a node.
+    """
+    _, weights = dual_multipliers(field, (), nodes)
+    out = []
+    for point in points:
+        diffs = [field.sub(point, node) for node in nodes]
+        out.append(tuple(
+            functools.reduce(field.mul, diffs[:n] + diffs[n + 1 :], w) for n, w in enumerate(weights)
+        ))
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def lagrange_basis_values(params: SchemeParams) -> tuple:
     """Per-server values of the curve's basis polynomials.
@@ -547,25 +566,12 @@ def lagrange_basis_values(params: SchemeParams) -> tuple:
     matching basis value for the h-th blinding array.
     """
     ext = params.ext
-    out = []
-    for beta in params.omega_beta:
-        point = ext.embed(beta)
-        out.append(_basis_values_at(params, point))
-    return tuple(out)
-
-
-def _basis_values_at(params: SchemeParams, point) -> tuple:
-    ext = params.ext
     nodes = params.omega_alpha + params.omega_chi
-    values = []
-    for n, node in enumerate(nodes):
-        num = den = ext.one
-        for l, other in enumerate(nodes):
-            if l != n:
-                num = ext.mul(num, ext.sub(point, other))
-                den = ext.mul(den, ext.sub(node, other))
-        values.append(ext.mul(num, ext.inv(den)))
-    return tuple(values[: params.delta]), tuple(values[params.delta :])
+    betas = [ext.embed(beta) for beta in params.omega_beta]
+    return tuple(
+        (values[: params.delta], values[params.delta :])
+        for values in _lagrange_values(ext, nodes, betas)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -731,7 +737,7 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
     nonzero because the evaluation sets are disjoint.  code is therefore
     the GRS code on the beta points with multipliers w_j / P[j], and its
     cached check rows are P[j] beta_j^e for e < 2b.  recon is
-    the read-only (k, delta, s) array that maps its corrected word c to
+    the read-only (k, delta * s) matrix that maps its corrected word c to
     the file: coordinate (i, :) of the file is -sum_d total_(i,d) theta_d,
     with total_(i,d) = sum_j h_(i,d)(beta_j) P_excl[i][j] c_j, where
     P_excl[i][j] leaves factor i out of the product P[j].
@@ -753,10 +759,7 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
     for j, beta in enumerate(params.omega_beta):
         per_symbol = []
         for i in range(params.delta):
-            excl = base.one
-            for l in range(params.delta):
-                if l != i:
-                    excl = base.mul(excl, evals[l][j])
+            excl = base.mul(P[j], base.inv(evals[i][j]))
             per_symbol.append([
                 base.mul(polyring.poly_eval(base, list(h), beta), excl)
                 for h in params.recovery_polys[i]
@@ -771,33 +774,55 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
         multipliers=tuple(base.mul(w_j, base.inv(p_j)) for w_j, p_j in zip(w, P)),
         dim=params.k - 2 * params.b,
     )
-    return code, _frozen(recon)
+    return code, _frozen(recon.reshape(params.k, -1))
+
+
+@functools.lru_cache(maxsize=256)
+def _full_code_tables(params: SchemeParams, ids: tuple) -> tuple:
+    """(code, recon) for full answers from the servers `ids`; C(k, r) id sets can occur.
+
+    The answers are phi(beta_j) for a phi of degree below dim = r - 2b:
+    code has unit multipliers on those points, and the file symbol
+    phi(alpha_i) is sum_j l_j(alpha_i) c_j over the Lagrange basis on the
+    first dim points.  recon is the (r * s, delta * s) base-field matrix
+    whose s x s block (j, i) multiplies by l_j(alpha_i); rows from dim on
+    are zero.
+    """
+    ext = params.ext
+    dim = params.r - 2 * params.b
+    points = tuple(ext.embed(params.omega_beta[j - 1]) for j in ids)
+    code = GrsCode(field=ext, points=points, multipliers=(ext.one,) * params.r, dim=dim)
+    recon = np.zeros((params.r, params.s, params.delta, params.s), dtype=np.int64)
+    for i, values in enumerate(_lagrange_values(ext, points[:dim], params.omega_alpha)):
+        for j, value in enumerate(values):
+            recon[j, :, i] = [ext.mul(value, unit) for unit in _units(ext)]
+    return code, _frozen(recon.reshape(params.r * params.s, -1))
+
+
+def _retrieve(params: SchemeParams, code: GrsCode, recon: np.ndarray, answers: AnswerSet) -> Retrieval:
+    """Decode the answer word, then rebuild the file as one product with recon."""
+    try:
+        result = grs_decode(code, answers.values)
+    except DecodeFailure as exc:
+        raise ByzantineBudgetExceeded(str(exc)) from exc
+    corrected = np.array(result.corrected_word, dtype=np.int64).reshape(-1)
+    symbols = matmul_mod(corrected, recon, params.q).reshape(params.delta, params.s)
+    return Retrieval(
+        symbols=tuple(map(tuple, symbols.tolist())),
+        error_servers=tuple(answers.server_ids[p] for p in result.error_positions),
+    )
 
 
 def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
     """Decode full-mode answers from exactly r servers, tolerating b errors."""
     if answers.mode != "full":
         raise ValueError("retrieve_from_r needs full-mode answers")
-    ids = answers.server_ids
+    ids = tuple(answers.server_ids)
     if len(ids) != params.r or len(set(ids)) != len(ids):
         raise ValueError(f"need answers from exactly {params.r} distinct servers")
     if any(not 1 <= j <= params.k for j in ids):
         raise IndexError("server id outside [1, k]")
-    ext = params.ext
-    points = tuple(ext.embed(params.omega_beta[j - 1]) for j in ids)
-    code = GrsCode(
-        field=ext, points=points, multipliers=(ext.one,) * params.r, dim=params.r - 2 * params.b
-    )
-    try:
-        result = grs_decode(code, answers.values)
-    except DecodeFailure as exc:
-        raise ByzantineBudgetExceeded(str(exc)) from exc
-    phi = list(result.message_poly)
-    symbols = tuple(polyring.poly_eval(ext, phi, alpha) for alpha in params.omega_alpha)
-    return Retrieval(
-        symbols=symbols,
-        error_servers=tuple(ids[p] for p in result.error_positions),
-    )
+    return _retrieve(params, *_full_code_tables(params, ids), answers)
 
 
 def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
@@ -816,17 +841,7 @@ def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
         raise ValueError("retrieve_from_k needs trace-mode answers")
     if answers.server_ids != tuple(range(1, params.k + 1)):
         raise ValueError("trace retrieval needs answers from all k servers in order")
-    code, recon = _trace_code_tables(params)
-    try:
-        result = grs_decode(code, answers.values)
-    except DecodeFailure as exc:
-        raise ByzantineBudgetExceeded(str(exc)) from exc
-    corrected = np.array(result.corrected_word, dtype=np.int64)
-    symbols = matmul_mod(corrected, recon.reshape(params.k, -1), params.q)
-    return Retrieval(
-        symbols=tuple(map(tuple, symbols.reshape(params.delta, params.s).tolist())),
-        error_servers=tuple(p + 1 for p in result.error_positions),
-    )
+    return _retrieve(params, *_trace_code_tables(params), answers)
 
 
 # --- capacity ---------------------------------------------------------------

@@ -340,7 +340,7 @@ def check_retrieval_threshold() -> CheckResult:
                 blinding = (((blind,),),)  # t=1 array of shape 1 x 1
                 qs = pir.queries_from_blinding(probe, 1, blinding)
                 for db_val, sink in ((x1, answers1), (x2, answers2)):
-                    database = pir.Database(entries=((db_val,),))
+                    database = pir.Database(((db_val,),))
                     vals = tuple(
                         pir.server_answer(probe, j, qs.per_server[j - 1], database, "full")
                         for j in range(1, short + 1)

@@ -202,6 +202,15 @@ class TestSweepAudit:
         assert err.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subset", ["1,1", "", "9"])
+    def test_audit_bad_subset_exit_2(self, capsys, subset):
+        code, out, err = run_cli(
+            capsys, "audit", "--k", "7", "--t", "1", "--b", "1", "--r", "5",
+            "--m", "2", "--transfer-matrix", "--subset", subset
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameters [subset]: ")
+
     def test_audit_beyond_threshold(self, capsys):
         code, out, _ = run_cli(
             capsys, "audit", *BASE, "--m", "2", "--subset", "1,2"

@@ -101,7 +101,7 @@ class TestRunSession:
         honest = node.respond(params_small, queries.per_server[1], "trace")
         assert honest == pir.server_answer(params_small, 2, queries.per_server[1], db_small, "trace")
         byz = ServerNode(
-            server_id=2, db=db_small, behavior="byzantine",
+            server_id=2, db=db_small,
             adversary=AdversaryModel(byzantine_set=(2,), strategy="offset", offset=2),
         )
         assert byz.respond(params_small, queries.per_server[1], "trace") == (honest + 2) % 7
@@ -192,6 +192,15 @@ class TestPrivacyAudit:
         assert report.verdict == "beyond threshold, privacy not claimed"
         assert report.max_tv_distance is None
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "transfer-matrix"])
+    @pytest.mark.parametrize("subset", [(1, 1), (), (5,), (0,), (2, 2, 3)])
+    def test_bad_subset_rejected(self, params_small, mode, subset):
+        # a repeated id used to fail the transfer-matrix audit falsely, an
+        # empty subset passed vacuously and an id above k crashed
+        with pytest.raises(pir.InvalidParameters) as err:
+            privacy_audit(params_small, t_subset=subset, mode=mode)
+        assert err.value.constraint == "subset"
+
     def test_exhaustive_guard(self):
         # t=2 over GF(17^2): (q^s)^t = 83521 draws per entry exceeds 2^16
         params = pir.setup(6, 2, 0, 4, q_hint=17, m=2)
@@ -223,6 +232,17 @@ class TestByzantineSweep:
         report = byzantine_sweep(params_ext, db_ext, scope="randomized", trials=60, seed=2)
         assert report.cases_total == 60
         assert report.cases_failed == 0
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_randomized_needs_a_case(self, monkeypatch, params_small, db_small, trials):
+        def no_work(*args):
+            raise AssertionError("the sweep started before checking its trials")
+
+        monkeypatch.setattr(pir, "check_dimensions", no_work)
+        with pytest.raises(pir.InvalidParameters) as err:
+            byzantine_sweep(params_small, db_small, scope="randomized", trials=trials)
+        assert err.value.constraint == "randomized"
+        assert str(err.value) == f"{trials} cases, need at least 1"
 
     def test_exhaustive_guard_suggests_randomized(self):
         # C(11,2) * 100^2 * 2 = 1.1e6 cases exceeds the guard

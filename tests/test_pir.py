@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tracepir import gf, pir, polyring, rscodes
@@ -217,7 +218,7 @@ class TestQueries:
             fmt = p.ext.format_element
             db = pir.random_database(p, case["db_seed"])
             queries = pir.gen_queries(p, case["iota"], SeededStream(case["seed"], "query"))
-            assert [[fmt(x) for x in row] for row in db.entries] == case["database"]
+            assert [[fmt(x) for x in row] for row in db.array.tolist()] == case["database"]
             for name in ("blinding", "per_server"):
                 got = [[[fmt(x) for x in row] for row in arr] for arr in getattr(queries, name)]
                 assert got == case[name]
@@ -253,7 +254,7 @@ class TestQueries:
 class TestAnswers:
     def test_zero_database(self, params_small):
         p = params_small
-        db = Database(entries=tuple((p.ext.zero,) * p.delta for _ in range(p.m)))
+        db = Database(tuple((p.ext.zero,) * p.delta for _ in range(p.m)))
         queries = pir.gen_queries(p, 1, SeededStream(3, "z"))
         for j in range(1, p.k + 1):
             assert pir.server_answer(p, j, queries.per_server[j - 1], db, "full") == p.ext.zero
@@ -292,7 +293,7 @@ class TestAnswers:
         for h in range(p.t):
             inner = ext.dot(
                 [entry for row in queries.blinding[h] for entry in row],
-                [entry for row in db_small.entries for entry in row],
+                [tuple(entry) for entry in db_small.array.reshape(-1, p.s).tolist()],
             )
             phi = polyring.poly_add(ext, phi, polyring.poly_scale(ext, inner, list(chi_polys[h])))
         assert polyring.degree(phi) <= p.r - 2 * p.b - 1
@@ -305,19 +306,19 @@ class TestAnswers:
 
     def test_dimension_mismatch(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(1, "d"))
-        bad_db = Database(entries=db_small.entries[:2])
+        bad_db = Database(db_small.array[:2])
         with pytest.raises(ValueError):
             pir.server_answer(params_small, 1, queries.per_server[0], bad_db)
         with pytest.raises(IndexError):
             pir.server_answer(params_small, 9, queries.per_server[0], db_small)
         with pytest.raises(ValueError):
-            pir.server_answer(params_small, 1, queries.per_server[0], Database(entries=((7,),) * 3))
+            pir.server_answer(params_small, 1, queries.per_server[0], Database(((7,),) * 3))
 
     def test_database_array_built_once_and_read_only(self, params_ext, db_ext):
         array = db_ext.array
         assert array is db_ext.array
         assert array.shape == (params_ext.m, params_ext.delta, params_ext.s)
-        assert array.tolist() == [[list(x) for x in row] for row in db_ext.entries]
+        assert [tuple(map(tuple, row)) for row in array.tolist()] == [db_ext.row(i) for i in range(1, 5)]
         with pytest.raises(ValueError):
             array[0, 0, 0] = 1
 
@@ -331,7 +332,52 @@ class TestAnswers:
         # right shape, entries outside [0, q) at either end
         for bad in (7, -1):
             with pytest.raises(ValueError, match="outside"):
-                pir.check_dimensions(params_small, Database(entries=(((bad,),),) * 3))
+                pir.check_dimensions(params_small, Database((((bad,),),) * 3))
+
+
+class TestDatabase:
+    def test_construction_copies_into_a_frozen_int64_array(self):
+        values = [[[1, 2], [3, 0]], [[6, 5], [0, 4]]]
+        db = Database(values)
+        values[0][0][0] = 9
+        assert db.array.dtype == np.int64
+        assert db.array.tolist() == [[[1, 2], [3, 0]], [[6, 5], [0, 4]]]
+        with pytest.raises(ValueError):
+            db.array[0, 0, 0] = 1
+        assert db == Database(np.array(db.array, dtype=np.uint8))
+        assert db != Database([[[1, 2], [3, 0]], [[6, 5], [0, 3]]])
+
+    @pytest.mark.parametrize("values", [
+        [[[1, 2], [3]]],
+        [[[1, 2], [3, 4]], [[5, 6]]],
+        [[[2**63]]],
+        [[[-2**63 - 1]]],
+        [[[-1, 2**63]]],  # numpy makes this float64
+        [[[1.5]]],
+        [[["1"]]],  # numpy would parse it as an int64
+        [[[True]]],
+    ], ids=["ragged", "ragged-rows", "above-int64", "below-int64", "mixed-past-int64",
+            "float", "string", "bool"])
+    def test_invalid_input_rejected_at_construction(self, values):
+        with pytest.raises(ValueError):
+            Database(values)
+
+    def test_row_is_a_tuple_of_int_tuples(self, db_ext):
+        row = db_ext.row(4)
+        assert row == tuple(map(tuple, db_ext.array[3].tolist()))
+        assert all(type(c) is int for symbol in row for c in symbol)
+        for iota in (0, 5):
+            with pytest.raises(IndexError):
+                db_ext.row(iota)
+
+    def test_file_text_frozen_and_round_trips(self, params_ext, tmp_path):
+        db = Database([[[1, 2], [3, 0]], [[6, 5], [0, 4]], [[0, 0], [6, 6]], [[2, 1], [5, 3]]])
+        text = "1:2,3:0\n6:5,0:4\n0:0,6:6\n2:1,5:3\n"
+        assert pir.format_database(params_ext, db) == text
+        path = tmp_path / "db.txt"
+        pir.save_database(params_ext, db, path)
+        assert path.read_text() == text
+        assert pir.load_database(params_ext, path) == db
 
 
 class TestRetrieveFromR:
@@ -388,6 +434,55 @@ class TestRetrieveFromR:
             except rscodes.DecodeFailure:
                 expected = None
             assert ours == expected
+
+    def test_extension_field_every_subset_matches_oracle(self, params_ext, db_ext):
+        # at s = 2 each block of the rebuild matrix is an s x s
+        # multiply-by-constant matrix, so a transposed block shows here; at
+        # s = 1 it cannot
+        p = params_ext
+        ext = p.ext
+        queries = pir.gen_queries(p, 3, SeededStream(9, "rs"))
+        for ids in itertools.combinations(range(1, p.k + 1), p.r):
+            honest = pir.collect_answers(p, queries, db_ext, "full", ids)
+            code = rscodes.GrsCode(
+                field=ext,
+                points=tuple(ext.embed(p.omega_beta[j - 1]) for j in ids),
+                multipliers=(ext.one,) * p.r,
+                dim=p.r - 2 * p.b,
+            )
+            words = [honest.values]
+            for pos in range(p.r):
+                values = list(honest.values)
+                values[pos] = ext.add(values[pos], (pos, 1 + pos))
+                words.append(tuple(values))
+            try:
+                for values in words:
+                    ref = rscodes.oracle_decode(code, values)
+                    expected = tuple(
+                        polyring.poly_eval(ext, list(ref.message_poly), alpha)
+                        for alpha in p.omega_alpha
+                    )
+                    got = pir.retrieve_from_r(p, AnswerSet("full", ids, values))
+                    assert got.symbols == expected == db_ext.row(3)
+                    assert got.error_servers == tuple(ids[i] for i in ref.error_positions)
+            finally:
+                rscodes._oracle_cache.clear()  # 21 codeword tables would stay cached
+
+    def test_second_honest_retrieval_reuses_cached_tables(self, monkeypatch, params_ext, db_ext):
+        p = params_ext
+        queries = pir.gen_queries(p, 2, SeededStream(3, "rc"))
+        answers = pir.collect_answers(p, queries, db_ext, "full", (1, 3, 4, 6, 7))
+        assert pir.retrieve_from_r(p, answers).symbols == db_ext.row(2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called by a second honest retrieval")
+
+        monkeypatch.setattr(pir, "GrsCode", forbidden)
+        monkeypatch.setattr(rscodes.linalg, "solve", forbidden)
+        monkeypatch.setattr(rscodes, "grs_encode", forbidden)
+        monkeypatch.setattr(polyring, "poly_eval", forbidden)
+        got = pir.retrieve_from_r(p, answers)
+        assert got.symbols == db_ext.row(2) and got.error_servers == ()
 
     def test_needs_exactly_r_servers(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(7, "rn"))
