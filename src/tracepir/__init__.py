@@ -41,11 +41,13 @@ from .pir import (
     gen_queries,
     retrieve_from_k,
     retrieve_from_r,
+    retrieve_many,
     server_answer,
     setup,
     validate_optimality,
 )
 from .rscodes import (
+    DecodedBatch,
     DecodeFailure,
     DecodeResult,
     EnumerationTooLarge,
@@ -64,6 +66,7 @@ __all__ = [
     "AnswerSet",
     "ByzantineBudgetExceeded",
     "Database",
+    "DecodedBatch",
     "DecodeFailure",
     "DecodeResult",
     "DualBasisPair",
@@ -95,6 +98,7 @@ __all__ = [
     "privacy_audit",
     "retrieve_from_k",
     "retrieve_from_r",
+    "retrieve_many",
     "run_session",
     "scheme_comparison",
     "server_answer",

@@ -8,7 +8,7 @@ construction modulus).  The scalar arithmetic on them is `kernels`.
 Bulk data (databases, blinding arrays, queries in `pir`) is stored
 instead as int64 numpy arrays whose last axis holds the s coefficients of
 an extension element, index d for xi^d as in the tuples.  Sums of
-products over them go through `pir.matmul_mod`: with entries in [0, q)
+products over them go through `linalg.matmul_mod`: with entries in [0, q)
 one product is at most (q-1)^2, so a chunk of (2^63 - 1) // (q-1)^2 terms
 is summed before each reduction mod q.  That is exact for every
 q <= MAX_PRIME; at q near 2^31 a chunk is two terms.

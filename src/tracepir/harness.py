@@ -423,26 +423,36 @@ class SweepReport:
         }
 
 
-def _sweep_case(params, db, iota, answers, byz_ids, injected, failures):
-    """Inject the given wrong trace values and check exact recovery."""
-    values = list(answers.values)
+SWEEP_REPORTED_FAILURES = 20  # counterexamples a sweep report lists
+
+
+def _tampered(values, byz_ids, injected) -> list:
+    """The answer word with the given wrong values at the byzantine servers."""
+    word = list(values)
     for j, wrong in zip(byz_ids, injected):
-        values[j - 1] = wrong
-    tampered = AnswerSet(mode="trace", server_ids=answers.server_ids, values=tuple(values))
-    try:
-        got = retrieve_from_k(params, tampered)
-        ok = got.symbols == db.row(iota)
-    except ByzantineBudgetExceeded:
-        ok = False
-    if not ok:
-        failures.append(
-            {
-                "iota": iota,
-                "byzantine_set": list(byz_ids),
-                "injected": list(injected),
-            }
-        )
-    return ok
+        word[j - 1] = wrong
+    return word
+
+
+def _check_cases(params, db, cases, words, failures) -> int:
+    """Decode the tampered words in one call and count the cases that miss their planted file.
+
+    cases[w] = (iota, byzantine set, injected values) describes words[w];
+    the missed cases are appended to `failures`, in order, until it holds
+    SWEEP_REPORTED_FAILURES.
+    """
+    files, _, failed = pir.retrieve_many(params, words)
+    planted = db.array[[iota - 1 for iota, _, _ in cases]]
+    missed = ~(files == planted).all(axis=(1, 2)) | failed
+    count = 0
+    for (iota, byz_ids, injected), miss in zip(cases, missed.tolist()):
+        if miss:
+            count += 1
+            if len(failures) < SWEEP_REPORTED_FAILURES:
+                failures.append(
+                    {"iota": iota, "byzantine_set": list(byz_ids), "injected": list(injected)}
+                )
+    return count
 
 
 def check_sweep_trials(trials: int) -> None:
@@ -461,15 +471,19 @@ def byzantine_sweep(
     """Assert universal recovery under every tolerated corruption pattern.
 
     Exhaustive scope iterates file index x byzantine set (size b) x all
-    wrong base-field values; randomized scope samples `trials` >= 1 cases.
-    Counterexamples are reported, never silently swallowed.
+    wrong base-field values; the (q - 1)^b tampered words of one file
+    index and byzantine set are decoded in one ``retrieve_many`` call.
+    Randomized scope samples `trials` >= 1 cases and decodes them all in
+    one call.  Counterexamples are counted and the first
+    SWEEP_REPORTED_FAILURES are reported in enumeration order, never
+    silently swallowed.
     """
     if scope == "randomized":
         check_sweep_trials(trials)
     pir.check_dimensions(params, db)
     base_stream = SeededStream(seed, "sweep")
     failures: list = []
-    cases = 0
+    cases = failed = 0
     if scope == "exhaustive":
         total = (
             math.comb(params.k, params.b)
@@ -484,19 +498,17 @@ def byzantine_sweep(
         for iota in range(1, params.m + 1):
             queries = gen_queries(params, iota, base_stream.fork(f"iota-{iota}"))
             answers = collect_answers(params, queries, db, "trace")
-            if params.b == 0:
-                cases += 1
-                _sweep_case(params, db, iota, answers, (), (), failures)
-                continue
+            # with b = 0 there is one empty byzantine set and one empty injection
             for byz_ids in itertools.combinations(range(1, params.k + 1), params.b):
-                honest = [answers.values[j - 1] for j in byz_ids]
                 wrong_ranges = [
-                    [v for v in range(params.q) if v != h] for h in honest
+                    [v for v in range(params.q) if v != answers.values[j - 1]] for j in byz_ids
                 ]
-                for injected in itertools.product(*wrong_ranges):
-                    cases += 1
-                    _sweep_case(params, db, iota, answers, byz_ids, injected, failures)
+                chunk = [(iota, byz_ids, injected) for injected in itertools.product(*wrong_ranges)]
+                words = [_tampered(answers.values, byz_ids, injected) for _, _, injected in chunk]
+                cases += len(chunk)
+                failed += _check_cases(params, db, chunk, words, failures)
     elif scope == "randomized":
+        chunk, words = [], []
         for trial in range(trials):
             stream = base_stream.fork(f"trial-{trial}")
             iota = stream.randrange(params.m) + 1
@@ -506,8 +518,10 @@ def byzantine_sweep(
             injected = tuple(
                 stream.randrange_excluding(params.q, answers.values[j - 1]) for j in byz_ids
             )
-            cases += 1
-            _sweep_case(params, db, iota, answers, byz_ids, injected, failures)
+            chunk.append((iota, byz_ids, injected))
+            words.append(_tampered(answers.values, byz_ids, injected))
+        cases = len(chunk)
+        failed = _check_cases(params, db, chunk, words, failures)
     else:
         raise ValueError(f"unknown sweep scope {scope!r}")
     return SweepReport(
@@ -515,8 +529,8 @@ def byzantine_sweep(
         seed=seed,
         scope=scope,
         cases_total=cases,
-        cases_failed=len(failures),
-        failures=tuple(failures[:20]),
+        cases_failed=failed,
+        failures=tuple(failures),
     )
 
 

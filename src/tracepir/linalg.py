@@ -1,10 +1,36 @@
-"""Exact Gaussian elimination over a field context.
+"""Exact linear algebra over a field context, and exact int64 matrix products mod q.
 
-Matrices are lists of row lists.  Used for the error-locator solve in the
-decoder, trace-Gram inversion, and coordinate changes between power
-bases; sizes stay small so there is no pivoting strategy beyond "first
-nonzero".
+Matrices for elimination are lists of row lists.  Used for the message
+solve in the decoder, trace-Gram inversion, and coordinate changes
+between power bases; sizes stay small so there is no pivoting strategy
+beyond "first nonzero".  Over a prime field the right-hand side may hold
+int64 arrays instead of ints: the field operations act elementwise, so
+one elimination solves the system for every column of the arrays at once.
+
+`matmul_mod` is the one modular product of int64 arrays that every
+layer shares (the query curve, the answers, syndromes, the Chien search
+and the file rebuild).
 """
+
+INT64_MAX = 2**63 - 1
+
+
+def matmul_mod(a, b, q: int):
+    """a @ b mod q for int64 arrays with entries in [0, q), computed exactly.
+
+    The inner dimension is split into chunks short enough that no partial
+    sum leaves int64; each chunk is reduced before it is added.  That is
+    exact for every q <= 2^31, where a chunk is two terms.
+    """
+    step = INT64_MAX // max((q - 1) ** 2, 1)
+    inner = a.shape[-1]
+    if inner <= step:
+        return (a @ b) % q
+    out = (a[..., :step] @ b[:step]) % q
+    for start in range(step, inner, step):
+        out += (a[..., start : start + step] @ b[start : start + step]) % q
+        out %= q
+    return out
 
 
 def _eliminate(field, aug, ncols: int) -> list:
@@ -14,6 +40,12 @@ def _eliminate(field, aug, ncols: int) -> list:
     row; a column that is zero in every row not yet holding a pivot is
     skipped.  Returns the pivot columns: row r holds the pivot of column
     pivots[r].
+
+    A row not yet holding a pivot is zero left of the current column:
+    each earlier column was either cleared in it or skipped, and the
+    pivot rows subtracted from it since were zero there too.  So the new
+    pivot row is zero there, and the other rows are updated only from
+    the pivot column on.
     """
     m = len(aug)
     pivots = []
@@ -29,10 +61,11 @@ def _eliminate(field, aug, ncols: int) -> list:
         aug[row], aug[pivot] = aug[pivot], aug[row]
         inv = field.inv(aug[row][col])
         aug[row] = [field.mul(inv, c) for c in aug[row]]
+        tail = aug[row][col:]
         for i in range(m):
             if i != row and aug[i][col] != field.zero:
                 f = aug[i][col]
-                aug[i] = [field.sub(c, field.mul(f, p)) for c, p in zip(aug[i], aug[row])]
+                aug[i][col:] = [field.sub(c, field.mul(f, p)) for c, p in zip(aug[i][col:], tail)]
         pivots.append(col)
         row += 1
         if row == m:
@@ -43,7 +76,8 @@ def _eliminate(field, aug, ncols: int) -> list:
 def solve(field, rows, rhs):
     """One solution of rows * x = rhs with free variables set to zero.
 
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent.  A right-hand side of
+    int64 arrays (prime field only) needs a square invertible system.
     """
     m = len(rows)
     if m != len(rhs):

@@ -18,9 +18,10 @@ are (k, m, delta, s).  The query curve is one matrix product of the
 (m*delta, t*s) blinding with a (t*s, k*s) table of multiply-by-constant
 blocks; an answer is the s x s coefficient-product matrix of query and
 database, folded through the modulus.  Every such product goes through
-`matmul_mod`, which keeps partial sums below 2^63 and so is exact for
-every q <= 2^31.  Scalars (setup constants, answers, retrieved symbols)
-stay Python ints and tuples.
+`linalg.matmul_mod`, which keeps partial sums below 2^63 and so is exact
+for every q <= 2^31.  Trace retrieval decodes a (W, k) batch of answer
+words in one call (`retrieve_many`).  Scalars (setup constants, single
+answers, retrieved symbols) stay Python ints and tuples.
 """
 
 from __future__ import annotations
@@ -35,19 +36,20 @@ import numpy as np
 from . import linalg, polyring
 from .gf import (
     MAX_FIELD_SIZE,
+    MAX_PRIME,
     ExtField,
     FieldTower,
     PrimeField,
     dual_basis,
     find_irreducibles,
     irreducible_count,
+    is_prime,
     minimal_poly,
     next_prime,
 )
+from .linalg import INT64_MAX, matmul_mod
 from .rand import SeededStream
-from .rscodes import DecodeFailure, GrsCode, dual_multipliers, grs_decode
-
-INT64_MAX = 2**63 - 1
+from .rscodes import DecodedBatch, DecodeFailure, GrsCode, dual_multipliers, grs_decode
 
 
 class InvalidParameters(ValueError):
@@ -192,13 +194,17 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     if q_hint is None:
         q = next_prime(q_min)
     else:
-        base_probe = PrimeField(q_hint)  # validates primality and size
+        _require(
+            isinstance(q_hint, int) and q_hint <= MAX_PRIME and is_prime(q_hint),
+            "q",
+            f"q={q_hint} is not a prime below 2^31",
+        )
         _require(
             q_hint >= q_min,
             "k <= q",
             f"q={q_hint} is below the minimum {q_min} for these parameters",
         )
-        q = base_probe.q
+        q = q_hint
     _require(
         q**s <= MAX_FIELD_SIZE,
         "field-size-guard",
@@ -389,23 +395,6 @@ def validate_optimality(params, delta: int | None = None, s: int | None = None) 
 # --- array arithmetic -------------------------------------------------------
 
 
-def matmul_mod(a, b, q: int) -> np.ndarray:
-    """a @ b mod q for int64 arrays with entries in [0, q), computed exactly.
-
-    The inner dimension is split into chunks short enough that no partial
-    sum leaves int64; each chunk is reduced before it is added.
-    """
-    step = INT64_MAX // max((q - 1) ** 2, 1)
-    inner = a.shape[-1]
-    if inner <= step:
-        return (a @ b) % q
-    out = (a[..., :step] @ b[:step]) % q
-    for start in range(step, inner, step):
-        out += (a[..., start : start + step] @ b[start : start + step]) % q
-        out %= q
-    return out
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -419,7 +408,8 @@ def _field_array(params: SchemeParams, values, shape: tuple, what: str) -> np.nd
         raise ValueError(f"{what} is not a regular array of field elements") from None
     if array.shape != shape:
         raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
-    if array.size and (array.min() < 0 or array.max() >= params.q):
+    # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
+    if array.size and array.view(np.uint64).max() >= params.q:
         raise ValueError(f"{what} has entries outside [0, {params.q})")
     return array
 
@@ -799,8 +789,21 @@ def _full_code_tables(params: SchemeParams, ids: tuple) -> tuple:
     return code, _frozen(recon.reshape(params.r * params.s, -1))
 
 
-def _retrieve(params: SchemeParams, code: GrsCode, recon: np.ndarray, answers: AnswerSet) -> Retrieval:
-    """Decode the answer word, then rebuild the file as one product with recon."""
+def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
+    """Decode full-mode answers from exactly r servers, tolerating b errors.
+
+    The r answers are one word of an extension-field code, decoded on its
+    own; one product of the corrected word with the cached rebuild matrix
+    gives the file.
+    """
+    if answers.mode != "full":
+        raise ValueError("retrieve_from_r needs full-mode answers")
+    ids = tuple(answers.server_ids)
+    if len(ids) != params.r or len(set(ids)) != len(ids):
+        raise ValueError(f"need answers from exactly {params.r} distinct servers")
+    if any(not 1 <= j <= params.k for j in ids):
+        raise IndexError("server id outside [1, k]")
+    code, recon = _full_code_tables(params, ids)
     try:
         result = grs_decode(code, answers.values)
     except DecodeFailure as exc:
@@ -809,39 +812,57 @@ def _retrieve(params: SchemeParams, code: GrsCode, recon: np.ndarray, answers: A
     symbols = matmul_mod(corrected, recon, params.q).reshape(params.delta, params.s)
     return Retrieval(
         symbols=tuple(map(tuple, symbols.tolist())),
-        error_servers=tuple(answers.server_ids[p] for p in result.error_positions),
+        error_servers=tuple(ids[p] for p in result.error_positions),
     )
 
 
-def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
-    """Decode full-mode answers from exactly r servers, tolerating b errors."""
-    if answers.mode != "full":
-        raise ValueError("retrieve_from_r needs full-mode answers")
-    ids = tuple(answers.server_ids)
-    if len(ids) != params.r or len(set(ids)) != len(ids):
-        raise ValueError(f"need answers from exactly {params.r} distinct servers")
-    if any(not 1 <= j <= params.k for j in ids):
-        raise IndexError("server id outside [1, k]")
-    return _retrieve(params, *_full_code_tables(params, ids), answers)
+def retrieve_many(params: SchemeParams, words) -> tuple:
+    """Reconstruct W files from W words of k trace answers, in one decode.
+
+    Row w of `words` holds the k trace answers of one retrieval, server
+    j's in column j - 1; each row is a word of a base-field GRS code of
+    dimension k - 2b on the beta points, whose 2b parity checks are the
+    power sums of the beta points weighted by P[j] = prod_l f_l(beta_j),
+    the checks of ``parity_check_words``.  The whole (W, k) array is
+    decoded by one ``grs_decode`` call (see there): honest rows have a
+    zero syndrome and are used as they are, and up to b wrong answers
+    per row are located and corrected.  One product of the corrected
+    words with a precomputed base-field matrix, which combines the
+    traces, the recovery polynomials and the dual basis, then rebuilds
+    every file.
+
+    Returns (files, errors, failed): the (W, delta, s) int64 files, the
+    (W, k) bool mask of the answers that were corrected, and the (W,)
+    bool mask of the rows that no codeword lies within distance b of
+    (they have more than b wrong answers), whose files are zero and whose
+    error rows are empty.
+    """
+    code, recon = _trace_code_tables(params)
+    result = grs_decode(code, words)  # checks the entries too
+    if not isinstance(result, DecodedBatch):
+        raise ValueError(f"answer words form one word, expected a (W, {params.k}) array")
+    files = matmul_mod(result.corrected, recon, params.q).reshape(-1, params.delta, params.s)
+    return files, result.errors, result.failed
 
 
 def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
     """Reconstruct the file from all k trace answers, tolerating b errors.
 
-    The k answers form a word of a base-field GRS code of dimension
-    k - 2b on the beta points.  Its 2b parity checks are the power sums
-    of the beta points weighted by P[j] = prod_l f_l(beta_j), the checks
-    of ``parity_check_words``.  Honest answers have a zero syndrome and
-    are used as they are; otherwise the syndrome decoder locates and
-    corrects up to b wrong answers.  One precomputed base-field matrix
-    then rebuilds every file symbol from the corrected word; it combines
-    the traces, the recovery polynomials and the dual basis.
+    The batch of one of ``retrieve_many``.  A word that no codeword lies
+    within distance b of raises ByzantineBudgetExceeded.
     """
     if answers.mode != "trace":
         raise ValueError("retrieve_from_k needs trace-mode answers")
     if answers.server_ids != tuple(range(1, params.k + 1)):
         raise ValueError("trace retrieval needs answers from all k servers in order")
-    return _retrieve(params, *_trace_code_tables(params), answers)
+    files, errors, failed = retrieve_many(params, [answers.values])
+    if failed[0]:
+        failure = DecodeFailure.beyond(params.b)
+        raise ByzantineBudgetExceeded(str(failure)) from failure
+    return Retrieval(
+        symbols=tuple(map(tuple, files[0].tolist())),
+        error_servers=tuple(j for j, wrong in zip(answers.server_ids, errors[0].tolist()) if wrong),
+    )
 
 
 # --- capacity ---------------------------------------------------------------

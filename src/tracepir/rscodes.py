@@ -9,9 +9,16 @@ is.  Otherwise Berlekamp-Massey finds the shortest linear recurrence of
 the syndromes, the reversal of its connection polynomial is the error
 locator, a Chien search finds its roots among the code points, and one
 linear solve on dim unlocated positions gives the message, which is
-re-encoded.  ``oracle_decode`` is the brute-force counterpart used to
-cross-check the decoder; it enumerates every codeword, so it is guarded
-by an enumeration bound.
+re-encoded.
+
+Over a prime field ``grs_decode`` decodes a (W, n) int64 batch in one
+pass: the syndromes and the Chien search are one matrix product each,
+and the words whose errors sit on the same positions share one solve
+and one re-encode, with their int64 columns standing in for field
+elements.  A single word is the batch of one.  Over an extension field
+words are decoded one at a time.  ``oracle_decode`` is the brute-force
+counterpart used to cross-check the decoder; it enumerates every
+codeword, so it is guarded by an enumeration bound.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, polyring
+from .gf import PrimeField
 
 ORACLE_MAX_CODEWORDS = 2**20
 ORACLE_MAX_FIELD = 4096
@@ -29,6 +37,10 @@ ORACLE_MAX_FIELD = 4096
 
 class DecodeFailure(Exception):
     """No codeword lies within the decoding radius of the received word."""
+
+    @classmethod
+    def beyond(cls, radius: int) -> "DecodeFailure":
+        return cls(f"no codeword within distance {radius} of the received word")
 
 
 class EnumerationTooLarge(ValueError):
@@ -83,6 +95,30 @@ class GrsCode:
             row = [F.mul(c, x) for c, x in zip(row, self.points)]
         return tuple(rows)
 
+    @functools.cached_property
+    def check_matrix(self) -> np.ndarray:
+        """``check_rows`` as a read-only (n, n - dim) int64 array; prime field only.
+
+        A (W, n) batch of words times it gives their syndromes.
+        """
+        matrix = np.array(self.check_rows, dtype=np.int64).reshape(-1, self.n).T
+        matrix.flags.writeable = False
+        return matrix
+
+    @functools.cached_property
+    def chien_powers(self) -> np.ndarray:
+        """Read-only (radius + 1, n) int64 array whose row l holds x_i^l; prime field only.
+
+        A batch of locators, one coefficient row each, times it gives
+        every locator's value at every code point.
+        """
+        F = self.field
+        powers = np.array(
+            [[F.pow(x, l) for x in self.points] for l in range(self.radius + 1)], dtype=np.int64
+        )
+        powers.flags.writeable = False
+        return powers
+
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -95,7 +131,34 @@ class DecodeResult:
     @functools.cached_property
     def message_poly(self) -> tuple:
         """The message of the corrected word, solved on demand from its first dim positions."""
-        return _message(self.code, self.corrected_word, range(self.code.dim))
+        message = _message(self.code, self.corrected_word, range(self.code.dim))
+        return tuple(polyring.normalize(self.code.field, message))
+
+
+@dataclass(frozen=True, eq=False)
+class DecodedBatch:
+    """The decoded rows of a (W, n) batch of words over a prime field.
+
+    Row w of `corrected` is the codeword of word w and row w of `errors`
+    marks the positions where the word differs from it; `failed[w]` says
+    that no codeword lies within the radius, and then both rows are
+    zero.
+    """
+
+    code: GrsCode
+    corrected: np.ndarray  # (W, n) int64
+    errors: np.ndarray  # (W, n) bool
+    failed: np.ndarray  # (W,) bool
+
+    def result(self, row: int) -> DecodeResult:
+        """Row `row` as a DecodeResult; DecodeFailure if it failed."""
+        if self.failed[row]:
+            raise DecodeFailure.beyond(self.code.radius)
+        return DecodeResult(
+            code=self.code,
+            error_positions=tuple(i for i, wrong in enumerate(self.errors[row].tolist()) if wrong),
+            corrected_word=tuple(self.corrected[row].tolist()),
+        )
 
 
 def lagrange_interpolate(field, points):
@@ -132,11 +195,13 @@ def grs_encode(code: GrsCode, message_poly):
     )
 
 
-def _message(code: GrsCode, word, positions) -> tuple:
-    """The h of degree below dim with m_i h(x_i) = word_i at dim positions.
+def _message(code: GrsCode, word, positions) -> list:
+    """The coefficients of the h of degree below dim with m_i h(x_i) = word_i at dim positions.
 
     One Vandermonde solve; the positions are distinct points, so its
-    solution is unique.
+    solution is unique.  Over a prime field, word_i may be an int64 array
+    holding position i of several words; the coefficients are then arrays
+    too, one entry per word.  They are not normalized.
     """
     F = code.field
     rows, rhs = [], []
@@ -147,7 +212,7 @@ def _message(code: GrsCode, word, positions) -> tuple:
             power = F.mul(power, code.points[i])
         rows.append(row)
         rhs.append(F.mul(word[i], F.inv(code.multipliers[i])))
-    return tuple(polyring.normalize(F, linalg.solve(F, rows, rhs)))
+    return linalg.solve(F, rows, rhs)
 
 
 def _berlekamp_massey(F, seq) -> tuple:
@@ -177,12 +242,19 @@ def _berlekamp_massey(F, seq) -> tuple:
     return conn, length
 
 
-def grs_decode(code: GrsCode, received) -> DecodeResult:
+def grs_decode(code: GrsCode, received):
     """Bounded-distance decode up to radius tau = floor((n - dim)/2).
 
+    Over a prime field `received` is one word, for which a DecodeResult
+    is returned, or a (W, n) array of words, for which a DecodedBatch is
+    returned; entries must lie in [0, q).  A single word is decoded as a
+    batch of one, and raises DecodeFailure where the batch marks its row
+    failed.  Over an extension field `received` is one word.
+
     The syndromes are S_e = sum_i y_i r_i x_i^e for e < n - dim (the
-    rows of ``code.check_rows``).  A zero syndrome means the word is a
-    codeword: it is returned with no error positions, and nothing is
+    rows of ``code.check_rows``; over a prime field, one product of the
+    batch with ``code.check_matrix``).  A zero syndrome means the word is
+    a codeword: it is returned with no error positions, and nothing is
     solved, divided or re-encoded.
 
     Otherwise write the word as c + err for a codeword c and an error
@@ -190,24 +262,86 @@ def grs_decode(code: GrsCode, received) -> DecodeResult:
     S_e = sum_(i in E) Y_i x_i^e with Y_i = y_i err_i nonzero, a
     sequence of linear complexity exactly |E|.  If |E| <= tau, its
     n - dim >= 2|E| terms determine the shortest recurrence uniquely, so
-    Berlekamp-Massey returns length L = |E| and the connection
-    polynomial C = prod_(i in E, x_i != 0)(1 - x_i z).  The locator is
-    the reversal z^L C(1/z) = prod_(i in E)(z - x_i); C itself would
-    lose the root of a point x_i = 0.  A Chien search over the n points
-    then finds exactly E, the first dim points outside E are clean, one
-    solve gives the message of c, and re-encoding gives c.
+    Berlekamp-Massey (run once per word) returns length L = |E| and the
+    connection polynomial C = prod_(i in E, x_i != 0)(1 - x_i z).  The
+    locator is the reversal z^L C(1/z) = prod_(i in E)(z - x_i); C itself
+    would lose the root of a point x_i = 0.  A Chien search over the n
+    points (over a prime field, one product of the batch's locators with
+    ``code.chien_powers``) then finds exactly E, the first dim points
+    outside E are clean, one solve gives the message of c, and
+    re-encoding gives c.  Words with the same located set share that
+    solve and that re-encode.
 
     So a codeword within tau forces L <= tau and exactly L located
-    roots; when either fails, no codeword lies within tau and
-    DecodeFailure is raised.  When both hold, the syndromes are those of
-    an error on the located positions (its values solve the first L
-    syndromes, and the recurrence extends them to the rest), so a
-    codeword lies within L <= tau, the clean positions give its message,
-    and the re-encoded word is that codeword; the distance check cannot
-    fail and stays only as a guard.  Every verdict is therefore the
-    bounded-distance decoder's (``oracle_decode``), failures included.
+    roots; when either fails, no codeword lies within tau and the word
+    fails.  When both hold, the syndromes are those of an error on the
+    located positions (its values solve the first L syndromes, and the
+    recurrence extends them to the rest), so a codeword lies within
+    L <= tau, the clean positions give its message, and the re-encoded
+    word is that codeword; the distance check cannot fail and stays only
+    as a guard.  Every verdict is therefore the bounded-distance
+    decoder's (``oracle_decode``), failures included.
     """
-    received = tuple(received)
+    if not isinstance(code.field, PrimeField):
+        return _decode_word(code, tuple(received))
+    try:
+        words = np.asarray(received, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        raise ValueError("received words are not a regular array of field elements") from None
+    if words.ndim == 1:
+        return grs_decode(code, words[None]).result(0)
+    if words.ndim != 2 or words.shape[1] != code.n:
+        raise ValueError(f"received words have shape {words.shape}, expected (W, {code.n})")
+    # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
+    if words.size and words.view(np.uint64).max() >= code.field.q:
+        raise ValueError(f"received words have entries outside [0, {code.field.q})")
+    return _decode_batch(code, words)
+
+
+def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
+    """``grs_decode`` of a validated (W, n) batch over a prime field."""
+    F, tau = code.field, code.radius
+    corrected = words.copy()
+    failed = np.zeros(len(words), dtype=bool)
+    syndromes = linalg.matmul_mod(words, code.check_matrix, F.q)
+    if not syndromes.any():  # every word is a codeword
+        return DecodedBatch(code, corrected, np.zeros(words.shape, dtype=bool), failed)
+    dirty, locators, lengths = [], [], []
+    for row, syndrome in enumerate(syndromes.tolist()):
+        if not any(syndrome):
+            continue
+        dirty.append(row)
+        conn, length = _berlekamp_massey(F, syndrome)
+        if length > tau:
+            locators.append([F.zero] * (tau + 1))
+            lengths.append(-1)  # matches no root count
+            continue
+        locators.append((conn + [F.zero] * length)[length::-1] + [F.zero] * (tau - length))
+        lengths.append(length)
+    roots = linalg.matmul_mod(np.array(locators, dtype=np.int64), code.chien_powers, F.q) == 0
+    groups: dict = {}  # located positions -> rows of the words with errors exactly there
+    for row, length, located in zip(dirty, lengths, roots.tolist()):
+        if located.count(True) == length:
+            groups.setdefault(tuple(located), []).append(row)
+        else:
+            failed[row] = True
+    for located, rows in groups.items():
+        clean = [i for i, hit in enumerate(located) if not hit][: code.dim]
+        # one word solves with ints; several share the solve through their int64 columns
+        if len(rows) == 1:
+            corrected[rows[0]] = grs_encode(code, _message(code, words[rows[0]].tolist(), clean))
+        else:
+            corrected[rows] = np.transpose(grs_encode(code, _message(code, list(words[rows].T), clean)))
+    errors = corrected != words
+    failed |= errors.sum(axis=1) > tau  # the distance guard
+    if failed.any():
+        corrected[failed] = 0
+        errors[failed] = False
+    return DecodedBatch(code, corrected, errors, failed)
+
+
+def _decode_word(code: GrsCode, received: tuple) -> DecodeResult:
+    """``grs_decode`` of one word over an extension field."""
     if len(received) != code.n:
         raise ValueError(f"received word has length {len(received)}, expected {code.n}")
     F = code.field
@@ -226,9 +360,7 @@ def grs_decode(code: GrsCode, received) -> DecodeResult:
             positions = tuple(i for i, (a, b) in enumerate(zip(corrected, received)) if a != b)
             if len(positions) <= tau:
                 return DecodeResult(code=code, error_positions=positions, corrected_word=corrected)
-    raise DecodeFailure(
-        f"no codeword within distance {tau} of the received word"
-    )
+    raise DecodeFailure.beyond(tau)
 
 
 @dataclass
@@ -293,15 +425,10 @@ class _OracleTable:
         )
 
 
-_oracle_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _oracle_table(code: GrsCode) -> _OracleTable:
-    table = _oracle_cache.get(code)
-    if table is None:
-        table = _OracleTable.build(code)
-        _oracle_cache[code] = table
-    return table
+    """The codeword table of `code`; the four most recently used stay cached."""
+    return _OracleTable.build(code)
 
 
 def oracle_decode(code: GrsCode, received, full_scan: bool = False) -> DecodeResult:
@@ -309,7 +436,7 @@ def oracle_decode(code: GrsCode, received, full_scan: bool = False) -> DecodeRes
 
     Returns the unique codeword within the radius of the received word;
     raises DecodeFailure when none qualifies.  Only feasible for small
-    codes (the full codeword table is cached per code).  By default the
+    codes (the codeword tables of the last few codes stay cached).  By default the
     scan is narrowed by the lossless bucket filter described on
     _OracleTable; `full_scan=True` forces the plain linear scan.
     """
@@ -328,9 +455,7 @@ def oracle_decode(code: GrsCode, received, full_scan: bool = False) -> DecodeRes
             distances = np.count_nonzero(columns != rec[:, None], axis=0)
             hit_rows.update(rows[distances <= code.radius].tolist())
     if not hit_rows:
-        raise DecodeFailure(
-            f"no codeword within distance {code.radius} of the received word"
-        )
+        raise DecodeFailure.beyond(code.radius)
     # bounded-distance uniqueness: two hits would contradict the minimum distance
     assert len(hit_rows) == 1, "two codewords inside the unique-decoding radius"
     hit = hit_rows.pop()

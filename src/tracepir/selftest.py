@@ -165,6 +165,7 @@ def check_decoder_oracle_equivalence() -> CheckResult:
     )
     tau = code11.radius
     random_checked = beyond_checked = 0
+    words, verdicts = [], []
     for label, cases, error_counts in (("oracle", 10_000, range(tau + 1)),
                                        ("oracle-beyond", 4_000, (tau + 1, tau + 2))):
         stream = SeededStream(6, label)
@@ -180,10 +181,22 @@ def check_decoder_oracle_equivalence() -> CheckResult:
                     got is not None and got.corrected_word == planted and got.message_poly != msg):
                 return _result(6, "decoder oracle equivalence", False,
                                f"disagreement on random case {word}", started)
+            words.append(word)
+            verdicts.append(got)
             if errors <= tau:
                 random_checked += 1
             else:
                 beyond_checked += 1
+    # the same words once more as one batch, whose solves are shared by located set
+    batch = rscodes.grs_decode(code11, words)
+    for row, (word, got) in enumerate(zip(words, verdicts)):
+        try:
+            again = batch.result(row)
+        except rscodes.DecodeFailure:
+            again = None
+        if again != got:
+            return _result(6, "decoder oracle equivalence", False,
+                           f"batch disagreement on random case {word}", started)
     return _result(6, "decoder oracle equivalence", True,
                    f"{checked} exhaustive single-error cases; {random_checked} random cases; "
                    f"{beyond_checked} random cases beyond the radius", started)

@@ -49,6 +49,15 @@ class TestParams:
         payload = json.loads(out)
         assert (payload["params"]["delta"], payload["params"]["s"]) == (2, 2)
 
+    @pytest.mark.parametrize("command", ["params", "run"])
+    @pytest.mark.parametrize("q", ["9", "1", str(2**31 + 11)])
+    def test_q_not_a_usable_prime_exit_2(self, capsys, command, q):
+        extra = ("--m", "2", "--random-db") if command == "run" else ()
+        code, out, err = run_cli(capsys, command, *BASE, "--q", q, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid-parameters [q]: q={q} is not a prime below 2^31\n"
+
     def test_missing_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["params", "--k", "4", "--t", "1", "--b", "1"])

@@ -215,6 +215,12 @@ class TestPrivacyAudit:
             assert key in payload
 
 
+def _rebuild_zero_files(monkeypatch):
+    """Zero the trace rebuild matrix, so that every retrieval returns the zero file."""
+    tables = pir._trace_code_tables
+    monkeypatch.setattr(pir, "_trace_code_tables", lambda p: (tables(p)[0], tables(p)[1] * 0))
+
+
 class TestByzantineSweep:
     def test_exhaustive_72_cases(self, params_small, db_small):
         report = byzantine_sweep(params_small, db_small, scope="exhaustive", seed=11)
@@ -251,6 +257,38 @@ class TestByzantineSweep:
         with pytest.raises(EnumerationTooLarge) as err:
             byzantine_sweep(params, db, scope="exhaustive")
         assert "randomized" in str(err.value)
+
+    @pytest.mark.parametrize("scope", ["exhaustive", "randomized"])
+    def test_wrong_rebuild_fails_every_case_in_order(self, monkeypatch, scope):
+        params = pir.setup(7, 1, 1, 5, m=2)
+        db = pir.random_database(params, 3)
+        _rebuild_zero_files(monkeypatch)
+        report = byzantine_sweep(params, db, scope=scope, trials=30, seed=5)
+        assert report.cases_failed == report.cases_total == (84 if scope == "exhaustive" else 30)
+        assert len(report.failures) == harness.SWEEP_REPORTED_FAILURES == 20
+        if scope == "exhaustive":
+            # file index, then byzantine set, then injected values in lexicographic order
+            first = [case["byzantine_set"] + case["injected"] for case in report.failures]
+            assert all(case["iota"] == 1 for case in report.failures)
+            assert first == sorted(first)
+            sets = [case["byzantine_set"] for case in report.failures]
+            assert sets == [[1]] * 6 + [[2]] * 6 + [[3]] * 6 + [[4]] * 2
+
+    def test_golden_sweeps(self, monkeypatch):
+        # reports frozen before sweeps decoded their cases in batches: exhaustive
+        # and randomized scopes, and two sweeps whose every case fails, so that
+        # the enumeration and the random draw order are pinned too
+        with open(DATA / "golden_sweeps.json") as fh:
+            cases = json.load(fh)
+        for case in cases:
+            params = pir.setup(*case["scheme"], m=case["m"])
+            db = pir.random_database(params, case["db_seed"])
+            with monkeypatch.context() as patch:
+                if case["wrong_recon"]:
+                    _rebuild_zero_files(patch)
+                report = byzantine_sweep(params, db, scope=case["scope"], trials=case["trials"],
+                                         seed=case["seed"])
+            assert report.to_json_dict() == case["report"], case["scheme"]
 
     def test_report_json_schema(self, params_small, db_small):
         report = byzantine_sweep(params_small, db_small, scope="randomized", trials=5, seed=3)

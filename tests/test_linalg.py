@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from tracepir import linalg
@@ -68,3 +69,24 @@ def test_extension_field_solve():
 def test_non_square_invert_rejected():
     with pytest.raises(ValueError):
         linalg.invert(F7, [[1, 2, 3], [4, 5, 6]])
+
+
+def test_solve_with_array_columns_matches_each_column():
+    # over a prime field one elimination solves every column of int64 arrays
+    rng = random.Random(4)
+    rows = [[pow(x, d, 7) for d in range(3)] for x in (1, 3, 5)]
+    columns = np.array([[rng.randrange(7) for _ in range(9)] for _ in range(3)], dtype=np.int64)
+    together = linalg.solve(F7, rows, list(columns))
+    for w in range(9):
+        alone = linalg.solve(F7, rows, columns[:, w].tolist())
+        assert [int(c[w]) for c in together] == alone
+
+
+@pytest.mark.parametrize("q", [2, 7, 2**31 - 1])
+def test_matmul_mod_is_exact(q):
+    rng = random.Random(q)
+    a = [[rng.randrange(q) for _ in range(13)] for _ in range(4)]
+    b = [[rng.randrange(q) for _ in range(3)] for _ in range(13)]
+    got = linalg.matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
+    expected = [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+    assert got.tolist() == expected

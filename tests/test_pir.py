@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tracepir import gf, pir, polyring, rscodes
+from tracepir import gf, harness, pir, polyring, rscodes
 from tracepir.pir import (
     AnswerSet,
     ByzantineBudgetExceeded,
@@ -49,8 +49,10 @@ class TestSetup:
         assert p.q == 11
         with pytest.raises(InvalidParameters):
             pir.setup(4, 1, 1, 4, q_hint=5)  # below k + delta + t
-        with pytest.raises(ValueError):
-            pir.setup(4, 1, 1, 4, q_hint=9)  # not prime
+        for q in (9, 1, 2**31 + 11, 7.0):  # not a prime below 2^31
+            with pytest.raises(InvalidParameters) as err:
+                pir.setup(4, 1, 1, 4, q_hint=q)
+            assert err.value.constraint == "q"
 
     def test_field_size_guard_before_search(self, monkeypatch):
         # s = 12 over GF(13): the guard must fire before any irreducible work
@@ -455,18 +457,15 @@ class TestRetrieveFromR:
                 values = list(honest.values)
                 values[pos] = ext.add(values[pos], (pos, 1 + pos))
                 words.append(tuple(values))
-            try:
-                for values in words:
-                    ref = rscodes.oracle_decode(code, values)
-                    expected = tuple(
-                        polyring.poly_eval(ext, list(ref.message_poly), alpha)
-                        for alpha in p.omega_alpha
-                    )
-                    got = pir.retrieve_from_r(p, AnswerSet("full", ids, values))
-                    assert got.symbols == expected == db_ext.row(3)
-                    assert got.error_servers == tuple(ids[i] for i in ref.error_positions)
-            finally:
-                rscodes._oracle_cache.clear()  # 21 codeword tables would stay cached
+            for values in words:
+                ref = rscodes.oracle_decode(code, values)
+                expected = tuple(
+                    polyring.poly_eval(ext, list(ref.message_poly), alpha)
+                    for alpha in p.omega_alpha
+                )
+                got = pir.retrieve_from_r(p, AnswerSet("full", ids, values))
+                assert got.symbols == expected == db_ext.row(3)
+                assert got.error_servers == tuple(ids[i] for i in ref.error_positions)
 
     def test_second_honest_retrieval_reuses_cached_tables(self, monkeypatch, params_ext, db_ext):
         p = params_ext
@@ -554,6 +553,80 @@ class TestRetrieveFromK:
             assert got.symbols == db.row(iota) and got.error_servers == (1,)
             assert calls == ["solve", "encode"]
             del calls[:]
+
+    def test_over_budget_message(self, params_small, db_small):
+        # two wrong answers at b = 1 that no codeword lies within distance 1 of
+        p = params_small
+        honest = pir.collect_answers(p, pir.gen_queries(p, 1, SeededStream(13, "kb")), db_small)
+        for wrong1, wrong2 in itertools.product(range(7), repeat=2):
+            values = (wrong1, wrong2) + honest.values[2:]
+            try:
+                pir.retrieve_from_k(p, AnswerSet("trace", honest.server_ids, values))
+            except ByzantineBudgetExceeded as exc:
+                assert str(exc) == "no codeword within distance 1 of the received word"
+                assert isinstance(exc.__cause__, rscodes.DecodeFailure)
+                return
+        raise AssertionError("no over-budget word found")
+
+    @pytest.mark.parametrize("scheme", [(4, 1, 1, 4), (7, 1, 1, 5), (11, 1, 2, 8)])
+    def test_retrieve_many_matches_retrieve_from_k_row_by_row(self, scheme):
+        # honest, corrected and over-budget words in one batch
+        p = pir.setup(*scheme, m=3)
+        db = pir.random_database(p, 21)
+        rng = random.Random(scheme[0])
+        words, expected = [], []
+        for trial in range(60):
+            iota = trial % p.m + 1
+            answers = pir.collect_answers(p, pir.gen_queries(p, iota, SeededStream(trial, "km")), db)
+            values = list(answers.values)
+            for j in rng.sample(range(p.k), trial % (p.b + 3)):
+                values[j] = (values[j] + rng.randrange(1, p.q)) % p.q
+            words.append(values)
+            try:
+                got = pir.retrieve_from_k(p, AnswerSet("trace", answers.server_ids, tuple(values)))
+                expected.append((got.symbols, got.error_servers))
+            except ByzantineBudgetExceeded:
+                expected.append(None)
+        files, errors, failed = pir.retrieve_many(p, words)
+        assert files.shape == (60, p.delta, p.s)
+        assert errors.shape == (60, p.k) and failed.shape == (60,)
+        for row, want in enumerate(expected):
+            if want is None:
+                assert failed[row] and not files[row].any() and not errors[row].any()
+            else:
+                symbols, error_servers = want
+                assert not failed[row]
+                assert tuple(map(tuple, files[row].tolist())) == symbols
+                assert tuple(j + 1 for j in range(p.k) if errors[row, j]) == error_servers
+        assert None in expected and any(w and w[1] for w in expected)
+
+    @pytest.mark.parametrize("words", [[[0] * 3], [0] * 4, [[0, 0, 0, 7]], [[0, 0, -1, 0]]])
+    def test_retrieve_many_rejects_malformed_words(self, params_small, words):
+        with pytest.raises(ValueError):
+            pir.retrieve_many(params_small, words)
+
+    def test_exact_near_q_2_to_the_31(self):
+        # (q-1)^2 is about 2^62 at q = 2^31 - 1, so a plain int64 product of
+        # the answers with the check rows would overflow
+        p = pir.setup(6, 1, 2, 6, q_hint=2**31 - 1, m=2)
+        db = pir.random_database(p, 31)
+        rng = random.Random(31)
+        words, planted = [], []
+        for session in range(30):
+            iota = session % 2 + 1
+            byz = tuple(sorted(rng.sample(range(1, p.k + 1), p.b)))
+            report = harness.run_session(p, db, iota, harness.AdversaryModel(byzantine_set=byz),
+                                         seed=session)
+            assert report.ok and report.identified_error_positions == byz
+            answers = pir.collect_answers(p, pir.gen_queries(p, iota, SeededStream(session, "big")), db)
+            values = list(answers.values)
+            for j in byz:
+                values[j - 1] = rng.randrange(p.q)
+            words.append(values)
+            planted.append(db.row(iota))
+        files, _, failed = pir.retrieve_many(p, words)
+        assert not failed.any()
+        assert [tuple(map(tuple, f)) for f in files.tolist()] == planted
 
     @pytest.mark.parametrize("scheme", [(4, 1, 1, 4), (7, 1, 1, 5), (11, 1, 2, 8), (17, 1, 2, 8)])
     def test_trace_code_checks_are_weighted_power_sums(self, scheme):

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from tracepir import polyring, rscodes
@@ -214,6 +215,85 @@ class TestDecode:
             except DecodeFailure:
                 ref = None
             assert ours == ref, word
+
+
+class TestBatchDecode:
+    def test_every_word_of_the_space_matches_oracle_batched_and_alone(self):
+        # all 7^5 words under CODE_5_3, as one batch and as batches of one
+        words = list(itertools.product(range(7), repeat=5))
+        batch = grs_decode(CODE_5_3, words)
+        assert batch.corrected.shape == (len(words), 5)
+        outcomes = set()
+        for row, word in enumerate(words):
+            try:
+                ref = oracle_decode(CODE_5_3, word)
+            except DecodeFailure:
+                ref = None
+            try:
+                alone = grs_decode(CODE_5_3, word)
+            except DecodeFailure:
+                alone = None
+            try:
+                batched = batch.result(row)
+            except DecodeFailure:
+                batched = None
+            assert batched == alone == ref, word
+            if ref is None:
+                assert batch.failed[row]
+                assert not batch.corrected[row].any() and not batch.errors[row].any()
+            outcomes.add(None if ref is None else len(ref.error_positions))
+        assert outcomes == {None, 0, 1}
+
+    def test_one_solve_and_encode_per_located_set(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rscodes.linalg, "solve", counted("solve", rscodes.linalg.solve))
+        monkeypatch.setattr(rscodes, "grs_encode", counted("encode", rscodes.grs_encode))
+        rng = random.Random(9)
+        words, expected, located = [], [], set()
+        for _ in range(200):
+            word = grs_encode(CODE_5_3, [rng.randrange(7) for _ in range(3)])
+            received = list(word)
+            if rng.random() < 0.8:
+                pos = rng.randrange(5)
+                received[pos] = (received[pos] + rng.randrange(1, 7)) % 7
+                located.add(pos)
+            words.append(received)
+            expected.append(word)
+        del calls[:]
+        batch = grs_decode(CODE_5_3, np.array(words, dtype=np.int64))
+        assert batch.corrected.tolist() == [list(word) for word in expected]
+        assert not batch.failed.any()
+        assert sorted(calls) == ["encode"] * len(located) + ["solve"] * len(located)
+
+    def test_honest_batch_makes_no_solve(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("solve on a codeword")
+
+        monkeypatch.setattr(rscodes.linalg, "solve", forbidden)
+        words = [grs_encode(CODE_5_3, [a, 1, 2]) for a in range(7)]
+        batch = grs_decode(CODE_5_3, words)
+        assert batch.corrected.tolist() == [list(w) for w in words]
+        assert not batch.errors.any() and not batch.failed.any()
+
+    def test_empty_batch(self):
+        batch = grs_decode(CODE_5_3, np.zeros((0, 5), dtype=np.int64))
+        assert batch.corrected.shape == (0, 5) and batch.failed.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "received",
+        [(0, 0, 0, 0, 7), [[0, 0, 0, 0, 7]], [[0, 0, -1, 0, 0]], [[0] * 4], [[[0] * 5]],
+         [[0, 0, 0, 0, 2**70]], [["a"] * 5]],
+    )
+    def test_bad_words_rejected(self, received):
+        with pytest.raises(ValueError):
+            grs_decode(CODE_5_3, received)
 
 
 class TestOracle:
