@@ -55,7 +55,6 @@ from .rscodes import (
     dual_multipliers,
     grs_decode,
     grs_encode,
-    lagrange_interpolate,
     oracle_decode,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "grs_decode",
     "grs_encode",
     "kernel_backend",
-    "lagrange_interpolate",
     "minimal_poly",
     "oracle_decode",
     "privacy_audit",

@@ -94,10 +94,7 @@ class AdversaryModel:
         if self.targeted_fn is not None:
             return self.targeted_fn(params, j, query_j, honest, mode, stream)
         # default query-aware adversary: answers for the query against itself
-        fake = pir.inner_product(params, query_j, query_j)
-        if mode == "trace":
-            return ext.trace(ext.mul(params.v[j - 1], fake))
-        return fake
+        return server_answer(params, j, query_j, Database(query_j), mode)
 
 
 def check_adversary(params: SchemeParams, byzantine_set, strategy: str, offset: int) -> None:
@@ -216,9 +213,13 @@ def run_session(
         ServerNode(server_id=j, db=db, adversary=adversary if j in byz else None)
         for j in ids
     ]
+    # an honest node never draws, and a fork leaves its parent untouched,
+    # so only the byzantine nodes get their streams
     values = tuple(
-        node.respond(params, queries.per_server[node.server_id - 1], mode,
-                     stream.fork(f"server-{node.server_id}"))
+        node.respond(
+            params, queries.per_server[node.server_id - 1], mode,
+            None if node.adversary is None else stream.fork(f"server-{node.server_id}"),
+        )
         for node in nodes
     )
     answers = AnswerSet(mode=mode, server_ids=ids, values=values)

@@ -18,17 +18,29 @@ INT64_MAX = 2**63 - 1
 def matmul_mod(a, b, q: int):
     """a @ b mod q for int64 arrays with entries in [0, q), computed exactly.
 
-    The inner dimension is split into chunks short enough that no partial
-    sum leaves int64; each chunk is reduced before it is added.  That is
-    exact for every q <= 2^31, where a chunk is two terms.
+    Stacked operands broadcast as in ``a @ b``; the inner axis is a's last
+    and b's only (1-D b) or second-to-last.  It is split into chunks short
+    enough that no partial sum leaves int64; each chunk is reduced before
+    it is added.  That is exact for every q <= 2^31, where a chunk is two
+    terms.  The result is reduced in place.
     """
     step = INT64_MAX // max((q - 1) ** 2, 1)
     inner = a.shape[-1]
     if inner <= step:
-        return (a @ b) % q
-    out = (a[..., :step] @ b[:step]) % q
+        out = a @ b
+        out %= q
+        return out
+
+    def part(start):
+        rows = slice(start, start + step)
+        return a[..., rows] @ (b[rows] if b.ndim == 1 else b[..., rows, :])
+
+    out = part(0)
+    out %= q
     for start in range(step, inner, step):
-        out += (a[..., start : start + step] @ b[start : start + step]) % q
+        chunk = part(start)
+        chunk %= q
+        out += chunk
         out %= q
     return out
 

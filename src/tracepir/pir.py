@@ -14,20 +14,24 @@ with a base-field matrix cached per code.
 The data plane works on int64 arrays whose last axis holds the s
 coefficients of an extension element: a database is one read-only
 (m, delta, s) array, the blinding is (t, m, delta, s) and the queries
-are (k, m, delta, s).  The query curve is one matrix product of the
-(m*delta, t*s) blinding with a (t*s, k*s) table of multiply-by-constant
-blocks; an answer is the s x s coefficient-product matrix of query and
-database, folded through the modulus.  Every such product goes through
-`linalg.matmul_mod`, which keeps partial sums below 2^63 and so is exact
-for every q <= 2^31.  Trace retrieval decodes a (W, k) batch of answer
-words in one call (`retrieve_many`).  Scalars (setup constants, single
-answers, retrieved symbols) stay Python ints and tuples.
+are (k, m, delta, s), server-major.  The query curve is one broadcast
+product of the (m*delta, t*s) blinding rows with a (k, t*s, s) stack of
+multiply-by-constant blocks, whose result is already in that layout.
+An answer is the s x s coefficient-product matrix of database and query,
+folded through the modulus; the matrices of a batch of servers come
+from one product.  Every such product goes through `linalg.matmul_mod`,
+which keeps partial sums below 2^63 and so is exact for every q <= 2^31.
+Trace retrieval decodes a (W, k) batch of answer words in one call
+(`retrieve_many`).  Scalars (setup constants, single answers, retrieved
+symbols) stay Python ints and tuples.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,6 +98,14 @@ class SchemeParams:
     theta: tuple  # basis of F_{q^s} over F_q
     eta: tuple  # its trace-orthogonal dual
     recovery_polys: tuple  # [delta][s] base-field coeff tuples, degree < s
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, field.name) for field in dataclasses.fields(self)))
+
+    def __hash__(self):
+        # every cached table is keyed on params: hash the nested tuples once
+        return self._hash
 
     @property
     def base(self) -> PrimeField:
@@ -564,26 +576,6 @@ def lagrange_basis_values(params: SchemeParams) -> tuple:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def lagrange_basis_polys(params: SchemeParams) -> tuple:
-    """Coefficient form of the curve's basis polynomials (alphas, chis)."""
-    ext = params.ext
-    alphas, chis = params.omega_alpha, params.omega_chi
-    alpha_polys = []
-    for n, alpha_n in enumerate(alphas):
-        roots = [a for l, a in enumerate(alphas) if l != n] + list(chis)
-        poly = polyring.from_roots(ext, roots)
-        denom = ext.inv(polyring.poly_eval(ext, poly, alpha_n))
-        alpha_polys.append(tuple(polyring.poly_scale(ext, denom, poly)))
-    chi_polys = []
-    for h, chi_h in enumerate(chis):
-        roots = list(alphas) + [c for l, c in enumerate(chis) if l != h]
-        poly = polyring.from_roots(ext, roots)
-        denom = ext.inv(polyring.poly_eval(ext, poly, chi_h))
-        chi_polys.append(tuple(polyring.poly_scale(ext, denom, poly)))
-    return tuple(alpha_polys), tuple(chi_polys)
-
-
 def _as_stream(randomness, default_label: str) -> SeededStream:
     if isinstance(randomness, SeededStream):
         return randomness
@@ -600,34 +592,38 @@ def _units(ext: ExtField) -> tuple:
 def _query_tables(params: SchemeParams) -> tuple:
     """(curve, indicator): the query map as read-only int64 arrays.
 
-    curve is (t*s, k*s); its (h, j) block is the s x s matrix whose row a
-    is chi_vals[h] * xi^a at beta_j, so a row of blinding coefficients
-    times it gives every server's blinding term.  indicator is
-    (k, delta, s): alpha_vals at each beta_j, added at the requested row.
+    curve is (k, t*s, s): row h*s + a of curve[j - 1] holds chi_vals[h] *
+    xi^a at beta_j, so the (m*delta, t*s) blinding rows times curve[j - 1]
+    give server j's blinding terms, and one broadcast product gives every
+    server's, already server-major.  indicator is (k, delta, s):
+    alpha_vals at each beta_j, added at the requested row.
     """
     ext = params.ext
     table = lagrange_basis_values(params)
     curve = np.array(
         [
-            [[ext.mul(chi_vals[h], unit) for _, chi_vals in table] for unit in _units(ext)]
-            for h in range(params.t)
+            [ext.mul(chi_vals[h], unit) for h in range(params.t) for unit in _units(ext)]
+            for _, chi_vals in table
         ],
         dtype=np.int64,
     )
     indicator = np.array([alpha_vals for alpha_vals, _ in table], dtype=np.int64)
-    return _frozen(curve.reshape(params.t * params.s, -1)), _frozen(indicator)
+    return _frozen(curve), _frozen(indicator)
 
 
 def queries_from_blinding(params: SchemeParams, iota: int, blinding) -> QuerySet:
-    """Evaluate the indicator-plus-blinding curve at every server point."""
+    """Evaluate the indicator-plus-blinding curve at every server point.
+
+    One product of the (m*delta, t*s) blinding rows with the (k, t*s, s)
+    curve stack gives the (k, m*delta, s) queries in `per_server` order.
+    """
     if not 1 <= iota <= params.m:
         raise IndexError(f"file index {iota} outside [1, {params.m}]")
     k, t, m, delta, s = params.k, params.t, params.m, params.delta, params.s
     blinding = _field_array(params, blinding, (t, m, delta, s), "blinding")
     curve, indicator = _query_tables(params)
     rows = blinding.transpose(1, 2, 0, 3).reshape(m * delta, t * s)
-    per_server = matmul_mod(rows, curve, params.q).reshape(m, delta, k, s)
-    per_server = np.ascontiguousarray(per_server.transpose(2, 0, 1, 3))
+    per_server = matmul_mod(rows, curve, params.q).reshape(k, m, delta, s)
     per_server[:, iota - 1] = (per_server[:, iota - 1] + indicator) % params.q
     return QuerySet(per_server=per_server, blinding=blinding, iota=iota)
 
@@ -653,57 +649,65 @@ class AnswerSet:
 
 
 @functools.lru_cache(maxsize=None)
-def _trace_forms(params: SchemeParams) -> np.ndarray:
-    """(k, s) read-only array whose row j - 1 holds Tr(v_j * xi^d) for each d.
+def _trace_forms(params: SchemeParams) -> tuple:
+    """Row j - 1 holds Tr(v_j * xi^d) for each d, as Python ints.
 
     Tr(v_j * a) is then the dot product of a's coefficients with row j - 1.
     """
     ext = params.ext
-    forms = [[ext.trace(ext.mul(v, unit)) for unit in _units(ext)] for v in params.v]
-    return _frozen(np.array(forms, dtype=np.int64))
+    return tuple(tuple(ext.trace(ext.mul(v, unit)) for unit in _units(ext)) for v in params.v)
 
 
-def inner_product(params: SchemeParams, x, y) -> tuple:
-    """Sum of x * y over all entries of two (..., s) arrays of one shape.
-
-    G = x^T y, with x and y flattened to (n, s), holds in G[a, b] the
-    coefficient of xi^a * xi^b.  Row a of G is the element sum_b G[a, b]
-    xi^b, so the dot product of the rows with xi^0..xi^(s-1) folds G
-    through the modulus.
-    """
-    s = params.s
-    g = matmul_mod(np.reshape(x, (-1, s)).T, np.reshape(y, (-1, s)), params.q)
-    return params.ext.dot([tuple(row) for row in g.tolist()], _units(params.ext))
-
-
-def server_answer(params: SchemeParams, j: int, query_j, db: Database, mode: str = "trace"):
+def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "trace"):
     """Answer of server j: the Frobenius inner product of query and database.
 
     Full mode returns the extension symbol phi(beta_j); trace mode returns
     Tr(v_j * phi(beta_j)), a single base-field symbol.
+
+    j may also be a tuple of server ids, with query_j their stacked
+    (len(j), m, delta, s) queries; the answers then come back as a tuple
+    in that order, and a single server is the batch of one.  With the
+    database X and each query Q flattened to (N, s), G = X^T Q holds in
+    G[b, a] the coefficient of xi^a * xi^b, and one batched product gives
+    every G.  Row b of G is the element sum_a G[b, a] xi^a, so the dot
+    product of the rows with xi^0..xi^(s-1) folds G through the modulus;
+    the trace answer is that element's coefficients times the cached form
+    of Tr(v_j * .).
     """
-    if not 1 <= j <= params.k:
+    single = not isinstance(j, tuple)
+    ids = (j,) if single else j
+    if not all(1 <= i <= params.k for i in ids):
         raise IndexError(f"server id {j} outside [1, {params.k}]")
+    if mode not in ("trace", "full"):
+        raise ValueError(f"unknown answer mode {mode!r}")
     check_dimensions(params, db)
-    query = _field_array(params, query_j, db.array.shape, "query array")
-    answer = inner_product(params, query, db.array)
-    if mode == "full":
-        return answer
+    shape = db.array.shape if single else (len(ids),) + db.array.shape
+    queries = _field_array(params, query_j, shape, "query array")
+    s, ext = params.s, params.ext
+    x = db.array.reshape(-1, s)
+    grams = matmul_mod(x.T, queries.reshape(len(ids), len(x), s), params.q)
+    units = _units(ext)
+    answers = [ext.dot([tuple(row) for row in g], units) for g in grams.tolist()]
     if mode == "trace":
-        return int(matmul_mod(np.array(answer), _trace_forms(params)[j - 1], params.q))
-    raise ValueError(f"unknown answer mode {mode!r}")
+        forms = _trace_forms(params)
+        answers = [
+            sum(map(operator.mul, answer, forms[i - 1])) % params.q
+            for answer, i in zip(answers, ids)
+        ]
+    return answers[0] if single else tuple(answers)
 
 
 def collect_answers(
     params: SchemeParams, queries: QuerySet, db: Database, mode: str = "trace", server_ids=None
 ) -> AnswerSet:
-    """Honest answers from the given servers (defaults to all k)."""
-    if server_ids is None:
-        server_ids = tuple(range(1, params.k + 1))
-    values = tuple(
-        server_answer(params, j, queries.per_server[j - 1], db, mode) for j in server_ids
-    )
-    return AnswerSet(mode=mode, server_ids=tuple(server_ids), values=values)
+    """Honest answers from the given servers (defaults to all k), from one Gram product."""
+    every = tuple(range(1, params.k + 1))
+    server_ids = every if server_ids is None else tuple(server_ids)
+    stacked = queries.per_server
+    if server_ids != every:  # all k servers in order take the queries as they are, uncopied
+        stacked = stacked[[j - 1 for j in server_ids]]
+    values = server_answer(params, server_ids, stacked, db, mode)
+    return AnswerSet(mode=mode, server_ids=server_ids, values=values)
 
 
 # --- retrieval --------------------------------------------------------------

@@ -161,28 +161,6 @@ class DecodedBatch:
         )
 
 
-def lagrange_interpolate(field, points):
-    """Unique polynomial of degree < n through n points with distinct x."""
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one point")
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate interpolation points")
-    result = []
-    for i, (xi, yi) in enumerate(points):
-        basis = [field.one]
-        denom = field.one
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = polyring.poly_mul(field, basis, [field.neg(xj), field.one])
-            denom = field.mul(denom, field.sub(xi, xj))
-        term = polyring.poly_scale(field, field.mul(yi, field.inv(denom)), basis)
-        result = polyring.poly_add(field, result, term)
-    return result
-
-
 def grs_encode(code: GrsCode, message_poly):
     if polyring.degree(list(message_poly)) >= code.dim:
         raise ValueError(

@@ -95,6 +95,21 @@ class TestRunSession:
         assert err.value.constraint == "byzantine"
         assert str(err.value) == "duplicate server id"
 
+    def test_only_byzantine_servers_get_streams(self, params_small, db_small, monkeypatch):
+        labels = []
+        fork = SeededStream.fork
+
+        def recording_fork(stream, label):
+            labels.append(label)
+            return fork(stream, label)
+
+        monkeypatch.setattr(SeededStream, "fork", recording_fork)
+        run_session(params_small, db_small, 1, seed=3)
+        assert labels == ["query"]
+        labels.clear()
+        run_session(params_small, db_small, 1, AdversaryModel(byzantine_set=(3,)), seed=3)
+        assert labels == ["query", "server-3"]
+
     def test_server_node_interface(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(1, "n"))
         node = ServerNode(server_id=2, db=db_small)

