@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +34,10 @@ from .pir import (
 )
 from .rand import SeededStream
 from .rscodes import EnumerationTooLarge
+
+# after the package modules: pir.py then compiles before numpy is loaded, which
+# keeps peak memory at import lower when bytecode caching is off
+import numpy as np  # noqa: E402
 
 DEFAULT_SEED = 0xC0DEC0DE
 EXHAUSTIVE_AUDIT_LIMIT = 2**16  # randomness tuples per database entry
@@ -290,23 +293,29 @@ class PrivacyAuditReport:
         }
 
 
-def _tv_distance(counts_a: dict, counts_b: dict, total: int) -> Fraction:
-    keys = set(counts_a) | set(counts_b)
-    diff = sum(abs(counts_a.get(key, 0) - counts_b.get(key, 0)) for key in keys)
-    return Fraction(diff, 2 * total)
-
-
 def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive") -> PrivacyAuditReport:
     """Exact audit of query privacy against t colluding servers.
 
     Exhaustive mode enumerates every blinding draw per database entry and
     compares the resulting query distributions across requested file
-    indices; a distance of exactly zero certifies privacy.  Transfer
-    mode checks instead that the blinding-to-query evaluation matrix is
+    indices; a distance of exactly zero certifies privacy.  Every entry
+    takes the same draw, so for each index iota one batched call of the
+    query map evaluates all (q^s)^t draws at once.  A subset's queries at
+    one entry are one int key below (q^s)^|subset| <= draws, and one
+    `np.bincount` gives every (subset, entry) histogram of keys over the
+    draws.  The TV distance of an index pair is half the L1 distance
+    between their histograms over the draw count, an exact Fraction.
+    Memory per iota is O((C(k, t) + k*s) * m * delta * draws) ints: the
+    batched queries, the keys, and histograms no longer than the keys
+    they count, which are kept for the pair comparisons.  Transfer mode
+    checks instead that the blinding-to-query evaluation matrix is
     invertible for every t-subset (a bijection forces uniformity).  A
     `t_subset` must be a nonempty set of ids in [1, k] (else
-    InvalidParameters("subset")).
+    InvalidParameters("subset")), and `mode` "exhaustive" or
+    "transfer-matrix" (else ValueError, before anything else).
     """
+    if mode not in ("exhaustive", "transfer-matrix"):
+        raise ValueError(f"unknown audit mode {mode!r}")
     summary = _params_summary(params)
     if t_subset is not None:
         subset = tuple(sorted(t_subset))
@@ -345,57 +354,52 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
             cases_failed=len(failures),
             failures=tuple(failures),
         )
-    if mode != "exhaustive":
-        raise ValueError(f"unknown audit mode {mode!r}")
-    ext = params.ext
-    space = list(ext.elements())
-    draws = len(space) ** params.t
+    q, s, t, m, delta = params.q, params.s, params.t, params.m, params.delta
+    size = params.ext.size  # field elements, and keys of one server's query entry
+    draws = size**t
     if draws > EXHAUSTIVE_AUDIT_LIMIT:
         raise EnumerationTooLarge(
             f"{draws} blinding draws per entry exceed {EXHAUSTIVE_AUDIT_LIMIT}; "
             "use the transfer-matrix mode"
         )
-    radix = [params.q**d for d in range(params.s)]  # an element as one int: its base-q digits
-    codes = []  # codes[iota - 1][n][j - 1, i, l]: server j's query entry (i, l) under draw n
-    for iota in range(1, params.m + 1):
-        per_draw = []
-        for draw in itertools.product(space, repeat=params.t):
-            # every blinding entry takes the same draw, so one call covers every entry
-            blinding = [[[d] * params.delta] * params.m for d in draw]
-            per_server = queries_from_blinding(params, iota, blinding).per_server
-            per_draw.append(per_server @ radix)
-        codes.append(per_draw)
-    max_tv = Fraction(0)
-    cases = 0
-    failures = []
-    for subset in subsets:
-        for i in range(params.m):
-            for l in range(params.delta):
-                per_iota = [
-                    Counter(tuple(c[j - 1, i, l] for j in subset) for c in codes[a])
-                    for a in range(params.m)
-                ]
-                for a, c in itertools.combinations(range(params.m), 2):
-                    tv = _tv_distance(per_iota[a], per_iota[c], draws)
-                    cases += 1
-                    if tv > 0:
-                        failures.append(
-                            {
-                                "subset": list(subset),
-                                "entry": [i + 1, l + 1],
-                                "iota_pair": [a + 1, c + 1],
-                                "tv_distance": str(tv),
-                            }
-                        )
-                    if tv > max_tv:
-                        max_tv = tv
+    # draw n is the base-q digits of n: t elements of s coefficients each
+    digits = np.arange(draws, dtype=np.int64)[:, None] // q ** np.arange(t * s, dtype=np.int64) % q
+    blinding = np.broadcast_to(digits.reshape(draws, t, 1, 1, s), (draws, t, m, delta, s))
+    radix = q ** np.arange(s, dtype=np.int64)  # an element as one int: its base-q digits
+    servers = np.array(subsets, dtype=np.int64) - 1  # (subsets, width)
+    width = servers.shape[1]
+    keyspace = size**width  # keys of one subset's query tuple at one entry
+    # each (subset, entry) slot counts its keys in its own range of one bincount
+    offsets = np.arange(len(subsets) * m * delta, dtype=np.int64).reshape(len(subsets), m, delta)
+    offsets *= keyspace
+    histograms = []  # histograms[iota - 1][subset, i, l, key]: the draws giving that key
+    for iota in range(1, m + 1):
+        codes = queries_from_blinding(params, iota, blinding).per_server @ radix  # (draws, k, m, delta)
+        keys = offsets + sum(codes[:, servers[:, w]] * size**w for w in range(width))
+        counts = np.bincount(keys.ravel(), minlength=offsets.size * keyspace)
+        histograms.append(counts.reshape(offsets.shape + (keyspace,)))
+    pairs = list(itertools.combinations(range(m), 2))
+    # diffs[subset, i, l, pair]: the L1 distance of the pair's histograms, 2 * draws * TV
+    diffs = np.empty(offsets.shape + (len(pairs),), dtype=np.int64)
+    for p, (a, c) in enumerate(pairs):
+        diffs[..., p] = np.abs(histograms[a] - histograms[c]).sum(axis=-1)
+    failures = [
+        {
+            "subset": list(subsets[u]),
+            "entry": [i + 1, l + 1],
+            "iota_pair": [pairs[p][0] + 1, pairs[p][1] + 1],
+            "tv_distance": str(Fraction(diffs[u, i, l, p].item(), 2 * draws)),
+        }
+        for u, i, l, p in np.argwhere(diffs).tolist()
+    ]
+    max_tv = Fraction(diffs.max(initial=0).item(), 2 * draws)
     return PrivacyAuditReport(
         params=summary,
         mode=mode,
         subsets=subsets,
         verdict="pass" if max_tv == 0 else "fail",
         max_tv_distance=max_tv,
-        cases_total=cases,
+        cases_total=diffs.size,
         cases_failed=len(failures),
         failures=tuple(failures),
     )

@@ -17,6 +17,9 @@ coefficients of an extension element: a database is one read-only
 are (k, m, delta, s), server-major.  The query curve is one broadcast
 product of the (m*delta, t*s) blinding rows with a (k, t*s, s) stack of
 multiply-by-constant blocks, whose result is already in that layout.
+The blinding may carry a leading batch axis of B draws, which the same
+product keeps in front of the queries (the exhaustive privacy audit
+evaluates every draw at once); `gen_queries` is the batch of one.
 An answer is the s x s coefficient-product matrix of database and query,
 folded through the modulus; the matrices of a batch of servers come
 from one product.  Every such product goes through `linalg.matmul_mod`,
@@ -412,14 +415,18 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _field_array(params: SchemeParams, values, shape: tuple, what: str) -> np.ndarray:
-    """values as an int64 array of the given shape with entries in [0, q)."""
+def _field_array(params: SchemeParams, values, shape: tuple, what: str, batch: bool = False) -> np.ndarray:
+    """values as an int64 array of the given shape with entries in [0, q).
+
+    With `batch`, the array may also carry one leading axis of any length.
+    """
     try:
         array = np.asarray(values, dtype=np.int64)
     except (ValueError, TypeError, OverflowError):
         raise ValueError(f"{what} is not a regular array of field elements") from None
-    if array.shape != shape:
-        raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
+    if array.shape != shape and not (batch and array.shape[1:] == shape):
+        expected = f"{shape} or (B,) + {shape}" if batch else f"{shape}"
+        raise ValueError(f"{what} has shape {array.shape}, expected {expected}")
     # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
     if array.size and array.view(np.uint64).max() >= params.q:
         raise ValueError(f"{what} has entries outside [0, {params.q})")
@@ -535,7 +542,10 @@ def save_database(params: SchemeParams, db: Database, path):
 
 @dataclass(frozen=True)
 class QuerySet:
-    """Per-server curve evaluations plus the client-side secrets."""
+    """Per-server curve evaluations plus the client-side secrets.
+
+    For a batch of B blinding draws both arrays carry a leading axis of length B.
+    """
 
     per_server: np.ndarray  # (k, m, delta, s); entry j - 1 goes to server j
     blinding: np.ndarray  # (t, m, delta, s) random arrays (never sent to servers)
@@ -616,15 +626,19 @@ def queries_from_blinding(params: SchemeParams, iota: int, blinding) -> QuerySet
 
     One product of the (m*delta, t*s) blinding rows with the (k, t*s, s)
     curve stack gives the (k, m*delta, s) queries in `per_server` order.
+    A (B, t, m, delta, s) blinding is a batch of B draws: the same one
+    product then gives (B, k, m, delta, s) queries, draw-major.
     """
     if not 1 <= iota <= params.m:
         raise IndexError(f"file index {iota} outside [1, {params.m}]")
     k, t, m, delta, s = params.k, params.t, params.m, params.delta, params.s
-    blinding = _field_array(params, blinding, (t, m, delta, s), "blinding")
+    blinding = _field_array(params, blinding, (t, m, delta, s), "blinding", batch=True)
     curve, indicator = _query_tables(params)
-    rows = blinding.transpose(1, 2, 0, 3).reshape(m * delta, t * s)
-    per_server = matmul_mod(rows, curve, params.q).reshape(k, m, delta, s)
-    per_server[:, iota - 1] = (per_server[:, iota - 1] + indicator) % params.q
+    lead = blinding.shape[:-4]
+    # (..., 1, m*delta, t*s) rows against the (k, t*s, s) stack give (..., k, m*delta, s)
+    rows = blinding.swapaxes(-4, -3).swapaxes(-3, -2).reshape(lead + (1, m * delta, t * s))
+    per_server = matmul_mod(rows, curve, params.q).reshape(lead + (k, m, delta, s))
+    per_server[..., iota - 1, :, :] = (per_server[..., iota - 1, :, :] + indicator) % params.q
     return QuerySet(per_server=per_server, blinding=blinding, iota=iota)
 
 

@@ -20,15 +20,6 @@ def degree(coeffs) -> int:
     return len(coeffs) - 1
 
 
-def poly_add(field, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = field.add(out[i], c)
-    return normalize(field, out)
-
-
 def poly_sub(field, a, b):
     out = list(a) + [field.zero] * (len(b) - len(a))
     for i, c in enumerate(b):

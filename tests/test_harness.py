@@ -1,13 +1,17 @@
 """Sessions, adversaries, privacy audits, sweeps, and the comparison table."""
 
+import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tracepir import harness, pir
+from tracepir.gf import ExtField
 from tracepir.harness import (
     AdversaryModel,
     ServerNode,
@@ -162,6 +166,72 @@ class TestAdversaryModel:
             AdversaryModel(strategy="garbage")
 
 
+def reference_exhaustive_audit(params, t_subset=None):
+    """Reference: the exhaustive audit as a loop over blinding draws.
+
+    One single-draw query per draw and index, and a Counter of each
+    subset's query tuples per entry; the TV distance of an index pair is
+    half the summed count differences over the draw count.
+    """
+    if t_subset is None:
+        subsets = tuple(itertools.combinations(range(1, params.k + 1), params.t))
+    else:
+        subsets = (tuple(sorted(t_subset)),)
+    space = list(params.ext.elements())
+    draws = len(space) ** params.t
+    shape = (params.t, params.m, params.delta, params.s)
+    radix = [params.q**d for d in range(params.s)]  # an element as one int: its base-q digits
+    codes = []  # codes[iota - 1][j - 1][i][l][n]: server j's query entry (i, l) under draw n
+    for iota in range(1, params.m + 1):
+        per_draw = []
+        for draw in itertools.product(space, repeat=params.t):
+            # every blinding entry takes the same draw, so one call covers every entry
+            blinding = np.broadcast_to(np.array(draw)[:, None, None, :], shape)
+            per_draw.append(pir.queries_from_blinding(params, iota, blinding).per_server @ radix)
+        codes.append(np.moveaxis(per_draw, 0, -1).tolist())
+    max_tv = Fraction(0)
+    cases = 0
+    failures = []
+    for subset in subsets:
+        for i in range(params.m):
+            for l in range(params.delta):
+                per_iota = [
+                    Counter(zip(*(codes[a][j - 1][i][l] for j in subset)))
+                    for a in range(params.m)
+                ]
+                for a, c in itertools.combinations(range(params.m), 2):
+                    keys = set(per_iota[a]) | set(per_iota[c])
+                    diff = sum(abs(per_iota[a][key] - per_iota[c][key]) for key in keys)
+                    tv = Fraction(diff, 2 * draws)
+                    cases += 1
+                    if tv > 0:
+                        failures.append({
+                            "subset": list(subset),
+                            "entry": [i + 1, l + 1],
+                            "iota_pair": [a + 1, c + 1],
+                            "tv_distance": str(tv),
+                        })
+                    max_tv = max(max_tv, tv)
+    return harness.PrivacyAuditReport(
+        params=harness._params_summary(params),
+        mode="exhaustive",
+        subsets=subsets,
+        verdict="pass" if max_tv == 0 else "fail",
+        max_tv_distance=max_tv,
+        cases_total=cases,
+        cases_failed=len(failures),
+        failures=tuple(failures),
+    )
+
+
+def leak_at(monkeypatch, params, j):
+    """Zero the blinding term of server j's query curve: its queries show the requested row."""
+    table = pir.lagrange_basis_values(params)
+    leaking = table[: j - 1] + ((table[j - 1][0], (params.ext.zero,) * params.t),) + table[j:]
+    monkeypatch.setattr(pir, "lagrange_basis_values", lambda p: leaking)
+    pir._query_tables.cache_clear()
+
+
 class TestPrivacyAudit:
     def test_exhaustive_distance_is_zero(self):
         params = pir.setup(4, 1, 1, 4, m=2)
@@ -181,11 +251,8 @@ class TestPrivacyAudit:
         # with the blinding term zeroed at server 1, its query shows which
         # row is requested: every iota pair that separates an entry differs
         params = pir.setup(4, 1, 1, 4, m=3)
-        table = pir.lagrange_basis_values(params)
-        leaking = ((table[0][0], (params.ext.zero,)),) + table[1:]
-        monkeypatch.setattr(pir, "lagrange_basis_values", lambda p: leaking)
-        pir._query_tables.cache_clear()
         try:
+            leak_at(monkeypatch, params, 1)
             report = privacy_audit(params, mode="exhaustive")
         finally:
             pir._query_tables.cache_clear()
@@ -196,6 +263,49 @@ class TestPrivacyAudit:
         assert report.failures[0] == {
             "subset": [1], "entry": [1, 1], "iota_pair": [1, 2], "tv_distance": "1",
         }
+
+    @pytest.mark.parametrize(
+        "scheme, m, t_subset",
+        [
+            ((4, 1, 1, 4), 2, None),
+            ((4, 1, 1, 4), 3, None),
+            ((4, 1, 1, 4), 1, None),  # one file: no index pair to compare
+            ((7, 1, 1, 5), 2, None),
+            ((11, 1, 2, 8), 2, None),
+            ((6, 2, 1, 5), 2, None),
+            ((6, 2, 1, 5), 2, (4,)),  # a subset smaller than t
+            ((5, 3, 0, 4), 2, None),
+        ],
+        ids=["4114-m2", "4114-m3", "4114-m1", "7115", "11128", "6215", "6215-subset4", "5304"],
+    )
+    def test_exhaustive_matches_per_draw_reference(self, scheme, m, t_subset):
+        params = pir.setup(*scheme, m=m)
+        report = privacy_audit(params, t_subset=t_subset, mode="exhaustive")
+        assert report.to_json_dict() == reference_exhaustive_audit(params, t_subset).to_json_dict()
+
+    @pytest.mark.parametrize(
+        "scheme, m, j",
+        [
+            ((4, 1, 1, 4), 3, 1),
+            ((4, 1, 1, 4), 3, 2),
+            ((4, 1, 1, 4), 3, 3),
+            ((4, 1, 1, 4), 3, 4),
+            ((7, 1, 1, 5), 3, 5),  # s = 2 and delta = 2: two-digit keys, two entries per row
+            ((6, 2, 1, 5), 2, 4),  # t = 2: keys of server pairs, with server 4 first or second
+        ],
+        ids=["4114-server1", "4114-server2", "4114-server3", "4114-server4", "7115-server5", "6215-server4"],
+    )
+    def test_leaking_curve_matches_reference(self, monkeypatch, scheme, m, j):
+        params = pir.setup(*scheme, m=m)
+        try:
+            leak_at(monkeypatch, params, j)
+            report = privacy_audit(params, mode="exhaustive")
+            reference = reference_exhaustive_audit(params)
+        finally:
+            pir._query_tables.cache_clear()
+        assert report.to_json_dict() == reference.to_json_dict()
+        assert report.verdict == "fail"
+        assert {tuple(f["subset"]) for f in report.failures} == {u for u in report.subsets if j in u}
 
     def test_transfer_matrix_all_subsets(self, params_ext):
         report = privacy_audit(params_ext, mode="transfer-matrix")
@@ -222,6 +332,25 @@ class TestPrivacyAudit:
         with pytest.raises(EnumerationTooLarge) as err:
             privacy_audit(params, mode="exhaustive")
         assert "transfer-matrix" in str(err.value)
+
+    def test_guard_and_audit_never_enumerate_the_field(self, monkeypatch):
+        # GF(11^8) has 214,358,881 elements: the guard must come from the
+        # field size, and the audit below it builds its draws as arrays
+        def refuse(self):
+            raise AssertionError("enumerated the field")
+
+        params = pir.setup(11, 1, 1, 4, m=2)
+        small = pir.setup(4, 1, 1, 4, m=2)
+        monkeypatch.setattr(ExtField, "elements", refuse)
+        with pytest.raises(EnumerationTooLarge, match="214358881 blinding draws"):
+            privacy_audit(params, mode="exhaustive")
+        assert privacy_audit(small, mode="exhaustive").verdict == "pass"
+
+    @pytest.mark.parametrize("t_subset", [None, (1,), (1, 2)])
+    def test_unknown_mode_rejected_first(self, params_small, t_subset):
+        # a subset beyond the threshold used to be reported under the bogus mode
+        with pytest.raises(ValueError, match="unknown audit mode 'bogus'"):
+            privacy_audit(params_small, t_subset=t_subset, mode="bogus")
 
     def test_report_json_schema(self, params_ext):
         report = privacy_audit(params_ext, mode="transfer-matrix")

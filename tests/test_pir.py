@@ -22,6 +22,35 @@ from tracepir.rand import SeededStream
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def poly_add(field, a, b) -> list:
+    """Reference: the sum of two polynomials, lowest degree first."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = field.add(out[i], c)
+    return polyring.normalize(field, out)
+
+
+@pytest.mark.parametrize("field", [gf.PrimeField(7), gf.FieldTower.build(7, 2).ext], ids=["GF(7)", "GF(49)"])
+def test_poly_add_reference_helper(field):
+    # commutative, distributive under the package's product, and undone by its difference
+    rng = random.Random(3)
+
+    def element():
+        if isinstance(field, gf.ExtField):
+            return tuple(rng.randrange(field.q) for _ in range(field.s))
+        return rng.randrange(field.q)
+
+    for _ in range(80):
+        a, b, c = (polyring.normalize(field, [element() for _ in range(rng.randrange(6))]) for _ in range(3))
+        assert poly_add(field, a, b) == poly_add(field, b, a)
+        left = polyring.poly_mul(field, a, poly_add(field, b, c))
+        right = poly_add(field, polyring.poly_mul(field, a, b), polyring.poly_mul(field, a, c))
+        assert left == right
+        assert polyring.poly_sub(field, poly_add(field, a, b), b) == a
+
+
 def lagrange_basis(field, nodes) -> list:
     """Reference: the Lagrange basis polynomials on distinct nodes, in coefficient form."""
     basis = []
@@ -42,7 +71,7 @@ def lagrange_interpolate(field, points) -> list:
     """Reference: the polynomial of degree < n through n points with distinct x."""
     phi = []
     for (_, y), poly in zip(points, lagrange_basis(field, [x for x, _ in points])):
-        phi = polyring.poly_add(field, phi, polyring.poly_scale(field, y, list(poly)))
+        phi = poly_add(field, phi, polyring.poly_scale(field, y, list(poly)))
     return phi
 
 
@@ -193,7 +222,7 @@ class TestQueries:
                     curve = list(alpha_polys[l])
                 for h in range(p.t):
                     term = polyring.poly_scale(ext, tuple(queries.blinding[h][i][l]), list(chi_polys[h]))
-                    curve = polyring.poly_add(ext, curve, term)
+                    curve = poly_add(ext, curve, term)
                 assert polyring.degree(curve) <= p.t + p.delta - 1
                 for n, alpha in enumerate(p.omega_alpha):
                     expected = ext.one if (i == 3 - 1 and l == n) else ext.zero
@@ -275,6 +304,34 @@ class TestQueries:
             pir.queries_from_blinding(params_small, 1, ((),))
         with pytest.raises(ValueError):
             pir.queries_from_blinding(params_small, 1, (((7,),) * 3,))  # 7 is not in GF(7)
+        with pytest.raises(ValueError):
+            pir.queries_from_blinding(params_small, 1, np.zeros((2, 2, 3, 1, 1), dtype=np.int64))
+        with pytest.raises(ValueError):
+            pir.queries_from_blinding(params_small, 1, np.full((2, 1, 3, 1, 1), 7))
+
+    @pytest.mark.parametrize("scheme", [(7, 1, 1, 5), (6, 2, 1, 5), (5, 3, 0, 4)])
+    def test_batch_of_draws_equals_single_calls(self, scheme):
+        p = pir.setup(*scheme, m=3)
+        shape = (p.t, p.m, p.delta, p.s)
+        stream = SeededStream(21, "batch")
+        singles = [pir.gen_queries(p, 2, stream) for _ in range(5)]
+        batch = pir.queries_from_blinding(p, 2, np.stack([qs.blinding for qs in singles]))
+        assert batch.per_server.shape == (5, p.k) + shape[1:]
+        assert batch.blinding.shape == (5,) + shape
+        for n, single in enumerate(singles):
+            assert np.array_equal(batch.per_server[n], single.per_server)
+            assert np.array_equal(batch.blinding[n], single.blinding)
+        empty = pir.queries_from_blinding(p, 2, np.zeros((0,) + shape, dtype=np.int64))
+        assert empty.per_server.shape == (0, p.k) + shape[1:]
+
+    def test_single_query_is_server_major_without_copies(self, params_ext):
+        queries = pir.gen_queries(params_ext, 3, SeededStream(4, "layout"))
+        per_server = queries.per_server
+        assert per_server.shape == (params_ext.k, params_ext.m, params_ext.delta, params_ext.s)
+        assert per_server.flags.c_contiguous
+        for j in range(1, params_ext.k + 1):
+            view = per_server[j - 1]
+            assert not view.flags.owndata and np.shares_memory(view, per_server)
 
 
 class TestAnswers:
@@ -315,13 +372,13 @@ class TestAnswers:
         phi = []
         for l in range(p.delta):
             term = polyring.poly_scale(ext, db_small.row(2)[l], list(alpha_polys[l]))
-            phi = polyring.poly_add(ext, phi, term)
+            phi = poly_add(ext, phi, term)
         for h in range(p.t):
             inner = ext.dot(
                 [entry for row in queries.blinding[h] for entry in row],
                 [tuple(entry) for entry in db_small.array.reshape(-1, p.s).tolist()],
             )
-            phi = polyring.poly_add(ext, phi, polyring.poly_scale(ext, inner, list(chi_polys[h])))
+            phi = poly_add(ext, phi, polyring.poly_scale(ext, inner, list(chi_polys[h])))
         assert polyring.degree(phi) <= p.r - 2 * p.b - 1
         for j in range(1, p.k + 1):
             numeric = pir.server_answer(p, j, queries.per_server[j - 1], db_small, "full")

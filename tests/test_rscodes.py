@@ -31,7 +31,7 @@ def lagrange_interpolate(field, points):
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate interpolation points")
-    result = []
+    result = [field.zero] * len(points)
     for i, (xi, yi) in enumerate(points):
         basis = [field.one]
         denom = field.one
@@ -41,8 +41,8 @@ def lagrange_interpolate(field, points):
             basis = polyring.poly_mul(field, basis, [field.neg(xj), field.one])
             denom = field.mul(denom, field.sub(xi, xj))
         term = polyring.poly_scale(field, field.mul(yi, field.inv(denom)), basis)
-        result = polyring.poly_add(field, result, term)
-    return result
+        result = [field.add(r, c) for r, c in zip(result, term + [field.zero] * len(result))]
+    return polyring.normalize(field, result)
 
 
 class TestLagrange:
