@@ -24,7 +24,6 @@ from .harness import (
     ServerNode,
     SessionReport,
     byzantine_sweep,
-    comparison_table,
     privacy_audit,
     run_session,
     scheme_comparison,
@@ -83,7 +82,6 @@ __all__ = [
     "SingularBasisError",
     "byzantine_sweep",
     "capacity",
-    "comparison_table",
     "dual_basis",
     "dual_multipliers",
     "find_irreducibles",

@@ -431,33 +431,23 @@ class SweepReport:
 SWEEP_REPORTED_FAILURES = 20  # counterexamples a sweep report lists
 
 
-def _tampered(values, byz_ids, injected) -> list:
-    """The answer word with the given wrong values at the byzantine servers."""
-    word = list(values)
-    for j, wrong in zip(byz_ids, injected):
-        word[j - 1] = wrong
-    return word
-
-
-def _check_cases(params, db, cases, words, failures) -> int:
+def _check_cases(params, db, iotas, byzantine, words, failures) -> int:
     """Decode the tampered words in one call and count the cases that miss their planted file.
 
-    cases[w] = (iota, byzantine set, injected values) describes words[w];
-    the missed cases are appended to `failures`, in order, until it holds
-    SWEEP_REPORTED_FAILURES.
+    Row w of the (W, k) array `words` is the answer word for file index
+    iotas[w] with wrong values at the servers byzantine[w], a row of the
+    (W, b) array of server ids.  The missed cases are appended to
+    `failures`, in row order, until it holds SWEEP_REPORTED_FAILURES.
     """
     files, _, failed = pir.retrieve_many(params, words)
-    planted = db.array[[iota - 1 for iota, _, _ in cases]]
-    missed = ~(files == planted).all(axis=(1, 2)) | failed
-    count = 0
-    for (iota, byz_ids, injected), miss in zip(cases, missed.tolist()):
-        if miss:
-            count += 1
-            if len(failures) < SWEEP_REPORTED_FAILURES:
-                failures.append(
-                    {"iota": iota, "byzantine_set": list(byz_ids), "injected": list(injected)}
-                )
-    return count
+    missed = np.flatnonzero(failed | (files != db.array[iotas - 1]).any(axis=(1, 2)))
+    for w in missed[: SWEEP_REPORTED_FAILURES - len(failures)].tolist():
+        failures.append({
+            "iota": iotas[w].item(),
+            "byzantine_set": byzantine[w].tolist(),
+            "injected": words[w, byzantine[w] - 1].tolist(),
+        })
+    return len(missed)
 
 
 def check_sweep_trials(trials: int) -> None:
@@ -476,12 +466,17 @@ def byzantine_sweep(
     """Assert universal recovery under every tolerated corruption pattern.
 
     Exhaustive scope iterates file index x byzantine set (size b) x all
-    wrong base-field values; the (q - 1)^b tampered words of one file
-    index and byzantine set are decoded in one ``retrieve_many`` call.
-    Randomized scope samples `trials` >= 1 cases and decodes them all in
-    one call.  Counterexamples are counted and the first
-    SWEEP_REPORTED_FAILURES are reported in enumeration order, never
-    silently swallowed.
+    wrong base-field values.  The (q - 1)^b tampered words of one file
+    index and byzantine set are one (W, k) int64 chunk: the honest
+    answers tiled, with the byzantine columns taken from a grid of wrong
+    values in ``itertools.product`` order, grid value g standing for
+    g + (g >= honest answer).  Each chunk is decoded in one
+    ``retrieve_many`` call, and so its dirty words find their error
+    locators together (see ``rscodes.grs_decode``).  Randomized scope
+    samples `trials` >= 1 cases and decodes them all in one call.  Both
+    scopes count the cases that miss their planted file with
+    ``np.flatnonzero`` and report the first SWEEP_REPORTED_FAILURES in
+    enumeration order; none is silently swallowed.
     """
     if scope == "randomized":
         check_sweep_trials(trials)
@@ -500,33 +495,43 @@ def byzantine_sweep(
                 f"{total} exhaustive cases exceed {EXHAUSTIVE_SWEEP_LIMIT}; "
                 "use the randomized scope"
             )
+        # grid row g of wrong values maps to g + (g >= honest answer), which keeps its order
+        grid = np.array(list(itertools.product(range(params.q - 1), repeat=params.b)), dtype=np.int64)
+        grid = grid.reshape((params.q - 1) ** params.b, params.b)
         for iota in range(1, params.m + 1):
             queries = gen_queries(params, iota, base_stream.fork(f"iota-{iota}"))
-            answers = collect_answers(params, queries, db, "trace")
+            honest = np.array(collect_answers(params, queries, db, "trace").values, dtype=np.int64)
+            iotas = np.full(len(grid), iota)
             # with b = 0 there is one empty byzantine set and one empty injection
             for byz_ids in itertools.combinations(range(1, params.k + 1), params.b):
-                wrong_ranges = [
-                    [v for v in range(params.q) if v != answers.values[j - 1]] for j in byz_ids
-                ]
-                chunk = [(iota, byz_ids, injected) for injected in itertools.product(*wrong_ranges)]
-                words = [_tampered(answers.values, byz_ids, injected) for _, _, injected in chunk]
-                cases += len(chunk)
-                failed += _check_cases(params, db, chunk, words, failures)
+                servers = np.array(byz_ids, dtype=np.int64)
+                words = np.tile(honest, (len(grid), 1))
+                words[:, servers - 1] = grid + (grid >= honest[servers - 1])
+                cases += len(words)
+                failed += _check_cases(
+                    params, db, iotas, np.broadcast_to(servers, grid.shape), words, failures
+                )
     elif scope == "randomized":
-        chunk, words = [], []
+        iotas, byzantine, injected, words = [], [], [], []
         for trial in range(trials):
             stream = base_stream.fork(f"trial-{trial}")
             iota = stream.randrange(params.m) + 1
             queries = gen_queries(params, iota, stream.fork("query"))
             answers = collect_answers(params, queries, db, "trace")
             byz_ids = tuple(j + 1 for j in stream.sample(params.k, params.b))
-            injected = tuple(
-                stream.randrange_excluding(params.q, answers.values[j - 1]) for j in byz_ids
+            injected.append(
+                [stream.randrange_excluding(params.q, answers.values[j - 1]) for j in byz_ids]
             )
-            chunk.append((iota, byz_ids, injected))
-            words.append(_tampered(answers.values, byz_ids, injected))
-        cases = len(chunk)
-        failed = _check_cases(params, db, chunk, words, failures)
+            iotas.append(iota)
+            byzantine.append(byz_ids)
+            words.append(answers.values)
+        byzantine = np.array(byzantine, dtype=np.int64).reshape(trials, params.b)
+        words = np.array(words, dtype=np.int64)
+        np.put_along_axis(
+            words, byzantine - 1, np.array(injected, dtype=np.int64).reshape(byzantine.shape), axis=1
+        )
+        cases = trials
+        failed = _check_cases(params, db, np.array(iotas, dtype=np.int64), byzantine, words, failures)
     else:
         raise ValueError(f"unknown sweep scope {scope!r}")
     return SweepReport(
@@ -746,8 +751,3 @@ def scheme_comparison(k: int, t: int, b: int, r: int, l: int = 1, q: int | None 
         if column.live is not None and not column.live["matches_formula"]:
             raise AssertionError(f"live measurement diverges from formulas for {column.scheme}")
     return ComparisonTable(k=k, t=t, b=b, r=r, l=l, q=q, columns=columns)
-
-
-def comparison_table(params_list, l: int = 1) -> list:
-    """scheme_comparison over a list of (k, t, b, r) tuples."""
-    return [scheme_comparison(k, t, b, r, l=l) for (k, t, b, r) in params_list]

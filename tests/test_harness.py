@@ -16,7 +16,6 @@ from tracepir.harness import (
     AdversaryModel,
     ServerNode,
     byzantine_sweep,
-    comparison_table,
     privacy_audit,
     run_session,
     scheme_comparison,
@@ -499,7 +498,7 @@ class TestComparisonTable:
         assert lines[1].startswith("Pi1,") and lines[4].startswith("A2,")
 
     def test_multiple_parameter_tuples(self):
-        tables = comparison_table([(4, 1, 1, 4), (7, 1, 1, 5)], l=1)
+        tables = [scheme_comparison(k, t, b, r, l=1) for k, t, b, r in ((4, 1, 1, 4), (7, 1, 1, 5))]
         assert [t.k for t in tables] == [4, 7]
 
     def test_invalid_row_rejected(self):

@@ -191,7 +191,10 @@ class TestDecode:
 
         codewords = {grs_encode(code, msg) for msg in itertools.product(range(5), repeat=dim)}
         monkeypatch.setattr(rscodes.linalg, "solve", counted)
-        for word in itertools.product(range(5), repeat=5):
+        words = list(itertools.product(range(5), repeat=5))
+        # the whole space as one batch too: its dirty words run the lockstep decoder
+        batch = grs_decode(code, words)
+        for row, word in enumerate(words):
             del calls[:]
             try:
                 ours = grs_decode(code, word)
@@ -203,6 +206,11 @@ class TestDecode:
             except DecodeFailure:
                 ref = None
             assert ours == ref, word
+            try:
+                batched = batch.result(row)
+            except DecodeFailure:
+                batched = None
+            assert batched == ref, word
 
     def test_extension_code_with_zero_point_matches_oracle(self):
         # GF(2^3), n = 5, dim = 1, tau = 2, and beta_1 = 0 is a code point:
@@ -302,6 +310,58 @@ class TestBatchDecode:
         batch = grs_decode(CODE_5_3, words)
         assert batch.corrected.tolist() == [list(w) for w in words]
         assert not batch.errors.any() and not batch.failed.any()
+
+    @pytest.mark.parametrize("corrupted", [1, 2])
+    def test_one_dirty_word_runs_the_scalar_recurrence(self, monkeypatch, corrupted):
+        # a batch with exactly one word off the code runs the per-word
+        # Berlekamp-Massey, a batch with more the lockstep one; each
+        # corrected row must be that word's decode alone either way
+        code = GrsCode(field=PrimeField(11), points=tuple(range(9)), multipliers=tuple(range(1, 10)), dim=3)
+        rng = random.Random(10)
+        words = [list(grs_encode(code, [rng.randrange(11) for _ in range(3)])) for _ in range(40)]
+        for row, positions in zip((7, 23), ((0, 4), (2, 5, 8))[:corrupted]):
+            for pos in positions:
+                words[row][pos] = (words[row][pos] + rng.randrange(1, 11)) % 11
+        alone = [grs_decode(code, word) for word in words]
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(rscodes, "_berlekamp_massey", counted("scalar", rscodes._berlekamp_massey))
+        monkeypatch.setattr(
+            rscodes, "_lockstep_berlekamp_massey",
+            counted("lockstep", rscodes._lockstep_berlekamp_massey),
+        )
+        batch = grs_decode(code, words)
+        assert calls == (["scalar"] if corrupted == 1 else ["lockstep"])
+        assert not batch.failed.any()
+        assert [batch.result(row) for row in range(len(words))] == alone
+        assert [len(result.error_positions) for result in alone].count(0) == len(words) - corrupted
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 2**31 - 1])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_lockstep_berlekamp_massey_matches_scalar(self, q, n):
+        # row by row: the same length, and a nonzero multiple of the scalar
+        # connection polynomial; at q = 2^31 - 1 an unreduced sum of
+        # products leaves int64
+        F = PrimeField(q)
+        rng = random.Random(q * 10 + n)
+        rows = [[0 if rng.random() < 0.2 else rng.randrange(q) for _ in range(n)] for _ in range(300)]
+        rows[::17] = [[0] * n] * len(rows[::17])
+        conn, length = rscodes._lockstep_berlekamp_massey(q, np.array(rows, dtype=np.int64))
+        assert conn.shape == (len(rows), n + 1)
+        for row, syndrome in enumerate(rows):
+            expected, expected_length = rscodes._berlekamp_massey(F, syndrome)
+            assert length[row] == expected_length, syndrome
+            expected = expected + [0] * (n + 1 - len(expected))
+            assert not any(expected[n + 1:]), syndrome
+            scale = conn[row, 0].item()
+            assert scale != 0, syndrome
+            assert conn[row].tolist() == [scale * c % q for c in expected[: n + 1]], syndrome
 
     def test_empty_batch(self):
         batch = grs_decode(CODE_5_3, np.zeros((0, 5), dtype=np.int64))
