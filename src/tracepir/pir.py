@@ -789,19 +789,23 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
 def _full_code_tables(params: SchemeParams, ids: tuple) -> tuple:
     """(code, recon) for full answers from the servers `ids`; C(k, r) id sets can occur.
 
-    The answers are phi(beta_j) for a phi of degree below dim = r - 2b:
-    code has unit multipliers on those points, and the file symbol
-    phi(alpha_i) is sum_j l_j(alpha_i) c_j over the Lagrange basis on the
-    first dim points.  recon is the (r * s, delta * s) base-field matrix
-    whose s x s block (j, i) multiplies by l_j(alpha_i); rows from dim on
-    are zero.
+    The answers are phi(beta_j) for a phi over F_{q^s} of degree below
+    dim = r - 2b.  The beta points lie in F_q, so coefficient plane p of
+    the answers is phi_p(beta_j), with phi_p the polynomial of the p-th
+    coordinates of phi's coefficients: code is the base-field GRS code
+    on those points with unit multipliers, and each plane is one of its
+    words.  The file symbol phi(alpha_i) is sum_j l_j(alpha_i) c_j over
+    the Lagrange basis on the first dim points; recon is the
+    (r * s, delta * s) base-field matrix whose s x s block (j, i)
+    multiplies by l_j(alpha_i), and its rows from dim on are zero.
     """
-    ext = params.ext
+    base, ext = params.base, params.ext
     dim = params.r - 2 * params.b
-    points = tuple(ext.embed(params.omega_beta[j - 1]) for j in ids)
-    code = GrsCode(field=ext, points=points, multipliers=(ext.one,) * params.r, dim=dim)
+    points = tuple(params.omega_beta[j - 1] for j in ids)
+    code = GrsCode(field=base, points=points, multipliers=(base.one,) * params.r, dim=dim)
     recon = np.zeros((params.r, params.s, params.delta, params.s), dtype=np.int64)
-    for i, values in enumerate(_lagrange_values(ext, points[:dim], params.omega_alpha)):
+    nodes = tuple(ext.embed(x) for x in points[:dim])
+    for i, values in enumerate(_lagrange_values(ext, nodes, params.omega_alpha)):
         for j, value in enumerate(values):
             recon[j, :, i] = [ext.mul(value, unit) for unit in _units(ext)]
     return code, _frozen(recon.reshape(params.r * params.s, -1))
@@ -810,9 +814,26 @@ def _full_code_tables(params: SchemeParams, ids: tuple) -> tuple:
 def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
     """Decode full-mode answers from exactly r servers, tolerating b errors.
 
-    The r answers are one word of an extension-field code, decoded on its
-    own; one product of the corrected word with the cached rebuild matrix
-    gives the file.
+    The r answers form an (r, s) array whose column p is coefficient
+    plane p, a word of the base-field code of ``_full_code_tables``.
+    The s planes are decoded as one (s, r) batch.  The word fails if a
+    plane fails or if the union of the planes' error positions has more
+    than b of them; otherwise the corrected planes form the codeword,
+    the union gives the servers whose answers were wrong, and one
+    product with the cached rebuild matrix gives the file.
+
+    The verdicts are those of bounded-distance decoding in the code over
+    F_{q^s}, whose codewords are the words whose every plane is a
+    base-field codeword (MacWilliams and Sloane, ch. 10):
+    - If a codeword c lies within distance b of the word and differs from
+      it on E, every plane lies within b of c's plane and differs from
+      it only inside E, so every plane decodes to c's plane and the
+      union is exactly E.
+    - So if some plane fails, or the union has more than b positions,
+      no codeword lies within distance b.
+    - If every plane decodes and the union has at most b positions, the
+      rebuilt word is a codeword within distance b of the word, and so
+      it is the unique one.
     """
     if answers.mode != "full":
         raise ValueError("retrieve_from_r needs full-mode answers")
@@ -821,16 +842,18 @@ def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
         raise ValueError(f"need answers from exactly {params.r} distinct servers")
     if any(not 1 <= j <= params.k for j in ids):
         raise IndexError("server id outside [1, k]")
+    word = _field_array(params, answers.values, (params.r, params.s), "full answers")
     code, recon = _full_code_tables(params, ids)
-    try:
-        result = grs_decode(code, answers.values)
-    except DecodeFailure as exc:
-        raise ByzantineBudgetExceeded(str(exc)) from exc
-    corrected = np.array(result.corrected_word, dtype=np.int64).reshape(-1)
+    planes = grs_decode(code, word.T)
+    wrong = planes.errors.any(axis=0)
+    if planes.failed.any() or wrong.sum() > params.b:
+        failure = DecodeFailure.beyond(params.b)
+        raise ByzantineBudgetExceeded(str(failure)) from failure
+    corrected = planes.corrected.T.reshape(-1)
     symbols = matmul_mod(corrected, recon, params.q).reshape(params.delta, params.s)
     return Retrieval(
         symbols=tuple(map(tuple, symbols.tolist())),
-        error_servers=tuple(ids[p] for p in result.error_positions),
+        error_servers=tuple(j for j, bad in zip(ids, wrong.tolist()) if bad),
     )
 
 

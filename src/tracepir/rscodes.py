@@ -11,16 +11,16 @@ locator, a Chien search finds its roots among the code points, and one
 linear solve on dim unlocated positions gives the message, which is
 re-encoded.
 
-Over a prime field ``grs_decode`` decodes a (W, n) int64 batch in one
-pass: the syndromes and the Chien search are one matrix product each,
-the words with a nonzero syndrome run Berlekamp-Massey in lockstep as
-array operations (a lone such word runs the scalar recurrence, which
-costs less), and the words whose errors sit on the same positions share
-one solve and one re-encode, with their int64 columns standing in for
-field elements.  A single word is the batch of one.  Over an extension
-field words are decoded one at a time.  ``oracle_decode`` is the
-brute-force counterpart used to cross-check the decoder; it enumerates
-every codeword, so it is guarded by an enumeration bound.
+``grs_decode`` works over a prime field, where it decodes a (W, n)
+int64 batch in one pass: the syndromes and the Chien search are one
+matrix product each, the words with a nonzero syndrome run
+Berlekamp-Massey in lockstep as array operations (a lone such word runs
+the scalar recurrence, which costs less), and the words whose errors sit
+on the same positions share one solve and one re-encode, with their
+int64 columns standing in for field elements.  A single word is the
+batch of one.  ``oracle_decode`` is the brute-force counterpart used to
+cross-check the decoder, over any field; it enumerates every codeword,
+so it is guarded by an enumeration bound.
 """
 
 from __future__ import annotations
@@ -81,29 +81,22 @@ class GrsCode:
         return (self.n - self.dim) // 2
 
     @functools.cached_property
-    def check_rows(self) -> tuple:
-        """The n - dim parity checks: row e is (y_i x_i^e)_i.
+    def check_matrix(self) -> np.ndarray:
+        """The n - dim parity checks as a read-only (n, n - dim) int64 array; prime field only.
 
-        y_i = 1 / (m_i prod_{l != i}(x_i - x_l)).  For every h of degree
-        below dim and e < n - dim, sum_i y_i m_i h(x_i) x_i^e is the
-        coefficient of x^(n-1) in the interpolant of h x^e, which is 0.
+        Column e is (y_i x_i^e)_i with y_i = 1 / (m_i prod_{l != i}(x_i - x_l)).
+        For every h of degree below dim and e < n - dim,
+        sum_i y_i m_i h(x_i) x_i^e is the coefficient of x^(n-1) in the
+        interpolant of h x^e, which is 0.  A (W, n) batch of words times
+        it gives their syndromes.
         """
         F = self.field
         _, v = dual_multipliers(F, (), self.points)
-        row = [F.mul(v_i, F.inv(m)) for v_i, m in zip(v, self.multipliers)]
-        rows = []
-        for _ in range(self.n - self.dim):
-            rows.append(tuple(row))
-            row = [F.mul(c, x) for c, x in zip(row, self.points)]
-        return tuple(rows)
-
-    @functools.cached_property
-    def check_matrix(self) -> np.ndarray:
-        """``check_rows`` as a read-only (n, n - dim) int64 array; prime field only.
-
-        A (W, n) batch of words times it gives their syndromes.
-        """
-        matrix = np.array(self.check_rows, dtype=np.int64).reshape(-1, self.n).T
+        matrix = np.array(
+            [[F.mul(F.mul(v_i, F.inv(m)), F.pow(x, e)) for e in range(self.n - self.dim)]
+             for v_i, m, x in zip(v, self.multipliers, self.points)],
+            dtype=np.int64,
+        )
         matrix.flags.writeable = False
         return matrix
 
@@ -283,19 +276,18 @@ def _reversed_locators(conn: np.ndarray, length: np.ndarray, tau: int) -> tuple:
 
 
 def grs_decode(code: GrsCode, received):
-    """Bounded-distance decode up to radius tau = floor((n - dim)/2).
+    """Bounded-distance decode up to radius tau = floor((n - dim)/2), over a prime field only.
 
-    Over a prime field `received` is one word, for which a DecodeResult
-    is returned, or a (W, n) array of words, for which a DecodedBatch is
-    returned; entries must lie in [0, q).  A single word is decoded as a
-    batch of one, and raises DecodeFailure where the batch marks its row
-    failed.  Over an extension field `received` is one word.
+    `received` is one word, for which a DecodeResult is returned, or a
+    (W, n) array of words, for which a DecodedBatch is returned; entries
+    must lie in [0, q).  A single word is decoded as a batch of one, and
+    raises DecodeFailure where the batch marks its row failed.  A code
+    over an extension field raises TypeError.
 
-    The syndromes are S_e = sum_i y_i r_i x_i^e for e < n - dim (the
-    rows of ``code.check_rows``; over a prime field, one product of the
-    batch with ``code.check_matrix``).  A zero syndrome means the word is
-    a codeword: it is returned with no error positions, and nothing is
-    solved, divided or re-encoded.
+    The syndromes are S_e = sum_i y_i r_i x_i^e for e < n - dim, one
+    product of the batch with ``code.check_matrix``.  A zero syndrome
+    means the word is a codeword: it is returned with no error
+    positions, and nothing is solved, divided or re-encoded.
 
     Otherwise write the word as c + err for a codeword c and an error
     err supported on E.  The syndromes depend on err alone:
@@ -306,16 +298,15 @@ def grs_decode(code: GrsCode, received):
     polynomial C = prod_(i in E, x_i != 0)(1 - x_i z).  The
     locator is the reversal z^L C(1/z) = prod_(i in E)(z - x_i); C itself
     would lose the root of a point x_i = 0.  A Chien search over the n
-    points (over a prime field, one product of the batch's locators with
-    ``code.chien_powers``) then finds exactly E, the first dim points
-    outside E are clean, one solve gives the message of c, and
-    re-encoding gives c.  Words with the same located set share that
-    solve and that re-encode.
+    points (one product of the batch's locators with ``code.chien_powers``)
+    then finds exactly E, the first dim points outside E are clean, one
+    solve gives the message of c, and re-encoding gives c.  Words with
+    the same located set share that solve and that re-encode.
 
-    Over a prime field the words of a batch with a nonzero syndrome run
-    Berlekamp-Massey in lockstep (``_lockstep_berlekamp_massey``), one
-    array step per syndrome for all of them.  It is the inversion-free
-    form C <- gamma C - d z B, whose C is the scalar C times a nonzero
+    The words of a batch with a nonzero syndrome run Berlekamp-Massey in
+    lockstep (``_lockstep_berlekamp_massey``), one array step per
+    syndrome for all of them.  It is the inversion-free form
+    C <- gamma C - d z B, whose C is the scalar C times a nonzero
     constant: the same L, the same locator roots, the same located sets.
     Its numpy calls cost a fixed amount: with 4 syndromes over GF(11),
     the lockstep and the reversal to locators take about 77 us for one
@@ -335,7 +326,7 @@ def grs_decode(code: GrsCode, received):
     decoder's (``oracle_decode``), failures included.
     """
     if not isinstance(code.field, PrimeField):
-        return _decode_word(code, tuple(received))
+        raise TypeError(f"grs_decode works over a prime field only, not over {code.field!r}")
     try:
         words = np.asarray(received, dtype=np.int64)
     except (ValueError, TypeError, OverflowError):
@@ -351,7 +342,7 @@ def grs_decode(code: GrsCode, received):
 
 
 def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
-    """``grs_decode`` of a validated (W, n) batch over a prime field."""
+    """``grs_decode`` of a validated (W, n) batch."""
     F, tau = code.field, code.radius
     corrected = words.copy()
     failed = np.zeros(len(words), dtype=bool)
@@ -391,29 +382,6 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
         corrected[failed] = 0
         errors[failed] = False
     return DecodedBatch(code, corrected, errors, failed)
-
-
-def _decode_word(code: GrsCode, received: tuple) -> DecodeResult:
-    """``grs_decode`` of one word over an extension field."""
-    if len(received) != code.n:
-        raise ValueError(f"received word has length {len(received)}, expected {code.n}")
-    F = code.field
-    syndromes = [F.dot(row, received) for row in code.check_rows]
-    if all(s == F.zero for s in syndromes):
-        return DecodeResult(code=code, error_positions=(), corrected_word=received)
-    tau = code.radius
-    conn, length = _berlekamp_massey(F, syndromes)
-    if length <= tau:
-        locator = (conn + [F.zero] * length)[length::-1]
-        located = [i for i, x in enumerate(code.points)
-                   if polyring.poly_eval(F, locator, x) == F.zero]
-        if len(located) == length:
-            clean = [i for i in range(code.n) if i not in located][: code.dim]
-            corrected = grs_encode(code, _message(code, received, clean))
-            positions = tuple(i for i, (a, b) in enumerate(zip(corrected, received)) if a != b)
-            if len(positions) <= tau:
-                return DecodeResult(code=code, error_positions=positions, corrected_word=corrected)
-    raise DecodeFailure.beyond(tau)
 
 
 @dataclass

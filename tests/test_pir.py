@@ -563,6 +563,92 @@ class TestRetrieveFromR:
                 assert got.symbols == expected == db_ext.row(3)
                 assert got.error_servers == tuple(ids[i] for i in ref.error_positions)
 
+    def test_planes_decode_like_the_extension_code_oracle(self):
+        # the s planes decoded by the base-field decoder must give the
+        # verdict of bounded-distance decoding over F_{q^s}: random words
+        # with 0..2b+2 wrong answers, and words whose two wrong answers sit
+        # in different planes, so that each plane decodes alone but the
+        # union of their error positions exceeds b
+        p = pir.setup(7, 1, 1, 5, m=2)
+        ext = p.ext
+        db = pir.random_database(p, 41)
+        rng = random.Random(41)
+        nonzero = [e for e in ext.elements() if e != ext.zero]
+        for ids in ((1, 2, 3, 4, 5), (3, 4, 5, 6, 7), (1, 3, 4, 6, 7)):
+            code = rscodes.GrsCode(
+                field=ext,
+                points=tuple(ext.embed(p.omega_beta[j - 1]) for j in ids),
+                multipliers=(ext.one,) * p.r,
+                dim=p.r - 2 * p.b,
+            )
+            honest = [
+                pir.collect_answers(p, pir.gen_queries(p, iota, SeededStream(iota, "po")), db, "full", ids)
+                for iota in (1, 2)
+            ]
+            words = []
+            for trial in range(400):
+                values = list(honest[trial % 2].values)
+                for pos in rng.sample(range(p.r), trial % (2 * p.b + 3)):
+                    values[pos] = ext.add(values[pos], rng.choice(nonzero))
+                words.append(values)
+            split = []
+            for first, second in itertools.permutations(range(p.r), 2):
+                values = list(honest[0].values)
+                values[first] = ext.add(values[first], (rng.randrange(1, p.q), 0))
+                values[second] = ext.add(values[second], (0, rng.randrange(1, p.q)))
+                split.append(values)
+            verdicts = []
+            for values in words + split:
+                try:
+                    ref = rscodes.oracle_decode(code, values)
+                    expected = (
+                        tuple(polyring.poly_eval(ext, list(ref.message_poly), a) for a in p.omega_alpha),
+                        tuple(ids[i] for i in ref.error_positions),
+                    )
+                except rscodes.DecodeFailure:
+                    expected = None
+                try:
+                    got = pir.retrieve_from_r(p, AnswerSet("full", ids, tuple(values)))
+                    ours = (got.symbols, got.error_servers)
+                except ByzantineBudgetExceeded:
+                    ours = None
+                assert ours == expected, values
+                verdicts.append("failed" if ours is None else len(ours[1]))
+            assert set(verdicts[: len(words)]) == {"failed", 0, 1}
+            assert set(verdicts[len(words) :]) == {"failed"}
+
+    def test_every_single_wrong_answer_is_corrected(self):
+        # exhaustive at (7,1,1,5; m=2): every file, every position and all
+        # 48 wrong values of F_49, for two server sets
+        p = pir.setup(7, 1, 1, 5, m=2)
+        db = pir.random_database(p, 43)
+        cases = 0
+        for ids in ((1, 2, 3, 4, 5), (3, 4, 5, 6, 7)):
+            for iota in range(1, p.m + 1):
+                queries = pir.gen_queries(p, iota, SeededStream(iota, "ex"))
+                honest = pir.collect_answers(p, queries, db, "full", ids)
+                for pos in range(p.r):
+                    for wrong in p.ext.elements():
+                        if wrong == honest.values[pos]:
+                            continue
+                        values = list(honest.values)
+                        values[pos] = wrong
+                        got = pir.retrieve_from_r(p, AnswerSet("full", ids, tuple(values)))
+                        assert got.symbols == db.row(iota)
+                        assert got.error_servers == (ids[pos],)
+                        cases += 1
+        assert cases == 960
+
+    @pytest.mark.parametrize("wrong", [(7, 0), (-1, 0), (1, 2, 3), (1,)])
+    def test_malformed_answers_rejected(self, params_ext, db_ext, wrong):
+        # an entry outside [0, q) or an answer of the wrong length is not a
+        # field element, so it is refused rather than corrected
+        queries = pir.gen_queries(params_ext, 1, SeededStream(8, "rm"))
+        honest = pir.collect_answers(params_ext, queries, db_ext, "full", (1, 2, 3, 4, 5))
+        values = (wrong,) + honest.values[1:]
+        with pytest.raises(ValueError):
+            pir.retrieve_from_r(params_ext, AnswerSet("full", honest.server_ids, values))
+
     def test_second_honest_retrieval_reuses_cached_tables(self, monkeypatch, params_ext, db_ext):
         p = params_ext
         queries = pir.gen_queries(p, 2, SeededStream(3, "rc"))
@@ -726,17 +812,17 @@ class TestRetrieveFromK:
 
     @pytest.mark.parametrize("scheme", [(4, 1, 1, 4), (7, 1, 1, 5), (11, 1, 2, 8), (17, 1, 2, 8)])
     def test_trace_code_checks_are_weighted_power_sums(self, scheme):
-        # row e of the check matrix is P_j beta_j^e with P_j = prod_l f_l(beta_j)
+        # check e of the check matrix is P_j beta_j^e with P_j = prod_l f_l(beta_j)
         p = pir.setup(*scheme)
         q = p.q
         code, _ = pir._trace_code_tables(p)
-        assert len(code.check_rows) == 2 * p.b
+        assert code.check_matrix.shape == (p.k, 2 * p.b)
         for j, beta in enumerate(p.omega_beta):
             weight = 1
             for f in p.min_polys:
                 weight = weight * sum(c * beta**d for d, c in enumerate(f)) % q
-            for e, row in enumerate(code.check_rows):
-                assert row[j] == weight * pow(beta, e, q) % q
+            for e in range(2 * p.b):
+                assert code.check_matrix[j, e] == weight * pow(beta, e, q) % q
 
     def test_identical_path_for_b0(self):
         # the byzantine-free scheme is the b=0 instance of the same code path
