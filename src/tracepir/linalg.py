@@ -3,16 +3,41 @@
 Matrices for elimination are lists of row lists.  Used for the message
 solve in the decoder, trace-Gram inversion, and coordinate changes
 between power bases; sizes stay small so there is no pivoting strategy
-beyond "first nonzero".  Over a prime field the right-hand side may hold
-int64 arrays instead of ints: the field operations act elementwise, so
-one elimination solves the system for every column of the arrays at once.
+beyond "first nonzero".  Over a prime field ``solve`` also takes a stack
+of square systems as int64 arrays and eliminates all of them at once,
+as array operations (the decoder's correction step for a batch).
 
 `matmul_mod` is the one modular product of int64 arrays that every
 layer shares (the query curve, the answers, syndromes, the Chien search
-and the file rebuild).
+and the file rebuild), and `field_array` is the one check that turns
+caller input into its int64 operands.  numpy is imported where it is
+used, not when the module loads.
 """
 
 INT64_MAX = 2**63 - 1
+
+
+def field_array(values, q: int, what: str):
+    """values as an int64 array with entries in [0, q); ValueError otherwise.
+
+    The values must form a regular array of integers: a ragged nesting,
+    or a float, complex, object or string dtype, is refused rather than
+    cast, so 3.5 is not read as 3.  An empty array passes whatever its
+    dtype.  The shape is the caller's to check.
+    """
+    import numpy as np
+
+    try:
+        array = np.asarray(values)
+    except (ValueError, TypeError):
+        raise ValueError(f"{what}: not a regular array of field elements") from None
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{what}: entries of dtype {array.dtype} are not field elements")
+    array = array.astype(np.int64, copy=False)
+    # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
+    if array.size and array.view(np.uint64).max() >= q:
+        raise ValueError(f"{what}: entries outside [0, {q})")
+    return array
 
 
 def matmul_mod(a, b, q: int):
@@ -88,9 +113,12 @@ def _eliminate(field, aug, ncols: int) -> list:
 def solve(field, rows, rhs):
     """One solution of rows * x = rhs with free variables set to zero.
 
-    Returns None when the system is inconsistent.  A right-hand side of
-    int64 arrays (prime field only) needs a square invertible system.
+    Returns None when the system is inconsistent.  An int64 array `rows`
+    is a stack of square systems over a prime field instead: see
+    ``_solve_stacked``.
     """
+    if hasattr(rows, "ndim"):
+        return _solve_stacked(field.q, rows, rhs)
     m = len(rows)
     if m != len(rhs):
         raise ValueError("matrix/vector size mismatch")
@@ -103,6 +131,56 @@ def solve(field, rows, rhs):
     for r, col in enumerate(pivots):
         x[col] = aug[r][ncols]
     return x
+
+
+def _solve_stacked(q: int, rows, rhs):
+    """X with rows[g] @ X[g] = rhs[g] mod q for a (G, n, n) stack and a (G, n, W) rhs.
+
+    Entries lie in [0, q); X is a (G, n, W) int64 array.  Every system
+    must be invertible: a singular one raises ValueError.
+
+    Fraction-free Gauss-Jordan, every system in step: at column c each
+    system swaps its first row at or below c with a nonzero entry there
+    into row c, and every other row becomes p * row - f * pivot row, with
+    p the pivot and f the row's entry in column c.  That clears column c
+    outside the pivot row without an inverse and keeps the earlier
+    columns cleared, so the left part ends diagonal; one vectorised
+    Fermat power d^(q-2) of the diagonal then divides it out.
+
+    Exact for q < 2^31: the update is computed as p * a + (q - f) * b
+    with all four factors in [0, q), which is below 2 q^2 < 2^63, and
+    every result is reduced mod q before the next step.
+    """
+    import numpy as np
+
+    count, n = rows.shape[:2]
+    if rows.shape != (count, n, n) or rhs.ndim != 3 or rhs.shape[:2] != (count, n):
+        raise ValueError(f"stacked systems {rows.shape} and right-hand sides {rhs.shape} do not match")
+    aug = np.concatenate([rows, rhs], axis=2, dtype=np.int64)
+    every = np.arange(count)
+    for col in range(n):
+        nonzero = aug[:, col:, col] != 0
+        if not nonzero.any(axis=1).all():
+            raise ValueError("singular system in the stack")
+        pivot = col + nonzero.argmax(axis=1)
+        pivot_rows = aug[every, pivot]
+        aug[every, pivot] = aug[:, col]
+        factors = (q - aug[:, :, col]) % q
+        aug *= pivot_rows[:, col, None, None]
+        aug += factors[:, :, None] * pivot_rows[:, None, :]
+        aug %= q
+        aug[:, col] = pivot_rows
+    inverse = np.ones((count, n), dtype=np.int64)
+    power = aug[:, np.arange(n), np.arange(n)]
+    exponent = q - 2
+    while exponent:
+        if exponent & 1:
+            inverse = inverse * power % q
+        power = power * power % q
+        exponent >>= 1
+    solution = aug[:, :, n:] * inverse[:, :, None]
+    solution %= q
+    return solution
 
 
 def invert(field, rows):

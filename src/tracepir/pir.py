@@ -420,16 +420,10 @@ def _field_array(params: SchemeParams, values, shape: tuple, what: str, batch: b
 
     With `batch`, the array may also carry one leading axis of any length.
     """
-    try:
-        array = np.asarray(values, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
-        raise ValueError(f"{what} is not a regular array of field elements") from None
+    array = linalg.field_array(values, params.q, what)
     if array.shape != shape and not (batch and array.shape[1:] == shape):
         expected = f"{shape} or (B,) + {shape}" if batch else f"{shape}"
         raise ValueError(f"{what} has shape {array.shape}, expected {expected}")
-    # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
-    if array.size and array.view(np.uint64).max() >= params.q:
-        raise ValueError(f"{what} has entries outside [0, {params.q})")
     return array
 
 

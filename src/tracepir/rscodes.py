@@ -14,13 +14,15 @@ re-encoded.
 ``grs_decode`` works over a prime field, where it decodes a (W, n)
 int64 batch in one pass: the syndromes and the Chien search are one
 matrix product each, the words with a nonzero syndrome run
-Berlekamp-Massey in lockstep as array operations (a lone such word runs
-the scalar recurrence, which costs less), and the words whose errors sit
-on the same positions share one solve and one re-encode, with their
-int64 columns standing in for field elements.  A single word is the
-batch of one.  ``oracle_decode`` is the brute-force counterpart used to
-cross-check the decoder, over any field; it enumerates every codeword,
-so it is guarded by an enumeration bound.
+Berlekamp-Massey in lockstep as array operations, and the words with
+errors to correct get their messages from one stacked solve, one
+dim x dim system per distinct located set, and their codewords from one
+re-encode.  A batch with a single word off the code runs the scalar
+recurrence instead, and one with a single word to correct the scalar
+solve, which cost less for one word.  A single word is the batch of one.
+``oracle_decode`` is the brute-force counterpart used to cross-check
+the decoder, over any field; it enumerates every codeword, so it is
+guarded by an enumeration bound.
 """
 
 from __future__ import annotations
@@ -101,6 +103,23 @@ class GrsCode:
         return matrix
 
     @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """Read-only (dim, n) int64 array with entry (e, i) = m_i x_i^e; prime field only.
+
+        A (W, dim) batch of messages, coefficient e in column e, times it
+        gives their codewords; its transpose on dim distinct positions is
+        the invertible system that gives a message back from a codeword.
+        """
+        F = self.field
+        matrix = np.array(
+            [[F.mul(m, F.pow(x, e)) for x, m in zip(self.points, self.multipliers)]
+             for e in range(self.dim)],
+            dtype=np.int64,
+        )
+        matrix.flags.writeable = False
+        return matrix
+
+    @functools.cached_property
     def chien_powers(self) -> np.ndarray:
         """Read-only (radius + 1, n) int64 array whose row l holds x_i^l; prime field only.
 
@@ -157,6 +176,17 @@ class DecodedBatch:
 
 
 def grs_encode(code: GrsCode, message_poly):
+    """The codeword (m_1 h(x_1), ..., m_n h(x_n)) of the message h, as a tuple.
+
+    Over a prime field, a (W, dim) int64 array of messages, coefficient e
+    in column e, gives the (W, n) int64 array of their codewords, one
+    product with ``code.generator``.
+    """
+    if getattr(message_poly, "ndim", 1) != 1:
+        messages = linalg.field_array(message_poly, code.field.q, "messages")
+        if messages.ndim != 2 or messages.shape[1] != code.dim:
+            raise ValueError(f"messages have shape {messages.shape}, expected (W, {code.dim})")
+        return linalg.matmul_mod(messages, code.generator, code.field.q)
     if polyring.degree(list(message_poly)) >= code.dim:
         raise ValueError(
             f"message degree {polyring.degree(list(message_poly))} too high for dimension {code.dim}"
@@ -172,9 +202,7 @@ def _message(code: GrsCode, word, positions) -> list:
     """The coefficients of the h of degree below dim with m_i h(x_i) = word_i at dim positions.
 
     One Vandermonde solve; the positions are distinct points, so its
-    solution is unique.  Over a prime field, word_i may be an int64 array
-    holding position i of several words; the coefficients are then arrays
-    too, one entry per word.  They are not normalized.
+    solution is unique.  The coefficients are not normalized.
     """
     F = code.field
     rows, rhs = [], []
@@ -280,7 +308,8 @@ def grs_decode(code: GrsCode, received):
 
     `received` is one word, for which a DecodeResult is returned, or a
     (W, n) array of words, for which a DecodedBatch is returned; entries
-    must lie in [0, q).  A single word is decoded as a batch of one, and
+    must be integers in [0, q), and any other entry, 2.5 or 2.0 included,
+    raises ValueError.  A single word is decoded as a batch of one, and
     raises DecodeFailure where the batch marks its row failed.  A code
     over an extension field raises TypeError.
 
@@ -300,8 +329,7 @@ def grs_decode(code: GrsCode, received):
     would lose the root of a point x_i = 0.  A Chien search over the n
     points (one product of the batch's locators with ``code.chien_powers``)
     then finds exactly E, the first dim points outside E are clean, one
-    solve gives the message of c, and re-encoding gives c.  Words with
-    the same located set share that solve and that re-encode.
+    solve gives the message of c, and re-encoding gives c.
 
     The words of a batch with a nonzero syndrome run Berlekamp-Massey in
     lockstep (``_lockstep_berlekamp_massey``), one array step per
@@ -315,6 +343,18 @@ def grs_decode(code: GrsCode, received):
     a byzantine session decodes, runs the scalar ``_berlekamp_massey``;
     the choice follows that observed count alone.
 
+    When two or more words of a batch have errors to correct, their
+    located sets are deduplicated and each distinct set's dim x dim
+    system (``code.generator`` transposed, on its clean positions) is
+    inverted in one stacked ``linalg.solve``; one product per word with
+    its set's inverse gives the messages, and one ``grs_encode`` of all
+    of them the codewords.  The stacked solve costs a fixed amount: at
+    dim 7 over GF(11), correcting one word takes about 190 us with the
+    scalar solve and re-encode and 300 us stacked, and 100 words on 20
+    located sets about 17 ms one word at a time and 0.7 ms stacked
+    (2-CPU Xeon).  So a lone word to correct, as a byzantine session
+    decodes, takes the scalar ``_message`` and ``grs_encode``.
+
     So a codeword within tau forces L <= tau and exactly L located
     roots; when either fails, no codeword lies within tau and the word
     fails.  When both hold, the syndromes are those of an error on the
@@ -327,17 +367,11 @@ def grs_decode(code: GrsCode, received):
     """
     if not isinstance(code.field, PrimeField):
         raise TypeError(f"grs_decode works over a prime field only, not over {code.field!r}")
-    try:
-        words = np.asarray(received, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
-        raise ValueError("received words are not a regular array of field elements") from None
+    words = linalg.field_array(received, code.field.q, "received words")
     if words.ndim == 1:
         return grs_decode(code, words[None]).result(0)
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ValueError(f"received words have shape {words.shape}, expected (W, {code.n})")
-    # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
-    if words.size and words.view(np.uint64).max() >= code.field.q:
-        raise ValueError(f"received words have entries outside [0, {code.field.q})")
     return _decode_batch(code, words)
 
 
@@ -363,25 +397,45 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
         locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes[dirty]), tau)
         lengths = lengths.tolist()
     roots = linalg.matmul_mod(locators, code.chien_powers, F.q) == 0
-    groups: dict = {}  # located positions -> rows of the words with errors exactly there
-    for row, length, located in zip(dirty, lengths, roots.tolist()):
-        if located.count(True) == length:
-            groups.setdefault(tuple(located), []).append(row)
-        else:
-            failed[row] = True
-    for located, rows in groups.items():
-        clean = [i for i, hit in enumerate(located) if not hit][: code.dim]
-        # one word solves with ints; several share the solve through their int64 columns
-        if len(rows) == 1:
-            corrected[rows[0]] = grs_encode(code, _message(code, words[rows[0]].tolist(), clean))
-        else:
-            corrected[rows] = np.transpose(grs_encode(code, _message(code, list(words[rows].T), clean)))
+    located = roots.tolist()
+    kept = [hits.count(True) == length for hits, length in zip(located, lengths)]
+    rows = [row for row, keep in zip(dirty, kept) if keep]
+    if len(rows) < len(dirty):
+        failed[[row for row, keep in zip(dirty, kept) if not keep]] = True
+    if len(rows) == 1:  # one word: the scalar solve beats the stacked one's fixed cost
+        clean = [i for i, hit in enumerate(located[kept.index(True)]) if not hit][: code.dim]
+        corrected[rows[0]] = grs_encode(code, _message(code, words[rows[0]].tolist(), clean))
+    elif rows:
+        corrected[rows] = _corrected_words(code, words[rows], roots[kept])
     errors = corrected != words
     failed |= errors.sum(axis=1) > tau  # the distance guard
     if failed.any():
         corrected[failed] = 0
         errors[failed] = False
     return DecodedBatch(code, corrected, errors, failed)
+
+
+def _corrected_words(code: GrsCode, words: np.ndarray, located: np.ndarray) -> np.ndarray:
+    """The codewords of (K, n) words whose errors sit exactly on the (K, n) located masks.
+
+    The masks are deduplicated through one exact key per row, its bits
+    packed into bytes and read as a single void value.  Each distinct
+    set's clean positions are its first dim unlocated ones; the G systems
+    ``code.generator.T`` on them are inverted in one stacked solve, each
+    word's message is its set's inverse times its clean symbols, and one
+    ``grs_encode`` gives every codeword.
+    """
+    q, dim = code.field.q, code.dim
+    packed = np.packbits(located, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    clean = np.argsort(located[first], axis=1, kind="stable")[:, :dim]
+    systems = code.generator.T[clean]
+    identity = np.broadcast_to(np.eye(dim, dtype=np.int64), systems.shape)
+    inverses = linalg.solve(code.field, systems, identity)
+    symbols = np.take_along_axis(words, clean[which], axis=1)
+    messages = linalg.matmul_mod(inverses[which], symbols[:, :, None], q)[:, :, 0]
+    return grs_encode(code, messages)
 
 
 @dataclass

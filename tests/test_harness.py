@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tracepir import harness, pir
+from tracepir import harness, pir, rscodes
 from tracepir.gf import ExtField
 from tracepir.harness import (
     AdversaryModel,
@@ -432,6 +432,37 @@ class TestByzantineSweep:
                 report = byzantine_sweep(params, db, scope=case["scope"], trials=case["trials"],
                                          seed=case["seed"])
             assert report.to_json_dict() == case["report"], case["scheme"]
+
+    def test_randomized_sweep_makes_one_solve_and_one_encode(self, monkeypatch):
+        # (17,1,2,8; m=2), dim 13: the 20 trials' b wrong answers sit on many
+        # located sets, and the one decode of the sweep corrects them all with
+        # one stacked solve and one re-encode.  With the rebuild zeroed every
+        # case fails, and the report lists the first 20 draws of the frozen
+        # 50-trial sweep at the same seeds
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        params = pir.setup(17, 1, 2, 8, m=2)
+        db = pir.random_database(params, 6)
+        monkeypatch.setattr(rscodes.linalg, "solve", counted("solve", rscodes.linalg.solve))
+        monkeypatch.setattr(rscodes, "grs_encode", counted("encode", rscodes.grs_encode))
+        report = byzantine_sweep(params, db, scope="randomized", trials=20, seed=8)
+        assert calls == ["solve", "encode"]
+        assert (report.cases_total, report.cases_failed, report.failures) == (20, 0, ())
+        del calls[:]
+        _rebuild_zero_files(monkeypatch)
+        report = byzantine_sweep(params, db, scope="randomized", trials=20, seed=8)
+        assert calls == ["solve", "encode"]
+        with open(DATA / "golden_sweeps.json") as fh:
+            golden = next(case["report"] for case in json.load(fh)
+                          if case["scheme"] == [17, 1, 2, 8] and case["wrong_recon"])
+        assert report.to_json_dict() == {**golden, "cases_total": 20, "cases_failed": 20,
+                                         "failures": golden["failures"][:20]}
 
     def test_report_json_schema(self, params_small, db_small):
         report = byzantine_sweep(params_small, db_small, scope="randomized", trials=5, seed=3)

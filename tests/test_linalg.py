@@ -71,15 +71,81 @@ def test_non_square_invert_rejected():
         linalg.invert(F7, [[1, 2, 3], [4, 5, 6]])
 
 
-def test_solve_with_array_columns_matches_each_column():
-    # over a prime field one elimination solves every column of int64 arrays
-    rng = random.Random(4)
-    rows = [[pow(x, d, 7) for d in range(3)] for x in (1, 3, 5)]
-    columns = np.array([[rng.randrange(7) for _ in range(9)] for _ in range(3)], dtype=np.int64)
-    together = linalg.solve(F7, rows, list(columns))
-    for w in range(9):
-        alone = linalg.solve(F7, rows, columns[:, w].tolist())
-        assert [int(c[w]) for c in together] == alone
+def _invertible_stack(q, n, count, rng):
+    """count random invertible n x n matrices over GF(q), as lists of rows.
+
+    Each has a zero in its top-left corner when n > 1, so the first
+    column already needs a row swap.
+    """
+    field = PrimeField(q)
+    stack = []
+    while len(stack) < count:
+        mat = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        if n > 1:
+            mat[0][0] = 0
+        if linalg.is_invertible(field, mat):
+            stack.append(mat)
+    return stack
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+@pytest.mark.parametrize("q", [2, 7, 2**31 - 1])
+def test_stacked_solve_matches_scalar_solve_system_by_system(q, n):
+    field = PrimeField(q)
+    rng = random.Random(q * 100 + n)
+    stack = _invertible_stack(q, n, 6, rng)
+    rhs = [[[rng.randrange(q) for _ in range(3)] for _ in range(n)] for _ in stack]
+    got = linalg.solve(field, np.array(stack, dtype=np.int64), np.array(rhs, dtype=np.int64))
+    assert got.shape == (6, n, 3) and got.dtype == np.int64
+    for g, (rows, columns) in enumerate(zip(stack, rhs)):
+        for w in range(3):
+            alone = linalg.solve(field, rows, [row[w] for row in columns])
+            assert got[g, :, w].tolist() == alone
+
+
+def test_stacked_solve_against_the_identity_gives_inverses():
+    rng = random.Random(5)
+    stack = _invertible_stack(7, 4, 5, rng)
+    identity = np.broadcast_to(np.eye(4, dtype=np.int64), (5, 4, 4))
+    got = linalg.solve(F7, np.array(stack, dtype=np.int64), identity)
+    assert got.tolist() == [linalg.invert(F7, rows) for rows in stack]
+
+
+def test_stacked_solve_rejects_a_singular_system():
+    rng = random.Random(6)
+    stack = _invertible_stack(7, 3, 4, rng)
+    stack[2] = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]  # row 2 is twice row 1
+    rhs = np.ones((4, 3, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="singular"):
+        linalg.solve(F7, np.array(stack, dtype=np.int64), rhs)
+
+
+def test_stacked_solve_rejects_mismatched_shapes():
+    rows = np.zeros((2, 3, 3), dtype=np.int64)
+    for rhs in (np.zeros((2, 4, 1)), np.zeros((1, 3, 1)), np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            linalg.solve(F7, rows, rhs.astype(np.int64))
+    with pytest.raises(ValueError):
+        linalg.solve(F7, np.zeros((2, 3, 4), dtype=np.int64), np.zeros((2, 3, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("values", [
+    [3, 0, 6], (3, 0, 6), [np.int64(3), np.int64(0), np.int64(6)],
+    np.array([3, 0, 6], dtype=np.uint8), np.array([3, 0, 6], dtype=np.int64),
+], ids=["ints", "tuple", "np-int64", "uint8", "int64-array"])
+def test_field_array_accepts_integers_in_range(values):
+    got = linalg.field_array(values, 7, "symbols")
+    assert got.dtype == np.int64 and got.tolist() == [3, 0, 6]
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0], [3.5], [1 + 0j], [object()], ["1"], [True, False], [[1, 2], [3]],
+    [7], [-1], [2**63], [2**64],
+], ids=["float-integral", "float", "complex", "object", "string", "bool", "ragged",
+        "q", "negative", "above-int64", "past-uint64"])
+def test_field_array_rejects_everything_else(values):
+    with pytest.raises(ValueError, match="symbols"):
+        linalg.field_array(values, 7, "symbols")
 
 
 @pytest.mark.parametrize("q", [2, 7, 2**31 - 1])

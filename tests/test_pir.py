@@ -838,6 +838,58 @@ class TestRetrieveFromK:
         assert first.symbols == db.row(1)
 
 
+class TestNonIntegerInput:
+    """Entries that are not integers are refused, never truncated to one."""
+
+    @pytest.fixture(scope="class")
+    def scheme(self):
+        p = pir.setup(11, 1, 2, 8, m=2)
+        db = pir.random_database(p, 41)
+        return p, db, pir.gen_queries(p, 1, SeededStream(4, "nonint"))
+
+    def test_trace_answer(self, scheme):
+        # cast to int64, honest + 0.5 was the honest answer: a clean retrieval
+        p, db, queries = scheme
+        answers = pir.collect_answers(p, queries, db)
+        values = answers.values[:1] + (answers.values[1] + 0.5,) + answers.values[2:]
+        with pytest.raises(ValueError):
+            pir.retrieve_from_k(p, AnswerSet("trace", answers.server_ids, values))
+        with pytest.raises(ValueError):
+            pir.retrieve_many(p, np.array([answers.values], dtype=float))
+        for cast in (int, np.int64, np.uint8):
+            got = pir.retrieve_from_k(p, AnswerSet("trace", answers.server_ids, tuple(map(cast, answers.values))))
+            assert got.symbols == db.row(1) and got.error_servers == ()
+
+    def test_full_answer(self, scheme):
+        p, db, queries = scheme
+        answers = pir.collect_answers(p, queries, db, "full", tuple(range(1, p.r + 1)))
+        (x, y), rest = answers.values[0], answers.values[1:]
+        with pytest.raises(ValueError):
+            pir.retrieve_from_r(p, AnswerSet("full", answers.server_ids, ((x + 0.5, y),) + rest))
+        values = tuple(tuple(np.uint8(c) for c in value) for value in answers.values)
+        got = pir.retrieve_from_r(p, AnswerSet("full", answers.server_ids, values))
+        assert got.symbols == db.row(1) and got.error_servers == ()
+
+    def test_query(self, scheme):
+        p, db, queries = scheme
+        query = queries.per_server[0]
+        honest = pir.server_answer(p, 1, query, db)
+        for bad in (query + 0.5, query.astype(float), query.astype(complex), query.astype(object)):
+            with pytest.raises(ValueError):
+                pir.server_answer(p, 1, bad, db)
+        assert pir.server_answer(p, 1, query.astype(np.uint8), db) == honest
+        assert pir.server_answer(p, 1, query.tolist(), db) == honest
+
+    def test_blinding(self, scheme):
+        p, _, queries = scheme
+        blinding = queries.blinding
+        for bad in (blinding + 0.5, blinding.astype(float), blinding.astype(str)):
+            with pytest.raises(ValueError):
+                pir.queries_from_blinding(p, 1, bad)
+        for good in (blinding.astype(np.uint8), blinding.tolist()):
+            assert np.array_equal(pir.queries_from_blinding(p, 1, good).per_server, queries.per_server)
+
+
 class TestCapacity:
     def test_frozen_values(self):
         assert pir.capacity(1, 1, 5) == Fraction(2, 5)

@@ -102,6 +102,23 @@ class TestEncode:
         with pytest.raises(ValueError):
             grs_encode(CODE_5_3, [1, 1, 1, 1])
 
+    def test_array_of_messages_matches_scalar_encode_row_by_row(self):
+        code = GrsCode(field=F7, points=(0, 1, 2, 3, 5, 6), multipliers=(2, 3, 4, 5, 6, 1), dim=4)
+        rng = random.Random(3)
+        messages = [[rng.randrange(7) for _ in range(4)] for _ in range(30)]
+        got = grs_encode(code, np.array(messages, dtype=np.uint8))
+        assert got.shape == (30, 6) and got.dtype == np.int64
+        assert got.tolist() == [list(grs_encode(code, message)) for message in messages]
+        assert code.generator.shape == (4, 6) and not code.generator.flags.writeable
+        assert grs_encode(code, np.zeros((0, 4), dtype=np.int64)).shape == (0, 6)
+
+    @pytest.mark.parametrize("messages", [np.zeros((2, 4), dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
+                                          np.zeros((1, 2, 3), dtype=np.int64), np.full((2, 3), 7),
+                                          np.full((2, 3), 0.5)])
+    def test_array_of_messages_with_a_wrong_shape_or_entry_rejected(self, messages):
+        with pytest.raises(ValueError):
+            grs_encode(CODE_5_3, messages)
+
     def test_code_validation(self):
         with pytest.raises(ValueError):
             GrsCode(field=F7, points=(0, 0, 1), multipliers=(1, 1, 1), dim=2)
@@ -255,7 +272,10 @@ class TestBatchDecode:
             outcomes.add(None if ref is None else len(ref.error_positions))
         assert outcomes == {None, 0, 1}
 
-    def test_one_solve_and_encode_per_located_set(self, monkeypatch):
+    def test_one_solve_and_encode_per_batch(self, monkeypatch):
+        # 200 words with one error on one of five positions, or none: one
+        # stacked solve and one re-encode for the whole batch, however
+        # many located sets it holds
         calls = []
 
         def counted(name, fn):
@@ -277,11 +297,66 @@ class TestBatchDecode:
                 located.add(pos)
             words.append(received)
             expected.append(word)
+        assert len(located) == 5
         del calls[:]
         batch = grs_decode(CODE_5_3, np.array(words, dtype=np.int64))
         assert batch.corrected.tolist() == [list(word) for word in expected]
         assert not batch.failed.any()
-        assert sorted(calls) == ["encode"] * len(located) + ["solve"] * len(located)
+        assert calls == ["solve", "encode"]
+
+    def test_lone_word_to_correct_solves_with_ints(self, monkeypatch):
+        # the stacked solve runs only for two or more words to correct; one
+        # such word among failures and codewords keeps the scalar solve
+        code = GrsCode(field=PrimeField(11), points=tuple(range(9)), multipliers=(1,) * 9, dim=5)
+        kinds = []
+        solve = rscodes.linalg.solve
+
+        def recorded(field, rows, rhs):
+            kinds.append(type(rows).__name__)
+            return solve(field, rows, rhs)
+
+        monkeypatch.setattr(rscodes.linalg, "solve", recorded)
+        rng = random.Random(12)
+        words = [list(grs_encode(code, [rng.randrange(11) for _ in range(5)])) for _ in range(6)]
+        for pos in (0, 3, 5):  # three errors: beyond the radius 2, so the word fails
+            words[1][pos] = (words[1][pos] + 1) % 11
+        for pos in (2, 7):
+            words[4][pos] = (words[4][pos] + 5) % 11
+        batch = grs_decode(code, words)
+        assert batch.failed.tolist() == [False, True, False, False, False, False]
+        assert batch.errors[4].tolist() == [i in (2, 7) for i in range(9)]
+        assert kinds == ["list"]
+        words[0][6] = (words[0][6] + 3) % 11  # a second word to correct
+        del kinds[:]
+        again = grs_decode(code, words)
+        assert kinds == ["ndarray"]
+        assert again.corrected[1:].tolist() == batch.corrected[1:].tolist()
+        assert again.result(0) == grs_decode(code, words[0])
+
+    def test_mixed_batch_exact_near_q_2_to_the_31(self):
+        # GF(2^31 - 1): honest words, words on several located sets and
+        # several words on one shared set; an unreduced fraction-free update
+        # or product leaves int64 here
+        q = 2**31 - 1
+        rng = random.Random(31)
+        code = GrsCode(field=PrimeField(q), points=tuple(rng.sample(range(q), 9)),
+                       multipliers=tuple(rng.randrange(1, q) for _ in range(9)), dim=5)
+        error_sets = [(), (), (0,), (8,), (1, 6), (2, 3), (4, 7), (5,)] + [(3, 5)] * 6
+        words, planted = [], []
+        for positions in error_sets:
+            codeword = grs_encode(code, [rng.randrange(q - 1000, q) for _ in range(5)])
+            word = list(codeword)
+            for pos in positions:
+                word[pos] = (word[pos] + rng.randrange(1, q)) % q
+            words.append(word)
+            planted.append(codeword)
+        batch = grs_decode(code, words)
+        assert not batch.failed.any()
+        assert batch.corrected.tolist() == [list(codeword) for codeword in planted]
+        for row, (word, positions) in enumerate(zip(words, error_sets)):
+            alone = grs_decode(code, word)
+            assert batch.result(row) == alone
+            assert alone.error_positions == positions
 
     def test_honest_batch_makes_no_solve(self, monkeypatch):
         def forbidden(*args):
@@ -349,10 +424,19 @@ class TestBatchDecode:
         batch = grs_decode(CODE_5_3, np.zeros((0, 5), dtype=np.int64))
         assert batch.corrected.shape == (0, 5) and batch.failed.shape == (0,)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, None], ids=["int64", "uint8", "ints"])
+    def test_integer_batches_accepted(self, dtype):
+        words = [list(grs_encode(CODE_5_3, [a, 1, 2])) for a in range(7)]
+        words[3][1] = (words[3][1] + 1) % 7
+        received = words if dtype is None else np.array(words, dtype=dtype)
+        batch = grs_decode(CODE_5_3, received)
+        assert batch.errors.sum() == 1 and batch.errors[3, 1] and not batch.failed.any()
+
     @pytest.mark.parametrize(
         "received",
         [(0, 0, 0, 0, 7), [[0, 0, 0, 0, 7]], [[0, 0, -1, 0, 0]], [[0] * 4], [[[0] * 5]],
-         [[0, 0, 0, 0, 2**70]], [["a"] * 5]],
+         [[0, 0, 0, 0, 2**70]], [["a"] * 5], [[0, 0, 0, 0, 0.5]], [(1.0,) * 5], [[0j] * 5],
+         [[0, 0, "1", 0, 0]], np.zeros((2, 5), dtype=object)],
     )
     def test_bad_words_rejected(self, received):
         with pytest.raises(ValueError):
