@@ -3,7 +3,9 @@
 Fields act as arithmetic contexts rather than element wrappers: a
 PrimeField element is a plain int in [0, q) and an ExtField element is a
 length-s tuple of ints (index d = coefficient of xi^d with respect to the
-construction modulus).  The scalar arithmetic on them is `kernels`.
+construction modulus).  Their arithmetic is `kernels`: plain Python on
+single elements, and int64 matrix products for `ExtField.dot` over whole
+stacks of elements.
 
 Bulk data (databases, blinding arrays, queries in `pir`) is stored
 instead as int64 numpy arrays whose last axis holds the s coefficients of
@@ -194,8 +196,12 @@ class ExtField:
         q = self.q
         return tuple(c * x % q for x in a)
 
-    def dot(self, xs, ys) -> tuple:
-        """Sum of pairwise products (the Frobenius inner product, flattened)."""
+    def dot(self, xs, ys):
+        """Sum of pairwise products (the Frobenius inner product, flattened).
+
+        Sequences of element tuples give one tuple; (..., n, s) int64
+        stacks broadcast and give an (..., s) array (`kernels.ext_dot`).
+        """
         return kernels.ext_dot(xs, ys, self._red, self.q)
 
     def frobenius(self, a: tuple) -> tuple:

@@ -1,17 +1,24 @@
-"""Scalar arithmetic kernel for F_q and F_{q^s}, in plain Python.
+"""Arithmetic kernel for F_q and F_{q^s}.
 
 Extension field elements are tuples of ints in [0, q), index d holding
 the coefficient of xi^d.  ``red`` is the reduction vector of the monic
 construction modulus: the length-s tuple with xi^s == red (as an
-element).  `gf` calls these functions by module attribute, so rebinding
-one here reaches every caller; `ext_pow` multiplies through the private
-`_mul`, so such a rebound `ext_mul` sees only calls from outside the
-kernel.
+element).  Single elements (`ext_mul`, `ext_pow`, `ext_inv`) are
+multiplied in plain Python.  `ext_dot`, the sum of products over whole
+stacks of elements, is two int64 matrix products through
+`linalg.matmul_mod`; it imports numpy where it is used.  `gf` calls these
+functions by module attribute, so rebinding one here reaches every
+caller; `ext_pow` multiplies through the private `_mul`, so such a
+rebound `ext_mul` sees only calls from outside the kernel.
 """
+
+import functools
+
+from . import linalg
 
 
 def backend() -> str:
-    """Name of the kernel implementation: always "pure" (plain Python)."""
+    """Name of the kernel implementation: always "pure" (there is one)."""
     return "pure"
 
 
@@ -120,19 +127,39 @@ def ext_inv(a: tuple, red: tuple, q: int) -> tuple:
     return tuple(c * scale % q for c in u1) + (0,) * (s - len(u1))
 
 
-def ext_dot(xs, ys, red: tuple, q: int) -> tuple:
-    """Sum of pairwise products: an unreduced accumulate, one final fold."""
+def ext_dot(xs, ys, red: tuple, q: int):
+    """Sum over n of xs[n] * ys[n], as two modular int64 matrix products.
+
+    xs and ys are (..., n, s) stacks of elements with entries in [0, q)
+    whose leading axes broadcast.  One product xs^T ys gives the s x s
+    coefficient products, entry (i, j) the coefficient of xi^i * xi^j,
+    and one product with `_fold_table` reduces them through the modulus.
+    Lists of tuples, or two 2-D operands, give one element tuple; a stack
+    gives an (..., s) int64 array.  `linalg.matmul_mod` sums in chunks
+    short enough for int64, so the result is exact for every q < 2^31.
+    """
+    import numpy as np
+
     s = len(red)
-    if s == 1:
-        acc = 0
-        for x, y in zip(xs, ys, strict=True):
-            acc += x[0] * y[0]
-        return (acc % q,)
-    prod = [0] * (2 * s - 1)
-    for x, y in zip(xs, ys, strict=True):
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        prod[i + j] += xi * yj
-    return _reduce(prod, red, q)
+    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    if xs.shape == (0,):  # an empty list
+        xs = xs.reshape(0, s)
+    if ys.shape == (0,):
+        ys = ys.reshape(0, s)
+    if xs.shape[-1] != s or ys.shape[-1] != s:
+        raise ValueError("element length does not match field degree")
+    products = linalg.matmul_mod(xs.swapaxes(-1, -2), ys, q)
+    out = linalg.matmul_mod(products.reshape(*products.shape[:-2], s * s), _fold_table(red, q), q)
+    return tuple(out.tolist()) if out.ndim == 1 else out
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_table(red: tuple, q: int):
+    """Read-only (s*s, s) int64 array: row i*s + j holds xi^(i+j) reduced."""
+    import numpy as np
+
+    s = len(red)
+    units = [tuple(int(a == d) for d in range(s)) for a in range(s)]
+    table = np.array([_mul(a, b, red, q) for a in units for b in units], dtype=np.int64)
+    table.flags.writeable = False
+    return table

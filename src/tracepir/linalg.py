@@ -9,31 +9,47 @@ as array operations (the decoder's correction step for a batch).
 
 `matmul_mod` is the one modular product of int64 arrays that every
 layer shares (the query curve, the answers, syndromes, the Chien search
-and the file rebuild), and `field_array` is the one check that turns
-caller input into its int64 operands.  numpy is imported where it is
-used, not when the module loads.
+and the file rebuild), and `integer_array`, with `field_array` adding
+the range, is the one check that turns caller input into int64
+operands.  numpy is imported where it is used, not when the module
+loads.
 """
 
 INT64_MAX = 2**63 - 1
 
 
-def field_array(values, q: int, what: str):
-    """values as an int64 array with entries in [0, q); ValueError otherwise.
+def integer_array(values, what: str):
+    """values as an int64 array of integers; ValueError otherwise.
 
     The values must form a regular array of integers: a ragged nesting,
     or a float, complex, object or string dtype, is refused rather than
-    cast, so 3.5 is not read as 3.  An empty array passes whatever its
-    dtype.  The shape is the caller's to check.
+    cast, so 3.5 is not read as 3, and an unsigned entry past int64 is
+    refused rather than wrapped.  An empty array passes whatever its
+    dtype.  An int64 array comes back as it is, not copied.
     """
     import numpy as np
 
     try:
         array = np.asarray(values)
     except (ValueError, TypeError):
-        raise ValueError(f"{what}: not a regular array of field elements") from None
-    if array.size and array.dtype.kind not in "iu":
-        raise ValueError(f"{what}: entries of dtype {array.dtype} are not field elements")
-    array = array.astype(np.int64, copy=False)
+        raise ValueError(f"{what}: not a regular array of integers") from None
+    kind = array.dtype.kind
+    if array.size and kind not in "iu":
+        raise ValueError(f"{what}: entries of dtype {array.dtype} are not integers")
+    if kind == "u" and array.size and array.max() > INT64_MAX:
+        raise ValueError(f"{what}: entries outside int64")
+    return array.astype(np.int64, copy=False)
+
+
+def field_array(values, q: int, what: str):
+    """values as an int64 array with entries in [0, q); ValueError otherwise.
+
+    The values must pass `integer_array`.  The shape is the caller's to
+    check.
+    """
+    import numpy as np
+
+    array = integer_array(values, what)
     # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
     if array.size and array.view(np.uint64).max() >= q:
         raise ValueError(f"{what}: entries outside [0, {q})")

@@ -21,9 +21,10 @@ The blinding may carry a leading batch axis of B draws, which the same
 product keeps in front of the queries (the exhaustive privacy audit
 evaluates every draw at once); `gen_queries` is the batch of one.
 An answer is the s x s coefficient-product matrix of database and query,
-folded through the modulus; the matrices of a batch of servers come
-from one product.  Every such product goes through `linalg.matmul_mod`,
-which keeps partial sums below 2^63 and so is exact for every q <= 2^31.
+folded through the modulus; the answers of a batch of servers come from
+one `ExtField.dot` over the stacked queries.  Every such product goes
+through `linalg.matmul_mod`, which keeps partial sums below 2^63 and so
+is exact for every q <= 2^31.
 Trace retrieval decodes a (W, k) batch of answer words in one call
 (`retrieve_many`).  Scalars (setup constants, single answers, retrieved
 symbols) stay Python ints and tuples.
@@ -54,7 +55,7 @@ from .gf import (
     minimal_poly,
     next_prime,
 )
-from .linalg import INT64_MAX, matmul_mod
+from .linalg import matmul_mod
 from .rand import SeededStream
 from .rscodes import DecodedBatch, DecodeFailure, GrsCode, dual_multipliers, grs_decode
 
@@ -435,20 +436,15 @@ class Database:
     """m x delta extension-field symbols as a read-only int64 (m, delta, s) array.
 
     Construction copies any rectangular nested sequence of ints and raises
-    ValueError for ragged input, non-integers or values outside int64.
+    ValueError for ragged input, non-integers or values outside int64
+    (`linalg.integer_array`).
     """
 
     array: np.ndarray
 
     def __post_init__(self):
-        try:
-            array = np.array(self.array)
-        except (ValueError, TypeError):
-            raise ValueError("database is not a rectangular array") from None
-        kind = array.dtype.kind
-        if kind not in "iu" or (kind == "u" and array.size and array.max() > INT64_MAX):
-            raise ValueError("database entries are not int64 integers")
-        object.__setattr__(self, "array", _frozen(array.astype(np.int64, copy=False)))
+        array = np.array(linalg.integer_array(self.array, "database"))
+        object.__setattr__(self, "array", _frozen(array))
 
     def __eq__(self, other):
         return isinstance(other, Database) and np.array_equal(self.array, other.array)
@@ -675,10 +671,8 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     j may also be a tuple of server ids, with query_j their stacked
     (len(j), m, delta, s) queries; the answers then come back as a tuple
     in that order, and a single server is the batch of one.  With the
-    database X and each query Q flattened to (N, s), G = X^T Q holds in
-    G[b, a] the coefficient of xi^a * xi^b, and one batched product gives
-    every G.  Row b of G is the element sum_a G[b, a] xi^a, so the dot
-    product of the rows with xi^0..xi^(s-1) folds G through the modulus;
+    database flattened to (N, s) and the queries to (len(j), N, s), one
+    `ExtField.dot` gives every server's answer element as an int64 row;
     the trace answer is that element's coefficients times the cached form
     of Tr(v_j * .).
     """
@@ -691,17 +685,16 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     check_dimensions(params, db)
     shape = db.array.shape if single else (len(ids),) + db.array.shape
     queries = _field_array(params, query_j, shape, "query array")
-    s, ext = params.s, params.ext
-    x = db.array.reshape(-1, s)
-    grams = matmul_mod(x.T, queries.reshape(len(ids), len(x), s), params.q)
-    units = _units(ext)
-    answers = [ext.dot([tuple(row) for row in g], units) for g in grams.tolist()]
+    x = db.array.reshape(-1, params.s)
+    answers = params.ext.dot(x, queries.reshape(len(ids), len(x), params.s)).tolist()
     if mode == "trace":
         forms = _trace_forms(params)
         answers = [
             sum(map(operator.mul, answer, forms[i - 1])) % params.q
             for answer, i in zip(answers, ids)
         ]
+    else:
+        answers = list(map(tuple, answers))
     return answers[0] if single else tuple(answers)
 
 

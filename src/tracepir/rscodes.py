@@ -178,6 +178,9 @@ class DecodedBatch:
 def grs_encode(code: GrsCode, message_poly):
     """The codeword (m_1 h(x_1), ..., m_n h(x_n)) of the message h, as a tuple.
 
+    Every coefficient of h must be a canonical element of the code's
+    field (`validate`); anything else raises ValueError.
+
     Over a prime field, a (W, dim) int64 array of messages, coefficient e
     in column e, gives the (W, n) int64 array of their codewords, one
     product with ``code.generator``.
@@ -187,13 +190,12 @@ def grs_encode(code: GrsCode, message_poly):
         if messages.ndim != 2 or messages.shape[1] != code.dim:
             raise ValueError(f"messages have shape {messages.shape}, expected (W, {code.dim})")
         return linalg.matmul_mod(messages, code.generator, code.field.q)
-    if polyring.degree(list(message_poly)) >= code.dim:
-        raise ValueError(
-            f"message degree {polyring.degree(list(message_poly))} too high for dimension {code.dim}"
-        )
     F = code.field
+    coeffs = [F.validate(c) for c in message_poly]
+    if polyring.degree(coeffs) >= code.dim:
+        raise ValueError(f"message degree {polyring.degree(coeffs)} too high for dimension {code.dim}")
     return tuple(
-        F.mul(m, polyring.poly_eval(F, message_poly, x))
+        F.mul(m, polyring.poly_eval(F, coeffs, x))
         for x, m in zip(code.points, code.multipliers)
     )
 

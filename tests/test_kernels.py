@@ -87,6 +87,74 @@ def test_chunked_contraction_matches_dot(q, s, largest):
     assert folded == kernels.ext_dot(xs, ys, red, q)
 
 
+def ref_dot(xs, ys, mod, q):
+    acc = (0,) * (len(mod) - 1)
+    for x, y in zip(xs, ys):
+        acc = tuple((u + v) % q for u, v in zip(acc, ref_ext_mul(x, y, mod, q)))
+    return acc
+
+
+def as_tuples(stack):
+    return [tuple(x) for x in stack.tolist()]
+
+
+@pytest.mark.parametrize("q,s", FIELDS)
+@pytest.mark.parametrize("largest", [False, True])
+def test_stacked_dot_matches_list_form_and_reference(q, s, largest):
+    # every row of a (3, 9, s) stack equals the list form on that row and
+    # the big-integer reference; with every entry q - 1 near 2^31 the
+    # nine-term sums leave int64 unless matmul_mod chunks them
+    rng = random.Random(q * 17 + s)
+    mod, red = random_modulus(rng, q, s)
+    pick = (lambda: q - 1) if largest else (lambda: rng.randrange(q))
+    xs, ys = (np.array([[[pick() for _ in range(s)] for _ in range(9)] for _ in range(3)], dtype=np.int64)
+              for _ in range(2))
+    got = kernels.ext_dot(xs, ys, red, q)
+    assert got.shape == (3, s) and got.dtype == np.int64
+    for row, x, y in zip(got.tolist(), xs, ys):
+        listed = kernels.ext_dot(as_tuples(x), as_tuples(y), red, q)
+        assert tuple(row) == listed == ref_dot(as_tuples(x), as_tuples(y), mod, q)
+    assert kernels.ext_dot(xs[0], ys[0], red, q) == tuple(got[0].tolist())  # two 2-D operands
+
+
+@pytest.mark.parametrize("q,s", [(7, 2), (5, 3), (2147483629, 2)])
+def test_dot_broadcasts_one_operand_against_a_stack(q, s):
+    rng = random.Random(q + 3 * s)
+    _, red = random_modulus(rng, q, s)
+    x = np.array([[rng.randrange(q) for _ in range(s)] for _ in range(6)], dtype=np.int64)
+    stack = np.array([[[rng.randrange(q) for _ in range(s)] for _ in range(6)] for _ in range(4)],
+                     dtype=np.int64)
+    expected = [list(kernels.ext_dot(as_tuples(x), as_tuples(y), red, q)) for y in stack]
+    assert kernels.ext_dot(x, stack, red, q).tolist() == expected
+    assert kernels.ext_dot(stack, x, red, q).tolist() == expected  # the product commutes
+
+
+@pytest.mark.parametrize("q,s", FIELDS)
+def test_empty_dot_is_zero(q, s):
+    _, red = random_modulus(random.Random(q), q, s)
+    assert kernels.ext_dot([], [], red, q) == (0,) * s
+    empty = np.zeros((2, 0, s), dtype=np.int64)
+    assert kernels.ext_dot(empty, empty, red, q).tolist() == [[0] * s] * 2
+
+
+def test_dot_rejects_mismatched_operands():
+    red = (6, 0)
+    with pytest.raises(ValueError):
+        kernels.ext_dot([(1, 2)], [(1, 2, 3)], red, 7)  # element length is not s
+    with pytest.raises(ValueError):
+        kernels.ext_dot([(1, 2)], [(1, 2), (3, 4)], red, 7)  # different term counts
+
+
+@pytest.mark.parametrize("q,s", FIELDS)
+def test_fold_table_is_read_only_products_of_powers(q, s):
+    _, red = random_modulus(random.Random(q * 5 + s), q, s)
+    table = kernels._fold_table(red, q)
+    assert table.shape == (s * s, s) and not table.flags.writeable
+    units = [tuple(int(a == d) for d in range(s)) for a in range(s)]
+    for i, j in itertools.product(range(s), repeat=2):
+        assert tuple(table[i * s + j].tolist()) == kernels.ext_mul(units[i], units[j], red, q)
+
+
 def test_mod_inv():
     assert kernels.mod_inv(3, 7) == 5
     for q in (2, 3, 7, 11, 101, 2147483629):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tracepir import gf, harness, linalg, pir, polyring, rscodes
+from tracepir import gf, harness, kernels, linalg, pir, polyring, rscodes
 from tracepir.pir import (
     AnswerSet,
     ByzantineBudgetExceeded,
@@ -73,6 +73,14 @@ def lagrange_interpolate(field, points) -> list:
     for (_, y), poly in zip(points, lagrange_basis(field, [x for x, _ in points])):
         phi = poly_add(field, phi, polyring.poly_scale(field, y, list(poly)))
     return phi
+
+
+def ref_dot(field, xs, ys):
+    """Reference: the sum of pairwise products, one field operation at a time."""
+    acc = field.zero
+    for x, y in zip(xs, ys, strict=True):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
 
 
 class TestSetup:
@@ -401,6 +409,34 @@ class TestAnswers:
                 pir.server_answer(p, bad, queries.per_server[: len(bad)], db_ext)
         with pytest.raises(ValueError):
             pir.server_answer(p, (1, 2), queries.per_server[:3], db_ext)  # three queries, two ids
+
+    @pytest.mark.parametrize("scheme", [(7, 1, 1, 5), (11, 1, 2, 8), (17, 1, 2, 8)])
+    def test_all_k_batch_equals_single_calls_with_one_dot_each(self, monkeypatch, scheme):
+        # one kernels.ext_dot per server_answer call, whatever its number of servers
+        p = pir.setup(*scheme, m=2)
+        db = pir.random_database(p, SeededStream(3, "db"))
+        queries = pir.gen_queries(p, 2, SeededStream(4, "q"))
+        calls = []
+
+        def counted(xs, ys, red, q):
+            calls.append(len(ys))  # servers in the stacked operand
+            return original(xs, ys, red, q)
+
+        original = kernels.ext_dot
+        monkeypatch.setattr(kernels, "ext_dot", counted)
+        every = tuple(range(1, p.k + 1))
+        for mode in ("trace", "full"):
+            calls.clear()
+            batch = pir.server_answer(p, every, queries.per_server, db, mode)
+            single = tuple(pir.server_answer(p, j, queries.per_server[j - 1], db, mode) for j in every)
+            assert batch == single
+            assert calls == [p.k] + [1] * p.k
+            kind = int if mode == "trace" else tuple
+            assert all(type(answer) is kind for answer in batch)
+        entries = [tuple(x) for x in db.array.reshape(-1, p.s).tolist()]
+        for j, answer in zip(every, batch):
+            query = [tuple(x) for x in queries.per_server[j - 1].reshape(-1, p.s).tolist()]
+            assert answer == ref_dot(p.ext, entries, query)
 
     def test_dimension_mismatch(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(1, "d"))

@@ -102,6 +102,13 @@ class TestEncode:
         with pytest.raises(ValueError):
             grs_encode(CODE_5_3, [1, 1, 1, 1])
 
+    @pytest.mark.parametrize("message", [[0.5, 1], [9, -3], [1, 7], [-1], ["1"]],
+                             ids=["float", "above-and-negative", "q", "negative", "string"])
+    def test_coefficients_outside_the_field_rejected(self, message):
+        code = GrsCode(field=F7, points=(0, 1, 2, 3, 4), multipliers=(1,) * 5, dim=2)
+        with pytest.raises(ValueError):
+            grs_encode(code, message)
+
     def test_array_of_messages_matches_scalar_encode_row_by_row(self):
         code = GrsCode(field=F7, points=(0, 1, 2, 3, 5, 6), multipliers=(2, 3, 4, 5, 6, 1), dim=4)
         rng = random.Random(3)
