@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import harness, pir, selftest
+from . import harness, pir
 from .harness import DEFAULT_SEED, AdversaryModel
 from .pir import DatabaseFormatError, InvalidParameters
 from .rscodes import EnumerationTooLarge
@@ -125,6 +125,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # imported here: no other subcommand needs it
+
     results = selftest.run_selftest(criteria=args.criteria or None)
     if not results:
         raise InvalidParameters("criteria", "nothing selected")

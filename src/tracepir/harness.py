@@ -117,11 +117,24 @@ def check_adversary(params: SchemeParams, byzantine_set, strategy: str, offset: 
 
 @dataclass(frozen=True)
 class ServerNode:
-    """One replicated server; a node with an adversary corrupts its own answers."""
+    """Replicated servers answering from one database.
 
-    server_id: int
+    `server_id` is one id, or a tuple of ids with the meaning of
+    ``server_answer``'s j: ``respond`` then takes their stacked
+    (len(ids), m, delta, s) queries and returns one answer per id, in id
+    order, from one ``server_answer`` call.  Every honest server computes
+    the same function of its query, so a session answers all of them
+    through one node.  An adversary corrupts one server's answer, so a
+    node with an adversary and a tuple id raises ValueError.
+    """
+
+    server_id: int | tuple
     db: Database
     adversary: AdversaryModel | None = None
+
+    def __post_init__(self):
+        if self.adversary is not None and isinstance(self.server_id, tuple):
+            raise ValueError("a node with an adversary answers for one server id")
 
     def respond(self, params: SchemeParams, query_j, mode: str, stream=None):
         honest = server_answer(params, self.server_id, query_j, self.db, mode)
@@ -194,7 +207,10 @@ def run_session(
 ) -> SessionReport:
     """One full query/answer/retrieve round, deterministic given the seed.
 
-    Trace mode involves all k servers; full mode the first r.  A decode
+    Trace mode involves all k servers; full mode the first r.  The honest
+    ones among them are one ``ServerNode`` and answer in one ``respond``
+    call; each byzantine one is a node of its own, with its adversary and
+    its own stream, forked from the session's as "server-<id>".  A decode
     failure is reported as a failed session, never raised; an adversary
     that ``check_adversary`` rejects raises InvalidParameters.
     """
@@ -212,20 +228,18 @@ def run_session(
         ids = tuple(range(1, params.r + 1))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    nodes = [
-        ServerNode(server_id=j, db=db, adversary=adversary if j in byz else None)
-        for j in ids
-    ]
-    # an honest node never draws, and a fork leaves its parent untouched,
-    # so only the byzantine nodes get their streams
-    values = tuple(
-        node.respond(
-            params, queries.per_server[node.server_id - 1], mode,
-            None if node.adversary is None else stream.fork(f"server-{node.server_id}"),
-        )
-        for node in nodes
-    )
-    answers = AnswerSet(mode=mode, server_ids=ids, values=values)
+    # honest servers never draw, and a fork leaves its parent untouched, so
+    # answering them first leaves every byzantine node's stream as it was
+    honest = tuple(j for j in ids if j not in byz)
+    values = {}
+    if honest:
+        node = ServerNode(server_id=honest, db=db)
+        values = dict(zip(honest, node.respond(params, queries.for_servers(honest), mode)))
+    for j in ids:
+        if j in byz:
+            node = ServerNode(server_id=j, db=db, adversary=adversary)
+            values[j] = node.respond(params, queries.per_server[j - 1], mode, stream.fork(f"server-{j}"))
+    answers = AnswerSet(mode=mode, server_ids=ids, values=tuple(values[j] for j in ids))
     error = None
     retrieval = None
     try:

@@ -541,6 +541,16 @@ class QuerySet:
     blinding: np.ndarray  # (t, m, delta, s) random arrays (never sent to servers)
     iota: int  # requested file (1-based; never sent to servers)
 
+    def for_servers(self, server_ids: tuple) -> np.ndarray:
+        """The stacked queries of the given servers, for an unbatched set.
+
+        All k servers in order take `per_server` as it is, uncopied; any
+        other ids take a copy of their rows, in the order given.
+        """
+        if server_ids == tuple(range(1, len(self.per_server) + 1)):
+            return self.per_server
+        return self.per_server[[j - 1 for j in server_ids]]
+
 
 def _lagrange_values(field, nodes, points) -> tuple:
     """The Lagrange basis on `nodes`, evaluated at each of `points`.
@@ -702,12 +712,8 @@ def collect_answers(
     params: SchemeParams, queries: QuerySet, db: Database, mode: str = "trace", server_ids=None
 ) -> AnswerSet:
     """Honest answers from the given servers (defaults to all k), from one Gram product."""
-    every = tuple(range(1, params.k + 1))
-    server_ids = every if server_ids is None else tuple(server_ids)
-    stacked = queries.per_server
-    if server_ids != every:  # all k servers in order take the queries as they are, uncopied
-        stacked = stacked[[j - 1 for j in server_ids]]
-    values = server_answer(params, server_ids, stacked, db, mode)
+    server_ids = tuple(range(1, params.k + 1)) if server_ids is None else tuple(server_ids)
+    values = server_answer(params, server_ids, queries.for_servers(server_ids), db, mode)
     return AnswerSet(mode=mode, server_ids=server_ids, values=values)
 
 
@@ -896,11 +902,15 @@ def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
 # --- capacity ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def capacity(t: int, b: int, k: int, m: int | None = None) -> Fraction:
     """Download capacity; finite-file version when m is given, else the limit.
 
     C_m = ((k-2b)/k) * (1 - t/(k-2b)) / (1 - (t/(k-2b))^m) and
-    C = (k-2b-t)/k.  Exact rational arithmetic throughout.
+    C = (k-2b-t)/k.  Exact rational arithmetic throughout.  Cached: every
+    session asks for both figures of its scheme, and the exact power
+    (t/(k-2b))^m costs time that grows with m; a call that raises caches
+    nothing.
     """
     if 2 * b + t >= k:
         raise InvalidParameters("2b+t < k", f"need 2b+t < k, got 2b+t={2 * b + t}, k={k}")

@@ -264,15 +264,35 @@ class TestSelftest:
         assert all(line.startswith("PASS") for line in lines)
 
 
+def _child_env():
+    """Environment whose child imports the package this test imported, whatever PYTHONPATH says."""
+    src = str(Path(tracepir.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_golden_cli_stdout(capsys):
+    # stdout and exit codes of `run` frozen at commit 79ee429: trace and
+    # full mode, every strategy, b and b + 1 byzantine servers (some above r
+    # in full mode), all servers byzantine, and (13,1,2,9; m=1024)
+    with open(Path(__file__).parent / "data" / "golden_cli.json") as fh:
+        cases = json.load(fh)
+    for case in cases:
+        code, out, _ = run_cli(capsys, *case["argv"].split())
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_cli_import_leaves_selftest_out():
+    code = "import sys, tracepir.cli; sys.exit('tracepir.selftest' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=_child_env()).returncode == 0
+
+
 def test_identical_invocations_byte_identical_stdout():
     cmd = [
         sys.executable, "-m", "tracepir.cli", "run",
         "--k", "4", "--t", "1", "--b", "1", "--r", "4",
         "--m", "3", "--iota", "2", "--random-db", "--seed", "0xBEEF",
     ]
-    # the child imports the package this test imported, whatever PYTHONPATH says
-    src = str(Path(tracepir.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _child_env()
     first = subprocess.run(cmd, capture_output=True, env=env)
     second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,6 +133,128 @@ class TestRunSession:
         db = pir.random_database(params, 17)
         report = run_session(params, db, 1, seed=5)
         assert report.ok and report.ground_truth_match
+
+
+def per_server_answers(params, db, iota, adversary, mode, seed):
+    """Reference: a session's answers from one ServerNode per id, in id order.
+
+    This is the per-server loop that `run_session` ran before it batched its
+    honest servers: the same query and server streams, one node per id.
+    """
+    stream = SeededStream(seed, "session")
+    queries = pir.gen_queries(params, iota, stream.fork("query"))
+    byz = set(adversary.byzantine_set)
+    return tuple(
+        ServerNode(server_id=j, db=db, adversary=adversary if j in byz else None).respond(
+            params, queries.per_server[j - 1], mode, stream.fork(f"server-{j}") if j in byz else None
+        )
+        for j in range(1, (params.k if mode == "trace" else params.r) + 1)
+    )
+
+
+def replaying_node(values):
+    """A ServerNode stand-in that answers every id with its value in `values`, ignoring its query."""
+
+    @dataclass(frozen=True)
+    class ReplayingNode:
+        server_id: object
+        db: object
+        adversary: object = None
+
+        def respond(self, params, query_j, mode, stream=None):
+            if isinstance(self.server_id, tuple):
+                return tuple(values[j - 1] for j in self.server_id)
+            return values[self.server_id - 1]
+
+    return ReplayingNode
+
+
+def shifting_adversary(params, j, query_j, honest, mode, stream):
+    """Targeted strategy that draws from its stream, so any change in stream order shows."""
+    if mode == "trace":
+        return stream.randrange_excluding(params.q, honest)
+    return params.ext.add(honest, params.ext.embed(stream.randrange(params.q - 1) + 1))
+
+
+# (k, t, b, r, m) -> byzantine sets of size b and b + 1; each set has an id
+# above r, which full mode leaves out of its session
+BATCH_SCHEMES = {
+    (7, 1, 1, 5, 3): ((6,), (2, 7)),
+    (11, 1, 2, 8, 2): ((3, 9), (1, 5, 10)),
+    (17, 1, 2, 8, 2): ((4, 16), (1, 8, 12)),
+}
+BATCH_STRATEGIES = (
+    {"strategy": "random"},
+    {"strategy": "offset", "offset": 3},
+    {"strategy": "targeted", "targeted_fn": shifting_adversary},
+    {"strategy": "targeted"},  # the default query-aware adversary
+)
+
+
+class TestBatchedSession:
+    @pytest.mark.parametrize("scheme", list(BATCH_SCHEMES))
+    @pytest.mark.parametrize("mode", ["trace", "full"])
+    def test_equals_per_server_session(self, monkeypatch, scheme, mode):
+        params = pir.setup(*scheme[:4], m=scheme[4])
+        db = pir.random_database(params, 31)
+        byz_sets = ((),) + BATCH_SCHEMES[scheme] + (tuple(range(1, params.k + 1)),)
+        for n, (byz, kwargs) in enumerate(itertools.product(byz_sets, BATCH_STRATEGIES)):
+            adversary = AdversaryModel(byzantine_set=byz, **kwargs)
+            iota = n % params.m + 1
+            expected = per_server_answers(params, db, iota, adversary, mode, n)
+            words = []
+            with monkeypatch.context() as patch:
+                for name in ("retrieve_from_k", "retrieve_from_r"):
+                    retrieve = getattr(harness, name)
+                    patch.setattr(harness, name, lambda p, a, retrieve=retrieve: words.append(a) or retrieve(p, a))
+                batched = run_session(params, db, iota, adversary, mode=mode, seed=n)
+                patch.setattr(harness, "ServerNode", replaying_node(expected))
+                reference = run_session(params, db, iota, adversary, mode=mode, seed=n)
+            assert words[0].values == words[1].values == expected, (byz, kwargs)
+            assert batched == reference, (byz, kwargs)
+
+    def test_one_honest_answer_call_per_session(self, monkeypatch):
+        params = pir.setup(11, 1, 2, 8, m=2)
+        db = pir.random_database(params, 3)
+        calls = []
+        answer = harness.server_answer
+
+        def counting(params, j, *args):
+            calls.append(j)
+            return answer(params, j, *args)
+
+        monkeypatch.setattr(harness, "server_answer", counting)
+        for mode, ids in (("trace", set(range(1, 12))), ("full", set(range(1, 9)))):
+            for byz in ((), (3, 9), (1, 5, 10), tuple(range(1, 12))):
+                corrupt = len(ids & set(byz))
+                honest_calls = 1 if corrupt < len(ids) else 0
+                for kwargs, per_byzantine in (({"strategy": "random"}, 1), ({"strategy": "targeted"}, 2)):
+                    calls.clear()
+                    run_session(params, db, 1, AdversaryModel(byzantine_set=byz, **kwargs), mode=mode)
+                    # the default query-aware adversary answers its query once more
+                    assert len(calls) == honest_calls + per_byzantine * corrupt, (mode, byz, kwargs)
+                    if honest_calls:
+                        assert calls[0] == tuple(sorted(ids - set(byz)))
+
+    @pytest.mark.parametrize("mode", ["trace", "full"])
+    def test_tuple_id_node_equals_single_id_nodes(self, params_ext, db_ext, mode):
+        queries = pir.gen_queries(params_ext, 2, SeededStream(4, "tuple"))
+        for ids in ((1, 2, 3, 4, 5, 6, 7), (6, 2, 3), (4,)):
+            node = ServerNode(server_id=ids, db=db_ext)
+            batch = node.respond(params_ext, queries.for_servers(ids), mode)
+            assert batch == tuple(
+                ServerNode(server_id=j, db=db_ext).respond(params_ext, queries.per_server[j - 1], mode)
+                for j in ids
+            )
+
+    def test_tuple_id_with_adversary_rejected(self, db_small):
+        adversary = AdversaryModel(byzantine_set=(2,), strategy="offset", offset=2)
+        with pytest.raises(ValueError):
+            ServerNode(server_id=(2, 3), db=db_small, adversary=adversary)
+        with pytest.raises(ValueError):
+            ServerNode(server_id=(2,), db=db_small, adversary=adversary)
+        ServerNode(server_id=(2, 3), db=db_small)
+        ServerNode(server_id=2, db=db_small, adversary=adversary)
 
 
 class TestAdversaryModel:

@@ -404,6 +404,8 @@ class TestAnswers:
             single = tuple(pir.server_answer(p, j, queries.per_server[j - 1], db_ext, mode) for j in ids)
             assert batch == single
             assert pir.collect_answers(p, queries, db_ext, mode, ids).values == single
+        assert queries.for_servers(tuple(range(1, p.k + 1))) is queries.per_server
+        assert np.array_equal(queries.for_servers((5, 2, 7)), queries.per_server[[4, 1, 6]])
         for bad in ((1, 0), (8,)):
             with pytest.raises(IndexError):
                 pir.server_answer(p, bad, queries.per_server[: len(bad)], db_ext)
@@ -949,6 +951,17 @@ class TestCapacity:
     def test_constraint_violation(self):
         with pytest.raises(InvalidParameters):
             pir.capacity(2, 1, 4)
+
+    def test_cached_values_and_uncached_failures(self):
+        for args in ((1, 2, 13), (1, 2, 13, 1024)):
+            first, again = pir.capacity(*args), pir.capacity(*args)
+            assert isinstance(again, Fraction) and again == first
+        assert pir.capacity(1, 2, 13) == Fraction(8, 13)
+        # a call that raises is not remembered: it raises again, every time
+        for args in ((2, 1, 4), (1, 1, 5, 0)):
+            for _ in range(3):
+                with pytest.raises(InvalidParameters):
+                    pir.capacity(*args)
 
 
 class TestDualWords:
