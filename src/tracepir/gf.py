@@ -310,12 +310,6 @@ class FieldTower:
             modulus = find_irreducibles(base, s, 1)[0]
         return cls(base, ExtField(base, s, modulus))
 
-    def trace(self, x: tuple) -> int:
-        return self.ext.trace(x)
-
-    def embed(self, c: int) -> tuple:
-        return self.ext.embed(c)
-
     def describe(self) -> str:
         mod = ":".join(str(c) for c in self.ext.modulus)
         return f"q={self.q};s={self.s};mod={mod}"

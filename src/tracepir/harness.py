@@ -2,9 +2,10 @@
 
 Servers are in-process state machines behind a request/response surface,
 so a networked transport could be layered on without touching scheme
-logic.  All randomness flows through seeded streams and every report
-records its seed, making sessions, sweeps, and audits reproducible
-byte for byte.
+logic.  A byzantine server is an honest one whose answer an adversary
+replaces, so its error is added to the honest answer word.  All
+randomness flows through seeded streams and every report records its
+seed, making sessions, sweeps, and audits reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -122,25 +123,17 @@ class ServerNode:
     `server_id` is one id, or a tuple of ids with the meaning of
     ``server_answer``'s j: ``respond`` then takes their stacked
     (len(ids), m, delta, s) queries and returns one answer per id, in id
-    order, from one ``server_answer`` call.  Every honest server computes
-    the same function of its query, so a session answers all of them
-    through one node.  An adversary corrupts one server's answer, so a
-    node with an adversary and a tuple id raises ValueError.
+    order, from one ``server_answer`` call.  Every server computes the
+    same function of its query, so a session answers all of them through
+    one node; a byzantine server's answer is that honest answer as an
+    ``AdversaryModel`` corrupts it.
     """
 
     server_id: int | tuple
     db: Database
-    adversary: AdversaryModel | None = None
 
-    def __post_init__(self):
-        if self.adversary is not None and isinstance(self.server_id, tuple):
-            raise ValueError("a node with an adversary answers for one server id")
-
-    def respond(self, params: SchemeParams, query_j, mode: str, stream=None):
-        honest = server_answer(params, self.server_id, query_j, self.db, mode)
-        if self.adversary is None:
-            return honest
-        return self.adversary.corrupt(params, self.server_id, query_j, honest, mode, stream)
+    def respond(self, params: SchemeParams, query_j, mode: str):
+        return server_answer(params, self.server_id, query_j, self.db, mode)
 
 
 # --- sessions -----------------------------------------------------------------
@@ -207,9 +200,9 @@ def run_session(
 ) -> SessionReport:
     """One full query/answer/retrieve round, deterministic given the seed.
 
-    Trace mode involves all k servers; full mode the first r.  The honest
-    ones among them are one ``ServerNode`` and answer in one ``respond``
-    call; each byzantine one is a node of its own, with its adversary and
+    Trace mode involves all k servers; full mode the first r.  They all
+    answer through one ``ServerNode`` in one ``respond`` call; then the
+    adversary corrupts the answer of each byzantine one among them, with
     its own stream, forked from the session's as "server-<id>".  A decode
     failure is reported as a failed session, never raised; an adversary
     that ``check_adversary`` rejects raises InvalidParameters.
@@ -228,18 +221,13 @@ def run_session(
         ids = tuple(range(1, params.r + 1))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # honest servers never draw, and a fork leaves its parent untouched, so
-    # answering them first leaves every byzantine node's stream as it was
-    honest = tuple(j for j in ids if j not in byz)
-    values = {}
-    if honest:
-        node = ServerNode(server_id=honest, db=db)
-        values = dict(zip(honest, node.respond(params, queries.for_servers(honest), mode)))
-    for j in ids:
-        if j in byz:
-            node = ServerNode(server_id=j, db=db, adversary=adversary)
-            values[j] = node.respond(params, queries.per_server[j - 1], mode, stream.fork(f"server-{j}"))
-    answers = AnswerSet(mode=mode, server_ids=ids, values=tuple(values[j] for j in ids))
+    values = list(ServerNode(server_id=ids, db=db).respond(params, queries.for_servers(ids), mode))
+    for j in byz:
+        if j <= len(ids):
+            values[j - 1] = adversary.corrupt(
+                params, j, queries.per_server[j - 1], values[j - 1], mode, stream.fork(f"server-{j}")
+            )
+    answers = AnswerSet(mode=mode, server_ids=ids, values=tuple(values))
     error = None
     retrieval = None
     try:

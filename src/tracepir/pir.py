@@ -544,11 +544,13 @@ class QuerySet:
     def for_servers(self, server_ids: tuple) -> np.ndarray:
         """The stacked queries of the given servers, for an unbatched set.
 
-        All k servers in order take `per_server` as it is, uncopied; any
-        other ids take a copy of their rows, in the order given.
+        A prefix (1, ..., n) in order, such as all k servers or a full-mode
+        session's first r, takes a view of `per_server`, uncopied; any other
+        ids take a copy of their rows, in the order given.
         """
-        if server_ids == tuple(range(1, len(self.per_server) + 1)):
-            return self.per_server
+        n = len(server_ids)
+        if n <= len(self.per_server) and server_ids == tuple(range(1, n + 1)):
+            return self.per_server[:n]
         return self.per_server[[j - 1 for j in server_ids]]
 
 

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,11 +118,9 @@ class TestRunSession:
         node = ServerNode(server_id=2, db=db_small)
         honest = node.respond(params_small, queries.per_server[1], "trace")
         assert honest == pir.server_answer(params_small, 2, queries.per_server[1], db_small, "trace")
-        byz = ServerNode(
-            server_id=2, db=db_small,
-            adversary=AdversaryModel(byzantine_set=(2,), strategy="offset", offset=2),
-        )
-        assert byz.respond(params_small, queries.per_server[1], "trace") == (honest + 2) % 7
+        adversary = AdversaryModel(byzantine_set=(2,), strategy="offset", offset=2)
+        corrupt = adversary.corrupt(params_small, 2, queries.per_server[1], honest, "trace", None)
+        assert corrupt == (honest + 2) % 7
 
     @pytest.mark.parametrize("scheme,s,q", [((13, 1, 2, 6), 8, 13), ((8, 1, 0, 2), 7, 11)])
     def test_large_tower_round_trip(self, scheme, s, q):
@@ -136,37 +133,22 @@ class TestRunSession:
 
 
 def per_server_answers(params, db, iota, adversary, mode, seed):
-    """Reference: a session's answers from one ServerNode per id, in id order.
+    """Reference: a session's answer word, one server at a time, in id order.
 
-    This is the per-server loop that `run_session` ran before it batched its
-    honest servers: the same query and server streams, one node per id.
+    Each asked server answers with its own ``pir.server_answer`` call, and
+    the adversary corrupts that answer for each byzantine one, with the
+    session stream forked as "server-<id>".
     """
     stream = SeededStream(seed, "session")
     queries = pir.gen_queries(params, iota, stream.fork("query"))
-    byz = set(adversary.byzantine_set)
-    return tuple(
-        ServerNode(server_id=j, db=db, adversary=adversary if j in byz else None).respond(
-            params, queries.per_server[j - 1], mode, stream.fork(f"server-{j}") if j in byz else None
-        )
-        for j in range(1, (params.k if mode == "trace" else params.r) + 1)
-    )
-
-
-def replaying_node(values):
-    """A ServerNode stand-in that answers every id with its value in `values`, ignoring its query."""
-
-    @dataclass(frozen=True)
-    class ReplayingNode:
-        server_id: object
-        db: object
-        adversary: object = None
-
-        def respond(self, params, query_j, mode, stream=None):
-            if isinstance(self.server_id, tuple):
-                return tuple(values[j - 1] for j in self.server_id)
-            return values[self.server_id - 1]
-
-    return ReplayingNode
+    words = []
+    for j in range(1, (params.k if mode == "trace" else params.r) + 1):
+        query = queries.per_server[j - 1]
+        answer = pir.server_answer(params, j, query, db, mode)
+        if j in adversary.byzantine_set:
+            answer = adversary.corrupt(params, j, query, answer, mode, stream.fork(f"server-{j}"))
+        words.append(answer)
+    return tuple(words)
 
 
 def shifting_adversary(params, j, query_j, honest, mode, stream):
@@ -198,19 +180,22 @@ class TestBatchedSession:
         params = pir.setup(*scheme[:4], m=scheme[4])
         db = pir.random_database(params, 31)
         byz_sets = ((),) + BATCH_SCHEMES[scheme] + (tuple(range(1, params.k + 1)),)
+        retrieve = harness.retrieve_from_k if mode == "trace" else harness.retrieve_from_r
+        name = retrieve.__name__
         for n, (byz, kwargs) in enumerate(itertools.product(byz_sets, BATCH_STRATEGIES)):
             adversary = AdversaryModel(byzantine_set=byz, **kwargs)
             iota = n % params.m + 1
             expected = per_server_answers(params, db, iota, adversary, mode, n)
+            reference_word = pir.AnswerSet(mode=mode, server_ids=tuple(range(1, len(expected) + 1)),
+                                           values=expected)
             words = []
             with monkeypatch.context() as patch:
-                for name in ("retrieve_from_k", "retrieve_from_r"):
-                    retrieve = getattr(harness, name)
-                    patch.setattr(harness, name, lambda p, a, retrieve=retrieve: words.append(a) or retrieve(p, a))
+                patch.setattr(harness, name, lambda p, a: words.append(a) or retrieve(p, a))
                 batched = run_session(params, db, iota, adversary, mode=mode, seed=n)
-                patch.setattr(harness, "ServerNode", replaying_node(expected))
+                # the same session, decoding the reference word in place of its own
+                patch.setattr(harness, name, lambda p, a: retrieve(p, reference_word))
                 reference = run_session(params, db, iota, adversary, mode=mode, seed=n)
-            assert words[0].values == words[1].values == expected, (byz, kwargs)
+            assert words[0] == reference_word, (byz, kwargs)
             assert batched == reference, (byz, kwargs)
 
     def test_one_honest_answer_call_per_session(self, monkeypatch):
@@ -224,17 +209,19 @@ class TestBatchedSession:
             return answer(params, j, *args)
 
         monkeypatch.setattr(harness, "server_answer", counting)
-        for mode, ids in (("trace", set(range(1, 12))), ("full", set(range(1, 9)))):
+        strategies = (
+            ({"strategy": "random"}, 0),
+            ({"strategy": "offset", "offset": 3}, 0),
+            ({"strategy": "targeted", "targeted_fn": shifting_adversary}, 0),
+            ({"strategy": "targeted"}, 1),  # the query-aware adversary answers its query once more
+        )
+        for mode, n in (("trace", 11), ("full", 8)):
             for byz in ((), (3, 9), (1, 5, 10), tuple(range(1, 12))):
-                corrupt = len(ids & set(byz))
-                honest_calls = 1 if corrupt < len(ids) else 0
-                for kwargs, per_byzantine in (({"strategy": "random"}, 1), ({"strategy": "targeted"}, 2)):
+                asked = [j for j in byz if j <= n]
+                for kwargs, per_byzantine in strategies:
                     calls.clear()
                     run_session(params, db, 1, AdversaryModel(byzantine_set=byz, **kwargs), mode=mode)
-                    # the default query-aware adversary answers its query once more
-                    assert len(calls) == honest_calls + per_byzantine * corrupt, (mode, byz, kwargs)
-                    if honest_calls:
-                        assert calls[0] == tuple(sorted(ids - set(byz)))
+                    assert calls == [tuple(range(1, n + 1))] + asked * per_byzantine, (mode, byz, kwargs)
 
     @pytest.mark.parametrize("mode", ["trace", "full"])
     def test_tuple_id_node_equals_single_id_nodes(self, params_ext, db_ext, mode):
@@ -246,15 +233,6 @@ class TestBatchedSession:
                 ServerNode(server_id=j, db=db_ext).respond(params_ext, queries.per_server[j - 1], mode)
                 for j in ids
             )
-
-    def test_tuple_id_with_adversary_rejected(self, db_small):
-        adversary = AdversaryModel(byzantine_set=(2,), strategy="offset", offset=2)
-        with pytest.raises(ValueError):
-            ServerNode(server_id=(2, 3), db=db_small, adversary=adversary)
-        with pytest.raises(ValueError):
-            ServerNode(server_id=(2,), db=db_small, adversary=adversary)
-        ServerNode(server_id=(2, 3), db=db_small)
-        ServerNode(server_id=2, db=db_small, adversary=adversary)
 
 
 class TestAdversaryModel:

@@ -404,13 +404,24 @@ class TestAnswers:
             single = tuple(pir.server_answer(p, j, queries.per_server[j - 1], db_ext, mode) for j in ids)
             assert batch == single
             assert pir.collect_answers(p, queries, db_ext, mode, ids).values == single
-        assert queries.for_servers(tuple(range(1, p.k + 1))) is queries.per_server
         assert np.array_equal(queries.for_servers((5, 2, 7)), queries.per_server[[4, 1, 6]])
         for bad in ((1, 0), (8,)):
             with pytest.raises(IndexError):
                 pir.server_answer(p, bad, queries.per_server[: len(bad)], db_ext)
         with pytest.raises(ValueError):
             pir.server_answer(p, (1, 2), queries.per_server[:3], db_ext)  # three queries, two ids
+
+    def test_prefix_queries_are_a_view(self, params_ext):
+        # all k servers, and a full-mode session's first r, answer from per_server itself
+        queries = pir.gen_queries(params_ext, 2, SeededStream(6, "batch"))
+        for n in (1, params_ext.r, params_ext.k):
+            prefix = queries.for_servers(tuple(range(1, n + 1)))
+            assert np.shares_memory(prefix, queries.per_server)
+            assert np.array_equal(prefix, queries.per_server[:n])
+        for ids in ((2, 1), (2, 3), (1, 3)):
+            assert not np.shares_memory(queries.for_servers(ids), queries.per_server)
+        with pytest.raises(IndexError):
+            queries.for_servers(tuple(range(1, params_ext.k + 2)))
 
     @pytest.mark.parametrize("scheme", [(7, 1, 1, 5), (11, 1, 2, 8), (17, 1, 2, 8)])
     def test_all_k_batch_equals_single_calls_with_one_dot_each(self, monkeypatch, scheme):
