@@ -165,12 +165,6 @@ class ExtField:
         """Lift a base-field element into the extension."""
         return (c % self.q,) + (0,) * (self.s - 1)
 
-    def project(self, x: tuple) -> int:
-        """Inverse of embed; raises if x has coordinates above degree 0."""
-        if any(x[1:]):
-            raise ValueError(f"{x} is not in the base subfield")
-        return x[0]
-
     def add(self, a: tuple, b: tuple) -> tuple:
         q = self.q
         return tuple((x + y) % q for x, y in zip(a, b, strict=True))
@@ -448,17 +442,22 @@ def minimal_poly(ext: ExtField, alpha: tuple) -> tuple:
 def dual_basis(ext: ExtField, theta) -> DualBasisPair:
     """Trace-orthogonal dual of a basis of F_{q^s} over F_q.
 
-    Inverts the Gram matrix G_ij = Tr(theta_i * theta_j) and forms
-    eta_j = sum_i (G^{-1})_ij theta_i, which gives Tr(theta_i * eta_j)
-    = delta_ij.
+    Inverts the Gram matrix G_ij = Tr(theta_i * theta_j), by solving it
+    against the identity, and forms eta_j = sum_i (G^{-1})_ij theta_i,
+    which gives Tr(theta_i * eta_j) = delta_ij.
     """
+    import numpy as np
+
     theta = tuple(theta)
     if len(theta) != ext.s:
         raise SingularBasisError(f"need exactly {ext.s} basis elements")
     gram = [[ext.trace(ext.mul(ti, tj)) for tj in theta] for ti in theta]
-    inverse = linalg.invert(ext.base, gram)
-    if inverse is None:
+    inverses, invertible = linalg.solve_stacked(
+        ext.q, np.array([gram], dtype=np.int64), np.eye(ext.s, dtype=np.int64)[None]
+    )
+    if not invertible[0]:
         raise SingularBasisError("basis is linearly dependent (singular trace Gram matrix)")
+    inverse = inverses[0].tolist()
     eta = []
     for j in range(ext.s):
         acc = ext.zero

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import pir
 from .gf import next_prime
-from .linalg import is_invertible
+from .linalg import solve_stacked
 from .pir import (
     AnswerSet,
     ByzantineBudgetExceeded,
@@ -27,7 +27,6 @@ from .pir import (
     capacity,
     collect_answers,
     gen_queries,
-    lagrange_basis_values,
     queries_from_blinding,
     retrieve_from_k,
     retrieve_from_r,
@@ -310,8 +309,10 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     Memory per iota is O((C(k, t) + k*s) * m * delta * draws) ints: the
     batched queries, the keys, and histograms no longer than the keys
     they count, which are kept for the pair comparisons.  Transfer mode
-    checks instead that the blinding-to-query evaluation matrix is
-    invertible for every t-subset (a bijection forces uniformity).  A
+    checks instead that each t-subset's blinding-to-query map is a
+    bijection (which forces uniformity), in one stacked elimination of
+    its (t*s) x (t*s) expansion over F_q; the map is F_q-linear, so that
+    is exact.  A subset of fewer than t servers raises ValueError.  A
     `t_subset` must be a nonempty set of ids in [1, k] (else
     InvalidParameters("subset")), and `mode` "exhaustive" or
     "transfer-matrix" (else ValueError, before anything else).
@@ -340,12 +341,16 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     else:
         subsets = tuple(itertools.combinations(range(1, params.k + 1), params.t))
     if mode == "transfer-matrix":
-        table = lagrange_basis_values(params)
-        failures = []
-        for subset in subsets:
-            matrix = [list(table[j - 1][1]) for j in subset]
-            if not is_invertible(params.ext, matrix):
-                failures.append({"subset": list(subset), "reason": "transfer matrix singular"})
+        curve, _ = pir._query_tables(params)
+        # row h*s + a of subset u maps blinding coefficient a of term h to its
+        # servers' query coefficients; fewer than t servers leave it not square
+        size = params.t * params.s
+        matrices = curve[np.array(subsets) - 1].transpose(0, 2, 1, 3).reshape(len(subsets), size, -1)
+        _, invertible = solve_stacked(params.q, matrices, np.zeros((len(subsets), size, 0), dtype=np.int64))
+        failures = [
+            {"subset": list(subsets[u]), "reason": "transfer matrix singular"}
+            for u in np.flatnonzero(~invertible).tolist()
+        ]
         return PrivacyAuditReport(
             params=summary,
             mode=mode,

@@ -261,26 +261,26 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     theta = tuple(ext.pow(gamma, d) for d in range(s))
     pair = dual_basis(ext, theta)
 
-    recovery_polys = []
+    # change of basis to powers of alpha_i, all delta systems in one solve:
+    # coordinates of alpha_i^d in the construction basis are the tuples
+    # themselves, so column d of system i holds alpha_i^d, and column d of
+    # its right-hand side eta_d / (u_i prod_{l != i} f_l(alpha_i))
+    powers, targets = [], []
     for i, alpha in enumerate(alphas):
-        # coordinates of alpha^d in the construction basis are the tuples
-        # themselves, so the change-of-basis matrix columns are the powers
-        powers = [ext.pow(alpha, d) for d in range(s)]
-        matrix = [[powers[col][row] for col in range(s)] for row in range(s)]
-        inverse = linalg.invert(base, matrix)
-        if inverse is None:
-            raise ArithmeticError(f"alpha_{i + 1} does not have degree {s}")
         excl = ext.one
         for l, f in enumerate(min_polys):
             if l != i:
                 excl = ext.mul(excl, ext.eval_base_poly(f, alpha))
         target_scale = ext.inv(ext.mul(u[i], excl))
-        row_polys = []
-        for eta_d in pair.eta:
-            target = ext.mul(target_scale, eta_d)
-            coeffs = tuple(linalg.mat_vec(base, inverse, list(target)))
-            row_polys.append(coeffs)
-        recovery_polys.append(tuple(row_polys))
+        powers.append([ext.pow(alpha, d) for d in range(s)])
+        targets.append([ext.mul(target_scale, eta_d) for eta_d in pair.eta])
+    coeffs, invertible = linalg.solve_stacked(
+        q, np.array(powers, dtype=np.int64).swapaxes(1, 2), np.array(targets, dtype=np.int64).swapaxes(1, 2)
+    )
+    if not invertible.all():
+        raise ArithmeticError(f"alpha_{invertible.argmin() + 1} does not have degree {s}")
+    # row d of recovery_polys[i] is column d of solution i
+    recovery_polys = tuple(tuple(map(tuple, system)) for system in coeffs.swapaxes(1, 2).tolist())
 
     params = SchemeParams(
         k=k,
@@ -300,7 +300,7 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
         v=v,
         theta=pair.theta,
         eta=pair.eta,
-        recovery_polys=tuple(recovery_polys),
+        recovery_polys=recovery_polys,
     )
     verify_params(params)
     return params

@@ -107,7 +107,8 @@ class TestExtField:
             acc = E.zero
             for i in range(s):
                 acc = E.add(acc, E.pow(x, q**i))
-            assert E.trace(x) == E.project(acc)
+            # the sum lies in the base subfield and equals the trace there
+            assert acc == (E.trace(x),) + (0,) * (s - 1)
 
     def test_inverse_and_pow(self):
         E = tower(7, 2).ext

@@ -407,6 +407,37 @@ class TestPrivacyAudit:
         assert report.verdict == "fail"
         assert {tuple(f["subset"]) for f in report.failures} == {u for u in report.subsets if j in u}
 
+    @pytest.mark.parametrize(
+        "scheme, j, exhaustive",
+        [
+            ((4, 1, 1, 4), 1, True),
+            ((4, 1, 1, 4), 2, True),
+            ((4, 1, 1, 4), 3, True),
+            ((4, 1, 1, 4), 4, True),
+            ((7, 1, 1, 5), 3, True),  # s = 2: 2 x 2 expansions over F_q
+            ((6, 2, 1, 5), 4, True),  # t = 2: server 4 first or second in a pair
+            ((10, 2, 1, 7), 5, False),  # t = 2 and s = 2: 4 x 4 expansions
+        ],
+        ids=["4114-server1", "4114-server2", "4114-server3", "4114-server4", "7115-server3", "6215-server4",
+             "10217-server5"],
+    )
+    def test_transfer_matrix_flags_a_leaking_curve(self, monkeypatch, scheme, j, exhaustive):
+        # server j's queries carry no blinding: its row of every transfer
+        # matrix is zero, so exactly the subsets holding j are singular
+        params = pir.setup(*scheme, m=2)
+        try:
+            leak_at(monkeypatch, params, j)
+            report = privacy_audit(params, mode="transfer-matrix")
+            reference = privacy_audit(params, mode="exhaustive") if exhaustive else None
+        finally:
+            pir._query_tables.cache_clear()
+        leaking = [list(u) for u in report.subsets if j in u]
+        assert report.verdict == "fail"
+        assert (report.cases_total, report.cases_failed) == (math.comb(params.k, params.t), len(leaking))
+        assert report.failures == tuple({"subset": u, "reason": "transfer matrix singular"} for u in leaking)
+        if exhaustive:
+            assert {tuple(f["subset"]) for f in reference.failures} == {tuple(u) for u in leaking}
+
     def test_transfer_matrix_all_subsets(self, params_ext):
         report = privacy_audit(params_ext, mode="transfer-matrix")
         assert report.verdict == "pass"

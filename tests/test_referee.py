@@ -5,16 +5,20 @@ b <= 3, so it reaches towers and byzantine budgets that no hand-picked
 case names.  Each drawn scheme that passes ``setup`` runs trace and
 full sessions with 0..b byzantine servers under the random, offset and
 default targeted strategies; every one must return the planted file and
-flag only byzantine servers.
+flag only byzantine servers.  Each also passes the transfer-matrix
+audit, whose verdicts on a sample of subsets are checked against a
+t x t elimination over F_{q^s}.
 """
 
+import itertools
 import json
+import math
 
 import pytest
 
-from tracepir import pir
+from tracepir import linalg, pir
 from tracepir.gf import MAX_FIELD_SIZE, next_prime
-from tracepir.harness import AdversaryModel, run_session
+from tracepir.harness import AdversaryModel, privacy_audit, run_session
 from tracepir.rand import SeededStream
 
 SLICE = 20  # schemes that pass setup
@@ -104,3 +108,23 @@ def test_sessions_return_the_planted_file(drawn, n):
                 case = (scheme, mode, byz, strategy)
                 assert report.ok, case
                 assert set(report.identified_error_positions) <= set(byz), case
+
+
+@pytest.mark.parametrize("n", range(SLICE))
+def test_transfer_matrix_audit_passes(drawn, n):
+    # the audit eliminates each subset's (t*s) x (t*s) expansion over F_q;
+    # the reference eliminates the t x t matrix of chi values over F_{q^s}
+    params = drawn[0][n]
+    scheme = (params.k, params.t, params.b, params.r)
+    report = privacy_audit(params, mode="transfer-matrix")
+    assert report.verdict == "pass", scheme
+    assert (report.cases_total, report.cases_failed) == (math.comb(params.k, params.t), 0), scheme
+    failing = {tuple(f["subset"]) for f in report.failures}
+    table = pir.lagrange_basis_values(params)
+    subsets = list(itertools.combinations(range(1, params.k + 1), params.t))
+    stream = SeededStream(SEED, f"subsets-{scheme}")
+    for i in stream.sample(len(subsets), min(20, len(subsets))):
+        matrix = [list(table[j - 1][1]) for j in subsets[i]]
+        singular = len(linalg._eliminate(params.ext, matrix, params.t)) < params.t
+        assert (subsets[i] in failing) == singular, (scheme, subsets[i])
+
