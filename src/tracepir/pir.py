@@ -18,13 +18,15 @@ are (k, m, delta, s), server-major.  The query curve is one broadcast
 product of the (m*delta, t*s) blinding rows with a (k, t*s, s) stack of
 multiply-by-constant blocks, whose result is already in that layout.
 The blinding may carry a leading batch axis of B draws, which the same
-product keeps in front of the queries (the exhaustive privacy audit
-evaluates every draw at once); `gen_queries` is the batch of one.
-An answer is the s x s coefficient-product matrix of database and query,
-folded through the modulus; the answers of a batch of servers come from
-one `ExtField.dot` over the stacked queries.  Every such product goes
-through `linalg.matmul_mod`, which keeps partial sums below 2^63 and so
-is exact for every q <= 2^31.
+product keeps in front of the queries: the exhaustive privacy audit
+evaluates every draw at one file index, and the randomized byzantine
+sweep runs B clients, each draw at its own index.  `gen_queries` is the
+batch of one.  An answer is the s x s coefficient-product matrix of
+database and query, folded through the modulus; the answers of a batch
+of servers, for one client or for B, come from one `ExtField.dot` over
+the stacked queries.  Every such product goes through
+`linalg.matmul_mod`, which keeps partial sums below 2^63 and so is exact
+for every q <= 2^31.
 Trace retrieval decodes a (W, k) batch of answer words in one call
 (`retrieve_many`).  Scalars (setup constants, single answers, retrieved
 symbols) stay Python ints and tuples.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -539,19 +542,21 @@ class QuerySet:
 
     per_server: np.ndarray  # (k, m, delta, s); entry j - 1 goes to server j
     blinding: np.ndarray  # (t, m, delta, s) random arrays (never sent to servers)
-    iota: int  # requested file (1-based; never sent to servers)
+    iota: int | tuple  # requested file (1-based; never sent to servers), or one per draw
 
     def for_servers(self, server_ids: tuple) -> np.ndarray:
-        """The stacked queries of the given servers, for an unbatched set.
+        """The stacked queries of the given servers, along the server axis.
 
         A prefix (1, ..., n) in order, such as all k servers or a full-mode
         session's first r, takes a view of `per_server`, uncopied; any other
-        ids take a copy of their rows, in the order given.
+        ids take a copy of their rows, in the order given.  A batched set
+        gives (B, n, m, delta, s), every draw's servers alike.
         """
         n = len(server_ids)
-        if n <= len(self.per_server) and server_ids == tuple(range(1, n + 1)):
-            return self.per_server[:n]
-        return self.per_server[[j - 1 for j in server_ids]]
+        servers = self.per_server.shape[-4]
+        if n <= servers and server_ids == tuple(range(1, n + 1)):
+            return self.per_server[..., :n, :, :, :]
+        return np.take(self.per_server, [j - 1 for j in server_ids], axis=-4)
 
 
 def _lagrange_values(field, nodes, points) -> tuple:
@@ -623,33 +628,48 @@ def _query_tables(params: SchemeParams) -> tuple:
     return _frozen(curve), _frozen(indicator)
 
 
-def queries_from_blinding(params: SchemeParams, iota: int, blinding) -> QuerySet:
+def queries_from_blinding(params: SchemeParams, iota, blinding) -> QuerySet:
     """Evaluate the indicator-plus-blinding curve at every server point.
 
     One product of the (m*delta, t*s) blinding rows with the (k, t*s, s)
     curve stack gives the (k, m*delta, s) queries in `per_server` order.
     A (B, t, m, delta, s) blinding is a batch of B draws: the same one
-    product then gives (B, k, m, delta, s) queries, draw-major.
+    product then gives (B, k, m, delta, s) queries, draw-major.  With one
+    file index every draw asks for that file (the privacy audit); with a
+    length-B sequence of them, as B clients ask, draw n's indicator goes
+    to row iota[n] of its own queries.
     """
-    if not 1 <= iota <= params.m:
-        raise IndexError(f"file index {iota} outside [1, {params.m}]")
     k, t, m, delta, s = params.k, params.t, params.m, params.delta, params.s
+    batched_iota = not isinstance(iota, (int, np.integer))
+    if not all(1 <= i <= m for i in (iota if batched_iota else (iota,))):
+        raise IndexError(f"file index {iota} outside [1, {m}]")
     blinding = _field_array(params, blinding, (t, m, delta, s), "blinding", batch=True)
-    curve, indicator = _query_tables(params)
     lead = blinding.shape[:-4]
+    if batched_iota and lead != (len(iota),):
+        raise ValueError(f"{len(iota)} file indices for a blinding of shape {blinding.shape}")
+    curve, indicator = _query_tables(params)
     # (..., 1, m*delta, t*s) rows against the (k, t*s, s) stack give (..., k, m*delta, s)
     rows = blinding.swapaxes(-4, -3).swapaxes(-3, -2).reshape(lead + (1, m * delta, t * s))
     per_server = matmul_mod(rows, curve, params.q).reshape(lead + (k, m, delta, s))
-    per_server[..., iota - 1, :, :] = (per_server[..., iota - 1, :, :] + indicator) % params.q
+    if batched_iota:
+        iota = tuple(int(i) for i in iota)
+        draws, asked = np.arange(len(iota)), np.array(iota, dtype=np.intp) - 1
+        per_server[draws, :, asked] = (per_server[draws, :, asked] + indicator) % params.q
+    else:
+        per_server[..., iota - 1, :, :] = (per_server[..., iota - 1, :, :] + indicator) % params.q
     return QuerySet(per_server=per_server, blinding=blinding, iota=iota)
+
+
+def draw_blinding(params: SchemeParams, randomness) -> np.ndarray:
+    """The t blinding arrays of one query, as a (t, m, delta, s) int64 array."""
+    stream = _as_stream(randomness, "query")
+    shape = (params.t, params.m, params.delta, params.s)
+    return stream.randrange_array(params.q, math.prod(shape)).reshape(shape)
 
 
 def gen_queries(params: SchemeParams, iota: int, randomness) -> QuerySet:
     """Sample the t blinding arrays and evaluate the query curve."""
-    stream = _as_stream(randomness, "query")
-    shape = (params.t, params.m, params.delta, params.s)
-    blinding = stream.randrange_array(params.q, math.prod(shape)).reshape(shape)
-    return queries_from_blinding(params, iota, blinding)
+    return queries_from_blinding(params, iota, draw_blinding(params, randomness))
 
 
 # --- answers ----------------------------------------------------------------
@@ -682,11 +702,13 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
 
     j may also be a tuple of server ids, with query_j their stacked
     (len(j), m, delta, s) queries; the answers then come back as a tuple
-    in that order, and a single server is the batch of one.  With the
-    database flattened to (N, s) and the queries to (len(j), N, s), one
-    `ExtField.dot` gives every server's answer element as an int64 row;
-    the trace answer is that element's coefficients times the cached form
-    of Tr(v_j * .).
+    in that order, and a single server is the batch of one.  Stacked
+    (B, len(j), m, delta, s) queries are B clients asking the same
+    servers, and give B such tuples, in client order.  With the database
+    flattened to (N, s) and the queries to (B * len(j), N, s), one
+    `ExtField.dot` gives every answer element as an int64 row; the trace
+    answer is that element's coefficients times the cached form of
+    Tr(v_j * .).
     """
     single = not isinstance(j, tuple)
     ids = (j,) if single else j
@@ -696,24 +718,32 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
         raise ValueError(f"unknown answer mode {mode!r}")
     check_dimensions(params, db)
     shape = db.array.shape if single else (len(ids),) + db.array.shape
-    queries = _field_array(params, query_j, shape, "query array")
+    queries = _field_array(params, query_j, shape, "query array", batch=not single)
     x = db.array.reshape(-1, params.s)
-    answers = params.ext.dot(x, queries.reshape(len(ids), len(x), params.s)).tolist()
+    answers = params.ext.dot(x, queries.reshape(-1, len(x), params.s)).tolist()
     if mode == "trace":
         forms = _trace_forms(params)
         answers = [
             sum(map(operator.mul, answer, forms[i - 1])) % params.q
-            for answer, i in zip(answers, ids)
+            for answer, i in zip(answers, itertools.cycle(ids))
         ]
     else:
         answers = list(map(tuple, answers))
-    return answers[0] if single else tuple(answers)
+    if single:
+        return answers[0]
+    if queries.ndim == len(shape):
+        return tuple(answers)
+    n = len(ids)
+    return tuple(tuple(answers[c * n : (c + 1) * n]) for c in range(len(queries)))
 
 
 def collect_answers(
     params: SchemeParams, queries: QuerySet, db: Database, mode: str = "trace", server_ids=None
 ) -> AnswerSet:
-    """Honest answers from the given servers (defaults to all k), from one Gram product."""
+    """Honest answers from the given servers (defaults to all k), from one Gram product.
+
+    For a batched QuerySet, `values` holds one tuple of answers per draw.
+    """
     server_ids = tuple(range(1, params.k + 1)) if server_ids is None else tuple(server_ids)
     values = server_answer(params, server_ids, queries.for_servers(server_ids), db, mode)
     return AnswerSet(mode=mode, server_ids=server_ids, values=values)

@@ -220,6 +220,15 @@ class TestSweepAudit:
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid-parameters [subset]: ")
 
+    def test_audit_transfer_matrix_below_t_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "audit", "--k", "10", "--t", "2", "--b", "1", "--r", "7",
+            "--m", "2", "--transfer-matrix", "--subset", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameters [subset]: [3] has fewer than t=2 servers")
+        assert err.count("\n") == 1
+
     def test_audit_beyond_threshold(self, capsys):
         code, out, _ = run_cli(
             capsys, "audit", *BASE, "--m", "2", "--subset", "1,2"

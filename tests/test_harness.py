@@ -457,6 +457,28 @@ class TestPrivacyAudit:
             privacy_audit(params_small, t_subset=subset, mode=mode)
         assert err.value.constraint == "subset"
 
+    def test_transfer_matrix_refuses_fewer_than_t_servers(self, monkeypatch):
+        # a subset below t has no square transfer matrix: it used to crash in
+        # the elimination kernel; it is refused before any work, while the
+        # exhaustive mode still audits it
+        params = pir.setup(10, 2, 1, 7, m=2)
+
+        def no_work(*args):
+            raise AssertionError("the audit started before checking its subset")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pir, "_query_tables", no_work)
+            patch.setattr(harness, "solve_stacked", no_work)
+            for subset in ((3,), (1,), (10,)):
+                with pytest.raises(pir.InvalidParameters) as err:
+                    privacy_audit(params, t_subset=subset, mode="transfer-matrix")
+                assert err.value.constraint == "subset"
+                assert f"fewer than t={params.t}" in str(err.value)
+        assert privacy_audit(params, t_subset=(2, 9), mode="transfer-matrix").verdict == "pass"
+        small = pir.setup(4, 2, 0, 3, m=2)
+        report = privacy_audit(small, t_subset=(3,), mode="exhaustive")
+        assert (report.verdict, report.subsets) == ("pass", ((3,),))
+
     def test_exhaustive_guard(self):
         # t=2 over GF(17^2): (q^s)^t = 83521 draws per entry exceeds 2^16
         params = pir.setup(6, 2, 0, 4, q_hint=17, m=2)
@@ -494,6 +516,116 @@ def _rebuild_zero_files(monkeypatch):
     """Zero the trace rebuild matrix, so that every retrieval returns the zero file."""
     tables = pir._trace_code_tables
     monkeypatch.setattr(pir, "_trace_code_tables", lambda p: (tables(p)[0], tables(p)[1] * 0))
+
+
+def _sweep_alone(params, db, scope, trials, seed) -> dict:
+    """The sweep report from its draw order alone, each case decoded by itself through retrieve_from_k."""
+    base = SeededStream(seed, "sweep")
+    cases = []  # (iota, byzantine ids, word)
+    if scope == "exhaustive":
+        for iota in range(1, params.m + 1):
+            queries = pir.gen_queries(params, iota, base.fork(f"iota-{iota}"))
+            honest = pir.collect_answers(params, queries, db).values
+            for byz in itertools.combinations(range(1, params.k + 1), params.b):
+                for grid in itertools.product(range(params.q - 1), repeat=params.b):
+                    word = list(honest)
+                    for j, g in zip(byz, grid):
+                        word[j - 1] = g + (g >= honest[j - 1])
+                    cases.append((iota, byz, word))
+    else:
+        for trial in range(trials):
+            stream = base.fork(f"trial-{trial}")
+            iota = stream.randrange(params.m) + 1
+            honest = pir.collect_answers(params, pir.gen_queries(params, iota, stream.fork("query")), db).values
+            byz = tuple(j + 1 for j in stream.sample(params.k, params.b))
+            word = list(honest)
+            for j in byz:
+                word[j - 1] = stream.randrange_excluding(params.q, honest[j - 1])
+            cases.append((iota, byz, word))
+    failures, failed = [], 0
+    for iota, byz, word in cases:
+        answers = pir.AnswerSet(mode="trace", server_ids=tuple(range(1, params.k + 1)), values=tuple(word))
+        try:
+            ok = pir.retrieve_from_k(params, answers).symbols == db.row(iota)
+        except pir.ByzantineBudgetExceeded:
+            ok = False
+        if not ok:
+            failed += 1
+            if len(failures) < harness.SWEEP_REPORTED_FAILURES:
+                failures.append({"iota": iota, "byzantine_set": list(byz), "injected": [word[j - 1] for j in byz]})
+    return {"params": harness._params_summary(params), "seed": seed, "scope": scope,
+            "cases_total": len(cases), "cases_failed": failed, "failures": failures}
+
+
+class TestSweepBatches:
+    """Chunked exhaustive sweeps and B-client randomized sweeps against one case at a time."""
+
+    @pytest.mark.parametrize("scope", ["exhaustive", "randomized"])
+    @pytest.mark.parametrize("wrong_recon", [False, True], ids=["right", "zero-files"])
+    @pytest.mark.parametrize(
+        "scheme, q_hint, m",
+        [((4, 1, 1, 4), None, 2), ((7, 1, 1, 5), None, 2), ((10, 2, 1, 7), None, 2),
+         ((8, 2, 0, 4), None, 3), ((4, 1, 1, 4), 2053, 1)],
+        ids=["4-1-1-4", "7-1-1-5", "10-2-1-7", "b0", "one-set-chunks"],
+    )
+    def test_report_equals_cases_decoded_alone(self, monkeypatch, scheme, q_hint, m, wrong_recon, scope):
+        # the zeroed rebuild fails every case, so the listed failures pin the
+        # order across chunk boundaries; at q = 2053 a chunk is one set
+        params = pir.setup(*scheme, q_hint=q_hint, m=m)
+        if q_hint:
+            assert (params.q - 1) ** params.b > harness.SWEEP_CHUNK_WORDS
+        db = pir.random_database(params, SeededStream(17, "db"))
+        if wrong_recon:
+            _rebuild_zero_files(monkeypatch)
+        report = byzantine_sweep(params, db, scope=scope, trials=23, seed=41)
+        assert report.to_json_dict() == _sweep_alone(params, db, scope, 23, 41)
+        assert report.cases_failed == (report.cases_total if wrong_recon else 0)
+
+    @pytest.mark.parametrize("wrong_recon", [False, True], ids=["right", "zero-files"])
+    @pytest.mark.parametrize("scheme", [(4, 1, 1, 4), (7, 1, 1, 5), (10, 2, 1, 7)])
+    def test_small_chunks_keep_the_report(self, monkeypatch, scheme, wrong_recon):
+        # chunks of one or two sets: the 20 listed failures span several
+        # chunks, and there is one decode per chunk
+        params = pir.setup(*scheme, m=2)
+        db = pir.random_database(params, SeededStream(18, "db"))
+        grid = (params.q - 1) ** params.b
+        monkeypatch.setattr(harness, "SWEEP_CHUNK_WORDS", 13)
+        per_chunk = max(1, 13 // grid)
+        decodes = []
+        retrieve_many = pir.retrieve_many
+        monkeypatch.setattr(pir, "retrieve_many", lambda *args: decodes.append(1) or retrieve_many(*args))
+        if wrong_recon:
+            _rebuild_zero_files(monkeypatch)
+        report = byzantine_sweep(params, db, scope="exhaustive", seed=3)
+        assert len(decodes) == params.m * -(-math.comb(params.k, params.b) // per_chunk)
+        assert report.to_json_dict() == _sweep_alone(params, db, "exhaustive", 0, 3)
+        if wrong_recon:
+            assert len({tuple(case["byzantine_set"]) for case in report.failures}) > per_chunk
+
+    def test_call_counts(self, monkeypatch):
+        # (11,1,2,8; m=2): 55 byzantine sets of 100 words each give chunks
+        # of 20 sets, 3 per file index; a randomized sweep of any size is
+        # one answer call and one decode
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        params = pir.setup(11, 1, 2, 8, m=2)
+        db = pir.random_database(params, 4)
+        monkeypatch.setattr(pir, "retrieve_many", counted("decode", pir.retrieve_many))
+        report = byzantine_sweep(params, db, scope="exhaustive", seed=2)
+        assert (report.cases_total, report.cases_failed) == (11_000, 0)
+        assert calls == ["decode"] * 6
+        monkeypatch.setattr(pir, "server_answer", counted("answer", pir.server_answer))
+        for trials in (1, 7, 60):
+            del calls[:]
+            report = byzantine_sweep(params, db, scope="randomized", trials=trials, seed=trials)
+            assert (report.cases_total, report.cases_failed) == (trials, 0)
+            assert calls == ["answer", "decode"]
 
 
 class TestByzantineSweep:

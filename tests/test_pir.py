@@ -332,6 +332,38 @@ class TestQueries:
         empty = pir.queries_from_blinding(p, 2, np.zeros((0,) + shape, dtype=np.int64))
         assert empty.per_server.shape == (0, p.k) + shape[1:]
 
+    @pytest.mark.parametrize("scheme", [(7, 1, 1, 5), (6, 2, 1, 5)])
+    def test_batch_of_clients_equals_single_queries_and_answers(self, scheme):
+        # B clients, each with its own file index: the same queries, and one
+        # server_answer call gives every client's answers
+        p = pir.setup(*scheme, m=3)
+        db = pir.random_database(p, SeededStream(2, "db"))
+        stream = SeededStream(22, "clients")
+        iotas = [3, 1, 1, 2, 3]
+        singles = [pir.gen_queries(p, iota, stream) for iota in iotas]
+        batch = pir.queries_from_blinding(p, iotas, np.stack([qs.blinding for qs in singles]))
+        assert batch.iota == tuple(iotas)
+        for mode in ("trace", "full"):
+            answers = pir.collect_answers(p, batch, db, mode)
+            assert answers.values == tuple(pir.collect_answers(p, qs, db, mode).values for qs in singles)
+            ids = (5, 2)
+            assert pir.collect_answers(p, batch, db, mode, ids).values == tuple(
+                pir.collect_answers(p, qs, db, mode, ids).values for qs in singles
+            )
+        for n, single in enumerate(singles):
+            assert np.array_equal(batch.per_server[n], single.per_server)
+        assert np.shares_memory(batch.for_servers(tuple(range(1, p.k + 1))), batch.per_server)
+        one = pir.queries_from_blinding(p, iotas[:1], singles[0].blinding[None])
+        assert np.array_equal(one.per_server[0], singles[0].per_server)
+        with pytest.raises(IndexError):
+            pir.queries_from_blinding(p, [1, 4], np.stack([qs.blinding for qs in singles[:2]]))
+        with pytest.raises(ValueError):
+            pir.queries_from_blinding(p, [1, 2], batch.blinding)  # two indices, five draws
+        with pytest.raises(ValueError):
+            pir.queries_from_blinding(p, [1], singles[0].blinding)  # an index list, one unbatched draw
+        empty = pir.queries_from_blinding(p, [], np.zeros((0,) + batch.blinding.shape[1:], dtype=np.int64))
+        assert empty.per_server.shape == (0, p.k, p.m, p.delta, p.s)
+
     def test_single_query_is_server_major_without_copies(self, params_ext):
         queries = pir.gen_queries(params_ext, 3, SeededStream(4, "layout"))
         per_server = queries.per_server

@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from tracepir import linalg, pir
+from tracepir import cli, linalg, pir
 from tracepir.gf import MAX_FIELD_SIZE, next_prime
 from tracepir.harness import AdversaryModel, privacy_audit, run_session
 from tracepir.rand import SeededStream
@@ -87,6 +87,25 @@ def test_refusals_name_their_constraint(drawn):
         with pytest.raises(pir.InvalidParameters) as err:
             pir.setup(*scheme, m=2)
         assert err.value.constraint == _broken(*scheme), scheme
+
+
+def test_cli_params_refuses_what_setup_refuses(drawn, capsys):
+    # every refused tuple of the draw, and the sampled tuples outside the
+    # space: `tracepir params` exits 2 and names setup's constraint
+    _, refused = drawn
+    stream = SeededStream(SEED, "refusals")
+    outside = [scheme for scheme in BOX if _broken(*scheme) is not None]
+    cases = [(scheme, exc.constraint) for scheme, exc in refused]
+    cases += [(outside[i], _broken(*outside[i])) for i in stream.sample(len(outside), 12)]
+    for scheme, constraint in cases:
+        argv = ["params", "--m", "2"]
+        for flag, value in zip(("--k", "--t", "--b", "--r"), scheme):
+            argv += [flag, str(value)]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), scheme
+        assert err.startswith(f"error: invalid-parameters [{constraint}]: "), (scheme, err)
+        assert err.count("\n") == 1, scheme
 
 
 @pytest.mark.parametrize("n", range(SLICE))

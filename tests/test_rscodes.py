@@ -427,6 +427,60 @@ class TestBatchDecode:
             assert scale != 0, syndrome
             assert conn[row].tolist() == [scale * c % q for c in expected[: n + 1]], syndrome
 
+    @pytest.mark.parametrize("q", [11, 2**31 - 1])
+    def test_random_batches_equal_each_row_decoded_alone(self, q):
+        # batches of up to 2,500 words mixing codewords, 1..tau errors and
+        # more than tau; some batches hold at most one word to correct (the
+        # scalar solve), others many (the stacked one).  Every row must be
+        # that word's decode alone, and over GF(11) the oracle's verdict
+        rng = random.Random(q % 1000)
+        n, dim = (8, 4) if q == 11 else (9, 5)
+        code = GrsCode(field=PrimeField(q), points=tuple(rng.sample(range(q), n)),
+                       multipliers=tuple(rng.randrange(1, q) for _ in range(n)), dim=dim)
+        tau = code.radius
+
+        def word(weight):
+            received = list(grs_encode(code, [rng.randrange(q) for _ in range(dim)]))
+            for pos in rng.sample(range(n), weight):
+                received[pos] = (received[pos] + rng.randrange(1, q)) % q
+            return received
+
+        kept_counts = set()
+        for size, lone in ((1, True), (2, True), (7, True), (40, True), (300, True),
+                           (2, False), (40, False), (2500, False)):
+            if lone:  # codewords and words beyond tau around one word to correct
+                weights = [rng.choice([0, tau + 1, n]) for _ in range(size - 1)]
+                weights.insert(rng.randrange(size), rng.randrange(1, tau + 1))
+            else:  # two words to correct, then any weight
+                weights = [rng.randrange(1, tau + 1) for _ in range(2)]
+                weights += [rng.choice([0, 0] + list(range(1, n + 1))) for _ in range(size - 2)]
+                rng.shuffle(weights)
+            words = [word(weight) for weight in weights]
+            batch = grs_decode(code, np.array(words, dtype=np.int64))
+            corrected = 0
+            for row, received in enumerate(words):
+                try:
+                    alone = grs_decode(code, received)
+                except DecodeFailure:
+                    alone = None
+                if q == 11:
+                    try:
+                        assert oracle_decode(code, received) == alone, received
+                    except DecodeFailure:
+                        assert alone is None, received
+                if alone is None:
+                    assert batch.failed[row], received
+                    assert not batch.corrected[row].any() and not batch.errors[row].any()
+                    continue
+                assert not batch.failed[row], received
+                assert batch.corrected[row].tolist() == list(alone.corrected_word), received
+                assert np.flatnonzero(batch.errors[row]).tolist() == list(alone.error_positions)
+                corrected += bool(alone.error_positions)
+            kept_counts.add(corrected if lone else "many")
+            if not lone:
+                assert corrected >= 2
+        assert kept_counts >= {1, "many"}
+
     def test_empty_batch(self):
         batch = grs_decode(CODE_5_3, np.zeros((0, 5), dtype=np.int64))
         assert batch.corrected.shape == (0, 5) and batch.failed.shape == (0,)
