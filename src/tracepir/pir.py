@@ -637,22 +637,24 @@ def queries_from_blinding(params: SchemeParams, iota, blinding) -> QuerySet:
     product then gives (B, k, m, delta, s) queries, draw-major.  With one
     file index every draw asks for that file (the privacy audit); with a
     length-B sequence of them, as B clients ask, draw n's indicator goes
-    to row iota[n] of its own queries.
+    to row iota[n] of its own queries.  Any index that is not an integer
+    in [1, m] raises IndexError.
     """
     k, t, m, delta, s = params.k, params.t, params.m, params.delta, params.s
-    batched_iota = not isinstance(iota, (int, np.integer))
-    if not all(1 <= i <= m for i in (iota if batched_iota else (iota,))):
-        raise IndexError(f"file index {iota} outside [1, {m}]")
+    batched_iota = not isinstance(iota, (int, np.integer)) and np.ndim(iota) == 1
+    indices = tuple(iota) if batched_iota else (iota,)
+    if not all(isinstance(i, (int, np.integer)) and 1 <= i <= m for i in indices):
+        raise IndexError(f"file index {iota} is not an integer in [1, {m}]")
     blinding = _field_array(params, blinding, (t, m, delta, s), "blinding", batch=True)
     lead = blinding.shape[:-4]
-    if batched_iota and lead != (len(iota),):
-        raise ValueError(f"{len(iota)} file indices for a blinding of shape {blinding.shape}")
+    if batched_iota and lead != (len(indices),):
+        raise ValueError(f"{len(indices)} file indices for a blinding of shape {blinding.shape}")
     curve, indicator = _query_tables(params)
     # (..., 1, m*delta, t*s) rows against the (k, t*s, s) stack give (..., k, m*delta, s)
     rows = blinding.swapaxes(-4, -3).swapaxes(-3, -2).reshape(lead + (1, m * delta, t * s))
     per_server = matmul_mod(rows, curve, params.q).reshape(lead + (k, m, delta, s))
     if batched_iota:
-        iota = tuple(int(i) for i in iota)
+        iota = tuple(int(i) for i in indices)
         draws, asked = np.arange(len(iota)), np.array(iota, dtype=np.intp) - 1
         per_server[draws, :, asked] = (per_server[draws, :, asked] + indicator) % params.q
     else:

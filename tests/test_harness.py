@@ -602,10 +602,34 @@ class TestSweepBatches:
         if wrong_recon:
             assert len({tuple(case["byzantine_set"]) for case in report.failures}) > per_chunk
 
+    @pytest.mark.parametrize("wrong_recon", [False, True], ids=["right", "zero-files"])
+    @pytest.mark.parametrize("budget, per_chunk", [(1, 1), (20, 2), (45, 5)])
+    def test_randomized_chunks_keep_the_report(self, monkeypatch, budget, per_chunk, wrong_recon):
+        # (7,1,1,5; m=2) queries hold m*delta*s = 8 entries a server: the
+        # 23 trials go in chunks of per_chunk clients, one answer call each,
+        # and are decoded together
+        params = pir.setup(7, 1, 1, 5, m=2)
+        assert params.m * params.delta * params.s == 8
+        db = pir.random_database(params, SeededStream(19, "db"))
+        monkeypatch.setattr(harness, "SWEEP_CHUNK_WORDS", budget)
+        calls = []
+
+        def counted(name):
+            fn = getattr(pir, name)
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for name in ("server_answer", "retrieve_many"):
+            monkeypatch.setattr(pir, name, counted(name))
+        if wrong_recon:
+            _rebuild_zero_files(monkeypatch)
+        report = byzantine_sweep(params, db, scope="randomized", trials=23, seed=6)
+        assert calls == ["server_answer"] * -(-23 // per_chunk) + ["retrieve_many"]
+        assert report.to_json_dict() == _sweep_alone(params, db, "randomized", 23, 6)
+
     def test_call_counts(self, monkeypatch):
         # (11,1,2,8; m=2): 55 byzantine sets of 100 words each give chunks
-        # of 20 sets, 3 per file index; a randomized sweep of any size is
-        # one answer call and one decode
+        # of 20 sets, 3 per file index; a randomized sweep of up to 170
+        # trials (one chunk) is one answer call and one decode
         calls = []
 
         def counted(name, fn):

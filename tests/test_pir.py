@@ -357,6 +357,13 @@ class TestQueries:
         assert np.array_equal(one.per_server[0], singles[0].per_server)
         with pytest.raises(IndexError):
             pir.queries_from_blinding(p, [1, 4], np.stack([qs.blinding for qs in singles[:2]]))
+        for bad in ([1.0, 2], [[1, 2]]):  # a non-integer index, a nested list
+            with pytest.raises(IndexError):
+                pir.queries_from_blinding(p, bad, np.stack([qs.blinding for qs in singles[:2]]))
+        with pytest.raises(IndexError):
+            pir.queries_from_blinding(p, 2.0, singles[0].blinding)
+        as_array = pir.queries_from_blinding(p, np.array(iotas), batch.blinding)
+        assert as_array.iota == tuple(iotas) and np.array_equal(as_array.per_server, batch.per_server)
         with pytest.raises(ValueError):
             pir.queries_from_blinding(p, [1, 2], batch.blinding)  # two indices, five draws
         with pytest.raises(ValueError):
