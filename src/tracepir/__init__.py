@@ -34,7 +34,6 @@ from .pir import (
     ByzantineBudgetExceeded,
     Database,
     InvalidParameters,
-    QuerySet,
     SchemeParams,
     capacity,
     gen_queries,
@@ -75,7 +74,6 @@ __all__ = [
     "GrsCode",
     "InvalidParameters",
     "PrimeField",
-    "QuerySet",
     "SchemeParams",
     "ServerNode",
     "SessionReport",

@@ -200,11 +200,13 @@ def run_session(
     """One full query/answer/retrieve round, deterministic given the seed.
 
     Trace mode involves all k servers; full mode the first r.  They all
-    answer through one ``ServerNode`` in one ``respond`` call; then the
-    adversary corrupts the answer of each byzantine one among them, with
-    its own stream, forked from the session's as "server-<id>".  A decode
-    failure is reported as a failed session, never raised; an adversary
-    that ``check_adversary`` rejects raises InvalidParameters.
+    answer through one ``ServerNode`` in one ``respond`` call, which gets
+    their rows of the query array and nothing else; then the adversary
+    corrupts the answer of each byzantine one among them, from its query
+    row, with its own stream, forked from the session's as "server-<id>".
+    A decode failure is reported as a failed session, never raised; an
+    adversary that ``check_adversary`` rejects raises InvalidParameters,
+    and an unknown mode ValueError, both before any query is drawn.
     """
     pir.check_dimensions(params, db)
     adversary = adversary or AdversaryModel()
@@ -212,19 +214,19 @@ def run_session(
     if any(not 1 <= j <= params.k for j in byz):
         raise IndexError("byzantine server id outside [1, k]")
     check_adversary(params, byz, adversary.strategy, adversary.offset)
-    stream = SeededStream(seed, "session")
-    queries = gen_queries(params, iota, stream.fork("query"))
     if mode == "trace":
         ids = tuple(range(1, params.k + 1))
     elif mode == "full":
         ids = tuple(range(1, params.r + 1))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    values = list(ServerNode(server_id=ids, db=db).respond(params, queries.for_servers(ids), mode))
+    stream = SeededStream(seed, "session")
+    queries = gen_queries(params, iota, stream.fork("query"))
+    values = list(ServerNode(server_id=ids, db=db).respond(params, queries[: len(ids)], mode))
     for j in byz:
         if j <= len(ids):
             values[j - 1] = adversary.corrupt(
-                params, j, queries.per_server[j - 1], values[j - 1], mode, stream.fork(f"server-{j}")
+                params, j, queries[j - 1], values[j - 1], mode, stream.fork(f"server-{j}")
             )
     answers = AnswerSet(mode=mode, server_ids=ids, values=tuple(values))
     error = None
@@ -390,7 +392,7 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     offsets *= keyspace
     histograms = []  # histograms[iota - 1][subset, i, l, key]: the draws giving that key
     for iota in range(1, m + 1):
-        codes = queries_from_blinding(params, iota, blinding).per_server @ radix  # (draws, k, m, delta)
+        codes = queries_from_blinding(params, iota, blinding) @ radix  # (draws, k, m, delta)
         keys = offsets + sum(codes[:, servers[:, w]] * size**w for w in range(width))
         counts = np.bincount(keys.ravel(), minlength=offsets.size * keyspace)
         histograms.append(counts.reshape(offsets.shape + (keyspace,)))

@@ -14,8 +14,11 @@ with a base-field matrix cached per code.
 The data plane works on int64 arrays whose last axis holds the s
 coefficients of an extension element: a database is one read-only
 (m, delta, s) array, the blinding is (t, m, delta, s) and the queries
-are (k, m, delta, s), server-major.  The query curve is one broadcast
-product of the (m*delta, t*s) blinding rows with a (k, t*s, s) stack of
+are one (k, m, delta, s) array, server-major, whose row j - 1 goes to
+server j.  That array is the only form queries take, and nothing else
+of the client's travels with it: the file index and the blinding stay
+with whoever drew them.  The query curve is one broadcast product of
+the (m*delta, t*s) blinding rows with a (k, t*s, s) stack of
 multiply-by-constant blocks, whose result is already in that layout.
 The blinding may carry a leading batch axis of B draws, which the same
 product keeps in front of the queries: the exhaustive privacy audit
@@ -24,9 +27,9 @@ sweep runs B clients, each draw at its own index.  `gen_queries` is the
 batch of one.  An answer is the s x s coefficient-product matrix of
 database and query, folded through the modulus; the answers of a batch
 of servers, for one client or for B, come from one `ExtField.dot` over
-the stacked queries.  Every such product goes through
-`linalg.matmul_mod`, which keeps partial sums below 2^63 and so is exact
-for every q <= 2^31.
+the stacked queries, and trace mode compresses them all in one more
+array product.  Every such product goes through `linalg.matmul_mod`,
+which keeps partial sums below 2^63 and so is exact for every q <= 2^31.
 Trace retrieval decodes a (W, k) batch of answer words in one call
 (`retrieve_many`).  Scalars (setup constants, single answers, retrieved
 symbols) stay Python ints and tuples.
@@ -36,9 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -533,32 +534,6 @@ def save_database(params: SchemeParams, db: Database, path):
 # --- queries ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuerySet:
-    """Per-server curve evaluations plus the client-side secrets.
-
-    For a batch of B blinding draws both arrays carry a leading axis of length B.
-    """
-
-    per_server: np.ndarray  # (k, m, delta, s); entry j - 1 goes to server j
-    blinding: np.ndarray  # (t, m, delta, s) random arrays (never sent to servers)
-    iota: int | tuple  # requested file (1-based; never sent to servers), or one per draw
-
-    def for_servers(self, server_ids: tuple) -> np.ndarray:
-        """The stacked queries of the given servers, along the server axis.
-
-        A prefix (1, ..., n) in order, such as all k servers or a full-mode
-        session's first r, takes a view of `per_server`, uncopied; any other
-        ids take a copy of their rows, in the order given.  A batched set
-        gives (B, n, m, delta, s), every draw's servers alike.
-        """
-        n = len(server_ids)
-        servers = self.per_server.shape[-4]
-        if n <= servers and server_ids == tuple(range(1, n + 1)):
-            return self.per_server[..., :n, :, :, :]
-        return np.take(self.per_server, [j - 1 for j in server_ids], axis=-4)
-
-
 def _lagrange_values(field, nodes, points) -> tuple:
     """The Lagrange basis on `nodes`, evaluated at each of `points`.
 
@@ -628,17 +603,20 @@ def _query_tables(params: SchemeParams) -> tuple:
     return _frozen(curve), _frozen(indicator)
 
 
-def queries_from_blinding(params: SchemeParams, iota, blinding) -> QuerySet:
+def queries_from_blinding(params: SchemeParams, iota, blinding) -> np.ndarray:
     """Evaluate the indicator-plus-blinding curve at every server point.
 
-    One product of the (m*delta, t*s) blinding rows with the (k, t*s, s)
-    curve stack gives the (k, m*delta, s) queries in `per_server` order.
-    A (B, t, m, delta, s) blinding is a batch of B draws: the same one
-    product then gives (B, k, m, delta, s) queries, draw-major.  With one
-    file index every draw asks for that file (the privacy audit); with a
-    length-B sequence of them, as B clients ask, draw n's indicator goes
-    to row iota[n] of its own queries.  Any index that is not an integer
-    in [1, m] raises IndexError.
+    Returns the (k, m, delta, s) int64 queries, server-major: row j - 1
+    goes to server j, and it is all that server ever sees.  One product
+    of the (m*delta, t*s) blinding rows with the (k, t*s, s) curve stack
+    gives the queries in that layout, in new memory, so no query shares
+    memory with the blinding.  A (B, t, m, delta, s) blinding is a batch
+    of B draws: the same one product then gives (B, k, m, delta, s)
+    queries, draw-major.  With one file index every draw asks for that
+    file (the privacy audit); with a length-B sequence of them, as B
+    clients ask, draw n's indicator goes to row iota[n] of its own
+    queries.  Any index that is not an integer in [1, m] raises
+    IndexError.
     """
     k, t, m, delta, s = params.k, params.t, params.m, params.delta, params.s
     batched_iota = not isinstance(iota, (int, np.integer)) and np.ndim(iota) == 1
@@ -652,14 +630,13 @@ def queries_from_blinding(params: SchemeParams, iota, blinding) -> QuerySet:
     curve, indicator = _query_tables(params)
     # (..., 1, m*delta, t*s) rows against the (k, t*s, s) stack give (..., k, m*delta, s)
     rows = blinding.swapaxes(-4, -3).swapaxes(-3, -2).reshape(lead + (1, m * delta, t * s))
-    per_server = matmul_mod(rows, curve, params.q).reshape(lead + (k, m, delta, s))
+    queries = matmul_mod(rows, curve, params.q).reshape(lead + (k, m, delta, s))
     if batched_iota:
-        iota = tuple(int(i) for i in indices)
-        draws, asked = np.arange(len(iota)), np.array(iota, dtype=np.intp) - 1
-        per_server[draws, :, asked] = (per_server[draws, :, asked] + indicator) % params.q
+        draws, asked = np.arange(len(indices)), np.array(indices, dtype=np.intp) - 1
+        queries[draws, :, asked] = (queries[draws, :, asked] + indicator) % params.q
     else:
-        per_server[..., iota - 1, :, :] = (per_server[..., iota - 1, :, :] + indicator) % params.q
-    return QuerySet(per_server=per_server, blinding=blinding, iota=iota)
+        queries[..., iota - 1, :, :] = (queries[..., iota - 1, :, :] + indicator) % params.q
+    return queries
 
 
 def draw_blinding(params: SchemeParams, randomness) -> np.ndarray:
@@ -669,8 +646,8 @@ def draw_blinding(params: SchemeParams, randomness) -> np.ndarray:
     return stream.randrange_array(params.q, math.prod(shape)).reshape(shape)
 
 
-def gen_queries(params: SchemeParams, iota: int, randomness) -> QuerySet:
-    """Sample the t blinding arrays and evaluate the query curve."""
+def gen_queries(params: SchemeParams, iota: int, randomness) -> np.ndarray:
+    """Sample the t blinding arrays and evaluate the query curve: the (k, m, delta, s) queries."""
     return queries_from_blinding(params, iota, draw_blinding(params, randomness))
 
 
@@ -686,14 +663,18 @@ class AnswerSet:
     values: tuple
 
 
-@functools.lru_cache(maxsize=None)
-def _trace_forms(params: SchemeParams) -> tuple:
-    """Row j - 1 holds Tr(v_j * xi^d) for each d, as Python ints.
+@functools.lru_cache(maxsize=256)
+def _trace_forms(params: SchemeParams, ids: tuple) -> np.ndarray:
+    """Row n holds Tr(v_j * xi^d) for each d, j = ids[n], as a read-only (len(ids), s) int64 array.
 
-    Tr(v_j * a) is then the dot product of a's coefficients with row j - 1.
+    Tr(v_j * a) is then the dot product of a's coefficients with row n.
+    Cached per id tuple, as the answer calls ask for them: picking the
+    rows of a (k, s) table on every call cost about 5 us, a sixth of an
+    11-server answer (2-CPU Xeon).
     """
     ext = params.ext
-    return tuple(tuple(ext.trace(ext.mul(v, unit)) for unit in _units(ext)) for v in params.v)
+    forms = [[ext.trace(ext.mul(params.v[j - 1], unit)) for unit in _units(ext)] for j in ids]
+    return _frozen(np.array(forms, dtype=np.int64))
 
 
 def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "trace"):
@@ -708,9 +689,12 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     (B, len(j), m, delta, s) queries are B clients asking the same
     servers, and give B such tuples, in client order.  With the database
     flattened to (N, s) and the queries to (B * len(j), N, s), one
-    `ExtField.dot` gives every answer element as an int64 row; the trace
-    answer is that element's coefficients times the cached form of
-    Tr(v_j * .).
+    `ExtField.dot` gives every answer element as an int64 row.  Trace
+    mode folds them all in one array product with the cached forms of
+    Tr(v_j * .): coefficients times form, summed over the s coefficients,
+    mod q.  That is exact in int64: each product is below q^2, and
+    q^s <= 2^32 with q < 2^31 gives s * (q - 1)^2 < 2^63.  One `tolist`
+    then gives the answers as Python ints, or tuples of them in full mode.
     """
     single = not isinstance(j, tuple)
     ids = (j,) if single else j
@@ -722,32 +706,38 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     shape = db.array.shape if single else (len(ids),) + db.array.shape
     queries = _field_array(params, query_j, shape, "query array", batch=not single)
     x = db.array.reshape(-1, params.s)
-    answers = params.ext.dot(x, queries.reshape(-1, len(x), params.s)).tolist()
+    # (B, n, s): client, server, coefficient
+    answers = params.ext.dot(x, queries.reshape(-1, len(x), params.s)).reshape(-1, len(ids), params.s)
     if mode == "trace":
-        forms = _trace_forms(params)
-        answers = [
-            sum(map(operator.mul, answer, forms[i - 1])) % params.q
-            for answer, i in zip(answers, itertools.cycle(ids))
-        ]
+        answers = ((answers * _trace_forms(params, ids)).sum(axis=-1) % params.q).tolist()
     else:
-        answers = list(map(tuple, answers))
+        answers = [map(tuple, client) for client in answers.tolist()]
+    answers = tuple(map(tuple, answers))
     if single:
-        return answers[0]
-    if queries.ndim == len(shape):
-        return tuple(answers)
-    n = len(ids)
-    return tuple(tuple(answers[c * n : (c + 1) * n]) for c in range(len(queries)))
+        return answers[0][0]
+    return answers[0] if queries.ndim == len(shape) else answers
 
 
 def collect_answers(
-    params: SchemeParams, queries: QuerySet, db: Database, mode: str = "trace", server_ids=None
+    params: SchemeParams, queries: np.ndarray, db: Database, mode: str = "trace", server_ids=None
 ) -> AnswerSet:
     """Honest answers from the given servers (defaults to all k), from one Gram product.
 
-    For a batched QuerySet, `values` holds one tuple of answers per draw.
+    `queries` is the (k, m, delta, s) array of ``gen_queries``, or the
+    (B, k, m, delta, s) batch of ``queries_from_blinding``, whose
+    `values` then hold one tuple of answers per draw.  The servers'
+    rows are taken along the server axis: an in-order prefix (1, ...,
+    n), such as all k servers or a full-mode session's first r, as a
+    view, uncopied; any other ids as a copy of their rows, in the order
+    given.
     """
     server_ids = tuple(range(1, params.k + 1)) if server_ids is None else tuple(server_ids)
-    values = server_answer(params, server_ids, queries.for_servers(server_ids), db, mode)
+    n = len(server_ids)
+    if server_ids == tuple(range(1, n + 1)):
+        asked = queries[..., :n, :, :, :]
+    else:
+        asked = np.take(queries, [j - 1 for j in server_ids], axis=-4)
+    values = server_answer(params, server_ids, asked, db, mode)
     return AnswerSet(mode=mode, server_ids=server_ids, values=values)
 
 

@@ -20,8 +20,8 @@ dim x dim system per distinct located set, and their codewords from one
 re-encode.  The per-word bookkeeping (which words are off the code,
 which are kept to correct, which fail) is array indexing too.  A batch
 with a single word off the code runs the scalar recurrence and solve
-instead, and one with a single word to correct the scalar solve, which
-cost less for one word.  A single word is the batch of one.
+instead, which cost less for one word.  A single word is the batch of
+one.
 ``oracle_decode`` is the brute-force counterpart used to cross-check
 the decoder, over any field; it enumerates every codeword, so it is
 guarded by an enumeration bound.
@@ -347,17 +347,17 @@ def grs_decode(code: GrsCode, received):
     a byzantine session decodes, runs the scalar ``_berlekamp_massey``;
     the choice follows that observed count alone.
 
-    When two or more words of a batch have errors to correct, their
-    located sets are deduplicated and each distinct set's dim x dim
-    system (``code.generator`` transposed, on its clean positions) is
-    inverted in one stacked ``linalg.solve``; one product per word with
-    its set's inverse gives the messages, and one ``grs_encode`` of all
-    of them the codewords.  The stacked solve costs a fixed amount: at
-    dim 7 over GF(11), correcting one word takes about 190 us with the
-    scalar solve and re-encode and 300 us stacked, and 100 words on 20
-    located sets about 17 ms one word at a time and 0.7 ms stacked
-    (2-CPU Xeon).  So a lone word to correct, as a byzantine session
-    decodes, takes the scalar ``_message`` and ``grs_encode``.
+    When the lockstep has run, the words it leaves to correct have their
+    located sets deduplicated, and each distinct set's dim x dim system
+    (``code.generator`` transposed, on its clean positions) is inverted
+    in one stacked ``linalg.solve``; one product per word with its set's
+    inverse gives the messages, and one ``grs_encode`` of all of them the
+    codewords.  The stacked solve costs a fixed amount: at dim 7 over
+    GF(11), correcting one word takes about 190 us with the scalar solve
+    and re-encode and 300 us stacked, and 100 words on 20 located sets
+    about 17 ms one word at a time and 0.7 ms stacked (2-CPU Xeon).  So
+    the lone dirty word of a batch, as a byzantine session decodes, takes
+    the scalar ``_message`` and ``grs_encode``.
 
     The bookkeeping between these steps is array indexing: the dirty
     rows are ``np.flatnonzero`` of the nonzero syndrome rows, the kept
@@ -419,9 +419,7 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
         kept = roots.sum(axis=1) == lengths
         rows = dirty[kept]
         failed[dirty[~kept]] = True
-        if len(rows) == 1:  # one word to correct: the scalar solve beats the stacked one's fixed cost
-            corrected[rows[0]] = _corrected_alone(code, words[rows[0]].tolist(), roots[kept][0].tolist())
-        elif len(rows):
+        if len(rows):
             corrected[rows] = _corrected_words(code, words[rows], roots[kept])
     errors = corrected != words
     failed |= errors.sum(axis=1) > tau  # the distance guard

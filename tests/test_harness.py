@@ -98,6 +98,14 @@ class TestRunSession:
         assert err.value.constraint == "byzantine"
         assert str(err.value) == "duplicate server id"
 
+    def test_unknown_mode_raises_before_queries(self, params_small, db_small, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("queries drawn for an unknown mode")
+
+        monkeypatch.setattr(harness, "gen_queries", refuse)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            run_session(params_small, db_small, 1, mode="bogus")
+
     def test_only_byzantine_servers_get_streams(self, params_small, db_small, monkeypatch):
         labels = []
         fork = SeededStream.fork
@@ -116,10 +124,10 @@ class TestRunSession:
     def test_server_node_interface(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(1, "n"))
         node = ServerNode(server_id=2, db=db_small)
-        honest = node.respond(params_small, queries.per_server[1], "trace")
-        assert honest == pir.server_answer(params_small, 2, queries.per_server[1], db_small, "trace")
+        honest = node.respond(params_small, queries[1], "trace")
+        assert honest == pir.server_answer(params_small, 2, queries[1], db_small, "trace")
         adversary = AdversaryModel(byzantine_set=(2,), strategy="offset", offset=2)
-        corrupt = adversary.corrupt(params_small, 2, queries.per_server[1], honest, "trace", None)
+        corrupt = adversary.corrupt(params_small, 2, queries[1], honest, "trace", None)
         assert corrupt == (honest + 2) % 7
 
     @pytest.mark.parametrize("scheme,s,q", [((13, 1, 2, 6), 8, 13), ((8, 1, 0, 2), 7, 11)])
@@ -143,7 +151,7 @@ def per_server_answers(params, db, iota, adversary, mode, seed):
     queries = pir.gen_queries(params, iota, stream.fork("query"))
     words = []
     for j in range(1, (params.k if mode == "trace" else params.r) + 1):
-        query = queries.per_server[j - 1]
+        query = queries[j - 1]
         answer = pir.server_answer(params, j, query, db, mode)
         if j in adversary.byzantine_set:
             answer = adversary.corrupt(params, j, query, answer, mode, stream.fork(f"server-{j}"))
@@ -228,9 +236,9 @@ class TestBatchedSession:
         queries = pir.gen_queries(params_ext, 2, SeededStream(4, "tuple"))
         for ids in ((1, 2, 3, 4, 5, 6, 7), (6, 2, 3), (4,)):
             node = ServerNode(server_id=ids, db=db_ext)
-            batch = node.respond(params_ext, queries.for_servers(ids), mode)
+            batch = node.respond(params_ext, queries[[j - 1 for j in ids]], mode)
             assert batch == tuple(
-                ServerNode(server_id=j, db=db_ext).respond(params_ext, queries.per_server[j - 1], mode)
+                ServerNode(server_id=j, db=db_ext).respond(params_ext, queries[j - 1], mode)
                 for j in ids
             )
 
@@ -238,11 +246,11 @@ class TestBatchedSession:
 class TestAdversaryModel:
     def test_strategies_produce_in_field_wrong_symbols(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(2, "a"))
-        honest = pir.server_answer(params_small, 1, queries.per_server[0], db_small, "trace")
+        honest = pir.server_answer(params_small, 1, queries[0], db_small, "trace")
         stream = SeededStream(3, "corrupt")
         for strategy in ("random", "offset"):
             adversary = AdversaryModel(byzantine_set=(1,), strategy=strategy)
-            value = adversary.corrupt(params_small, 1, queries.per_server[0], honest, "trace", stream)
+            value = adversary.corrupt(params_small, 1, queries[0], honest, "trace", stream)
             assert 0 <= value < 7 and value != honest
 
     def test_targeted_gets_the_query(self, params_small, db_small):
@@ -266,6 +274,53 @@ class TestAdversaryModel:
             AdversaryModel(strategy="garbage")
 
 
+class TestPrivacyByConstruction:
+    """Server-side code gets query rows only: never the file index, never the blinding."""
+
+    def test_servers_and_adversaries_never_see_client_secrets(self, monkeypatch, params_ext, db_ext):
+        seen = {"respond": [], "server_answer": [], "corrupt": []}
+        blindings, queries = [], []
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                seen[name].append(args + tuple(kwargs.values()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def keeping(kept, fn, argument=None):
+            def wrapped(*args):
+                result = fn(*args)
+                kept.append(result if argument is None else args[argument])
+                return result
+            return wrapped
+
+        monkeypatch.setattr(ServerNode, "respond", recording("respond", ServerNode.respond))
+        answer = recording("server_answer", pir.server_answer)
+        monkeypatch.setattr(pir, "server_answer", answer)
+        monkeypatch.setattr(harness, "server_answer", answer)
+        monkeypatch.setattr(AdversaryModel, "corrupt", recording("corrupt", AdversaryModel.corrupt))
+        monkeypatch.setattr(pir, "draw_blinding", keeping(blindings, pir.draw_blinding))
+        for module in (pir, harness):  # the blinding the query map is given, stacked ones included
+            query_map = keeping(blindings, module.queries_from_blinding, argument=2)
+            monkeypatch.setattr(module, "queries_from_blinding", query_map)
+        monkeypatch.setattr(harness, "gen_queries", keeping(queries, harness.gen_queries))
+
+        assert run_session(params_ext, db_ext, 2, seed=11).ok
+        query_aware = AdversaryModel(byzantine_set=(3,), strategy="targeted")
+        assert run_session(params_ext, db_ext, 3, query_aware, mode="full", seed=12).ok
+        assert byzantine_sweep(params_ext, db_ext, "randomized", trials=6, seed=13).cases_failed == 0
+
+        assert len(queries) == 2 and all(type(q) is np.ndarray for q in queries)
+        assert len(blindings) == 2 * 2 + 6 + 1 and all(map(len, seen.values()))
+        for name, calls in seen.items():
+            for args in calls:
+                for arg in args:
+                    assert not hasattr(arg, "iota") and not hasattr(arg, "blinding"), (name, arg)
+                    array = arg.array if isinstance(arg, pir.Database) else arg
+                    if isinstance(array, np.ndarray):
+                        assert not any(np.shares_memory(array, b) for b in blindings), name
+
+
 def reference_exhaustive_audit(params, t_subset=None):
     """Reference: the exhaustive audit as a loop over blinding draws.
 
@@ -287,7 +342,7 @@ def reference_exhaustive_audit(params, t_subset=None):
         for draw in itertools.product(space, repeat=params.t):
             # every blinding entry takes the same draw, so one call covers every entry
             blinding = np.broadcast_to(np.array(draw)[:, None, None, :], shape)
-            per_draw.append(pir.queries_from_blinding(params, iota, blinding).per_server @ radix)
+            per_draw.append(pir.queries_from_blinding(params, iota, blinding) @ radix)
         codes.append(np.moveaxis(per_draw, 0, -1).tolist())
     max_tv = Fraction(0)
     cases = 0

@@ -215,11 +215,28 @@ class TestValidateOptimality:
         assert report.divisibility
 
 
+def answered_queries(monkeypatch, params, queries, db, ids):
+    """The stacked queries that ``collect_answers`` hands ``server_answer`` for the given ids."""
+    seen = []
+    answer = pir.server_answer
+
+    def recorded(params, j, query_j, db, mode="trace"):
+        seen.append(query_j)
+        return answer(params, j, query_j, db, mode)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pir, "server_answer", recorded)
+        pir.collect_answers(params, queries, db, "trace", ids)
+    return seen[0]
+
+
 class TestQueries:
     def test_indicator_constraints_at_alpha(self, params_ext):
         p = params_ext
         ext = p.ext
-        queries = pir.gen_queries(p, 3, SeededStream(11, "q"))
+        blinding = pir.draw_blinding(p, SeededStream(11, "q"))
+        queries = pir.queries_from_blinding(p, 3, blinding)
+        assert np.array_equal(queries, pir.gen_queries(p, 3, SeededStream(11, "q")))
         alpha_polys, chi_polys = lagrange_basis_polys(p)
         # rebuild each entry's curve from its defining coefficients and
         # check the interpolation constraints and the server evaluations
@@ -229,18 +246,18 @@ class TestQueries:
                 if i == 3 - 1:
                     curve = list(alpha_polys[l])
                 for h in range(p.t):
-                    term = polyring.poly_scale(ext, tuple(queries.blinding[h][i][l]), list(chi_polys[h]))
+                    term = polyring.poly_scale(ext, tuple(blinding[h][i][l]), list(chi_polys[h]))
                     curve = poly_add(ext, curve, term)
                 assert polyring.degree(curve) <= p.t + p.delta - 1
                 for n, alpha in enumerate(p.omega_alpha):
                     expected = ext.one if (i == 3 - 1 and l == n) else ext.zero
                     assert polyring.poly_eval(ext, curve, alpha) == expected
                 for h, chi in enumerate(p.omega_chi):
-                    assert polyring.poly_eval(ext, curve, chi) == tuple(queries.blinding[h][i][l])
+                    assert polyring.poly_eval(ext, curve, chi) == tuple(blinding[h][i][l])
                 for j, beta in enumerate(p.omega_beta):
                     assert (
                         polyring.poly_eval(ext, curve, ext.embed(beta))
-                        == tuple(queries.per_server[j][i][l])
+                        == tuple(queries[j][i][l])
                     )
 
     def test_iota_out_of_range(self, params_small):
@@ -256,15 +273,16 @@ class TestQueries:
             golden = json.load(fh)
         p = pir.setup(4, 1, 1, 4, m=2)
         queries = pir.gen_queries(p, golden["iota"], SeededStream(golden["seed"], "query"))
+        blinding = pir.draw_blinding(p, SeededStream(golden["seed"], "query"))
         ext = p.ext
         got = [
             [[ext.format_element(entry) for entry in row] for row in server]
-            for server in queries.per_server
+            for server in queries
         ]
         assert got == golden["per_server"]
         got_blinding = [
             [[ext.format_element(entry) for entry in row] for row in array]
-            for array in queries.blinding
+            for array in blinding
         ]
         assert got_blinding == golden["blinding"]
 
@@ -281,9 +299,10 @@ class TestQueries:
             fmt = p.ext.format_element
             db = pir.random_database(p, case["db_seed"])
             queries = pir.gen_queries(p, case["iota"], SeededStream(case["seed"], "query"))
+            blinding = pir.draw_blinding(p, SeededStream(case["seed"], "query"))
             assert [[fmt(x) for x in row] for row in db.array.tolist()] == case["database"]
-            for name in ("blinding", "per_server"):
-                got = [[[fmt(x) for x in row] for row in arr] for arr in getattr(queries, name)]
+            for name, array in (("blinding", blinding), ("per_server", queries)):
+                got = [[[fmt(x) for x in row] for row in arr] for arr in array]
                 assert got == case[name]
             trace = pir.collect_answers(p, queries, db, "trace").values
             full = pir.collect_answers(p, queries, db, "full").values
@@ -304,7 +323,7 @@ class TestQueries:
                     for blind in ext.elements():
                         blinding = (((blind,), (blind,)),)  # same value in both rows
                         queries = pir.queries_from_blinding(p, iota, blinding)
-                        seen.add(tuple(queries.per_server[j][i][0]))
+                        seen.add(tuple(queries[j][i][0]))
                     assert len(seen) == ext.size
 
     def test_blinding_shape_validated(self, params_small):
@@ -321,28 +340,27 @@ class TestQueries:
     def test_batch_of_draws_equals_single_calls(self, scheme):
         p = pir.setup(*scheme, m=3)
         shape = (p.t, p.m, p.delta, p.s)
-        stream = SeededStream(21, "batch")
+        stream, again = SeededStream(21, "batch"), SeededStream(21, "batch")
         singles = [pir.gen_queries(p, 2, stream) for _ in range(5)]
-        batch = pir.queries_from_blinding(p, 2, np.stack([qs.blinding for qs in singles]))
-        assert batch.per_server.shape == (5, p.k) + shape[1:]
-        assert batch.blinding.shape == (5,) + shape
+        blindings = np.stack([pir.draw_blinding(p, again) for _ in range(5)])
+        batch = pir.queries_from_blinding(p, 2, blindings)
+        assert batch.shape == (5, p.k) + shape[1:]
         for n, single in enumerate(singles):
-            assert np.array_equal(batch.per_server[n], single.per_server)
-            assert np.array_equal(batch.blinding[n], single.blinding)
+            assert np.array_equal(batch[n], single)
         empty = pir.queries_from_blinding(p, 2, np.zeros((0,) + shape, dtype=np.int64))
-        assert empty.per_server.shape == (0, p.k) + shape[1:]
+        assert empty.shape == (0, p.k) + shape[1:]
 
     @pytest.mark.parametrize("scheme", [(7, 1, 1, 5), (6, 2, 1, 5)])
-    def test_batch_of_clients_equals_single_queries_and_answers(self, scheme):
+    def test_batch_of_clients_equals_single_queries_and_answers(self, monkeypatch, scheme):
         # B clients, each with its own file index: the same queries, and one
         # server_answer call gives every client's answers
         p = pir.setup(*scheme, m=3)
         db = pir.random_database(p, SeededStream(2, "db"))
-        stream = SeededStream(22, "clients")
+        stream, again = SeededStream(22, "clients"), SeededStream(22, "clients")
         iotas = [3, 1, 1, 2, 3]
         singles = [pir.gen_queries(p, iota, stream) for iota in iotas]
-        batch = pir.queries_from_blinding(p, iotas, np.stack([qs.blinding for qs in singles]))
-        assert batch.iota == tuple(iotas)
+        blindings = np.stack([pir.draw_blinding(p, again) for _ in iotas])
+        batch = pir.queries_from_blinding(p, iotas, blindings)
         for mode in ("trace", "full"):
             answers = pir.collect_answers(p, batch, db, mode)
             assert answers.values == tuple(pir.collect_answers(p, qs, db, mode).values for qs in singles)
@@ -351,34 +369,34 @@ class TestQueries:
                 pir.collect_answers(p, qs, db, mode, ids).values for qs in singles
             )
         for n, single in enumerate(singles):
-            assert np.array_equal(batch.per_server[n], single.per_server)
-        assert np.shares_memory(batch.for_servers(tuple(range(1, p.k + 1))), batch.per_server)
-        one = pir.queries_from_blinding(p, iotas[:1], singles[0].blinding[None])
-        assert np.array_equal(one.per_server[0], singles[0].per_server)
+            assert np.array_equal(batch[n], single)
+        assert np.shares_memory(answered_queries(monkeypatch, p, batch, db, tuple(range(1, p.k + 1))), batch)
+        one = pir.queries_from_blinding(p, iotas[:1], blindings[:1])
+        assert np.array_equal(one[0], singles[0])
         with pytest.raises(IndexError):
-            pir.queries_from_blinding(p, [1, 4], np.stack([qs.blinding for qs in singles[:2]]))
+            pir.queries_from_blinding(p, [1, 4], blindings[:2])
         for bad in ([1.0, 2], [[1, 2]]):  # a non-integer index, a nested list
             with pytest.raises(IndexError):
-                pir.queries_from_blinding(p, bad, np.stack([qs.blinding for qs in singles[:2]]))
+                pir.queries_from_blinding(p, bad, blindings[:2])
         with pytest.raises(IndexError):
-            pir.queries_from_blinding(p, 2.0, singles[0].blinding)
-        as_array = pir.queries_from_blinding(p, np.array(iotas), batch.blinding)
-        assert as_array.iota == tuple(iotas) and np.array_equal(as_array.per_server, batch.per_server)
+            pir.queries_from_blinding(p, 2.0, blindings[0])
+        as_array = pir.queries_from_blinding(p, np.array(iotas), blindings)
+        assert np.array_equal(as_array, batch)
         with pytest.raises(ValueError):
-            pir.queries_from_blinding(p, [1, 2], batch.blinding)  # two indices, five draws
+            pir.queries_from_blinding(p, [1, 2], blindings)  # two indices, five draws
         with pytest.raises(ValueError):
-            pir.queries_from_blinding(p, [1], singles[0].blinding)  # an index list, one unbatched draw
-        empty = pir.queries_from_blinding(p, [], np.zeros((0,) + batch.blinding.shape[1:], dtype=np.int64))
-        assert empty.per_server.shape == (0, p.k, p.m, p.delta, p.s)
+            pir.queries_from_blinding(p, [1], blindings[0])  # an index list, one unbatched draw
+        empty = pir.queries_from_blinding(p, [], np.zeros((0,) + blindings.shape[1:], dtype=np.int64))
+        assert empty.shape == (0, p.k, p.m, p.delta, p.s)
 
     def test_single_query_is_server_major_without_copies(self, params_ext):
         queries = pir.gen_queries(params_ext, 3, SeededStream(4, "layout"))
-        per_server = queries.per_server
-        assert per_server.shape == (params_ext.k, params_ext.m, params_ext.delta, params_ext.s)
-        assert per_server.flags.c_contiguous
+        assert type(queries) is np.ndarray and queries.dtype == np.int64
+        assert queries.shape == (params_ext.k, params_ext.m, params_ext.delta, params_ext.s)
+        assert queries.flags.c_contiguous
         for j in range(1, params_ext.k + 1):
-            view = per_server[j - 1]
-            assert not view.flags.owndata and np.shares_memory(view, per_server)
+            view = queries[j - 1]
+            assert not view.flags.owndata and np.shares_memory(view, queries)
 
 
 class TestAnswers:
@@ -387,8 +405,8 @@ class TestAnswers:
         db = Database(tuple((p.ext.zero,) * p.delta for _ in range(p.m)))
         queries = pir.gen_queries(p, 1, SeededStream(3, "z"))
         for j in range(1, p.k + 1):
-            assert pir.server_answer(p, j, queries.per_server[j - 1], db, "full") == p.ext.zero
-            assert pir.server_answer(p, j, queries.per_server[j - 1], db, "trace") == 0
+            assert pir.server_answer(p, j, queries[j - 1], db, "full") == p.ext.zero
+            assert pir.server_answer(p, j, queries[j - 1], db, "trace") == 0
 
     def test_zero_blinding_exposes_file_values(self, params_ext, db_ext):
         # with all blinding arrays zero, the answer polynomial passes through
@@ -401,7 +419,7 @@ class TestAnswers:
         )
         queries = pir.queries_from_blinding(p, 2, zero_blinding)
         answers = [
-            pir.server_answer(p, j, queries.per_server[j - 1], db_ext, "full")
+            pir.server_answer(p, j, queries[j - 1], db_ext, "full")
             for j in range(1, p.delta + p.t + 1)
         ]
         points = [(ext.embed(p.omega_beta[j]), answers[j]) for j in range(p.delta + p.t)]
@@ -414,7 +432,8 @@ class TestAnswers:
         # polynomials, then compare against every server's numeric answer
         p = params_small
         ext = p.ext
-        queries = pir.gen_queries(p, 2, SeededStream(8, "s"))
+        blinding = pir.draw_blinding(p, SeededStream(8, "s"))
+        queries = pir.queries_from_blinding(p, 2, blinding)
         alpha_polys, chi_polys = lagrange_basis_polys(p)
         phi = []
         for l in range(p.delta):
@@ -422,45 +441,46 @@ class TestAnswers:
             phi = poly_add(ext, phi, term)
         for h in range(p.t):
             inner = ext.dot(
-                [entry for row in queries.blinding[h] for entry in row],
+                [entry for row in blinding[h] for entry in row],
                 [tuple(entry) for entry in db_small.array.reshape(-1, p.s).tolist()],
             )
             phi = poly_add(ext, phi, polyring.poly_scale(ext, inner, list(chi_polys[h])))
         assert polyring.degree(phi) <= p.r - 2 * p.b - 1
         for j in range(1, p.k + 1):
-            numeric = pir.server_answer(p, j, queries.per_server[j - 1], db_small, "full")
+            numeric = pir.server_answer(p, j, queries[j - 1], db_small, "full")
             symbolic = polyring.poly_eval(ext, phi, ext.embed(p.omega_beta[j - 1]))
             assert numeric == symbolic
-            trace_answer = pir.server_answer(p, j, queries.per_server[j - 1], db_small, "trace")
+            trace_answer = pir.server_answer(p, j, queries[j - 1], db_small, "trace")
             assert trace_answer == ext.trace(ext.mul(p.v[j - 1], numeric))
 
-    def test_batch_matches_single_answers(self, params_ext, db_ext):
+    def test_batch_matches_single_answers(self, monkeypatch, params_ext, db_ext):
         p = params_ext
         queries = pir.gen_queries(p, 2, SeededStream(6, "batch"))
         for mode in ("trace", "full"):
             ids = (5, 2, 7)
-            batch = pir.server_answer(p, ids, queries.per_server[[j - 1 for j in ids]], db_ext, mode)
-            single = tuple(pir.server_answer(p, j, queries.per_server[j - 1], db_ext, mode) for j in ids)
+            batch = pir.server_answer(p, ids, queries[[j - 1 for j in ids]], db_ext, mode)
+            single = tuple(pir.server_answer(p, j, queries[j - 1], db_ext, mode) for j in ids)
             assert batch == single
             assert pir.collect_answers(p, queries, db_ext, mode, ids).values == single
-        assert np.array_equal(queries.for_servers((5, 2, 7)), queries.per_server[[4, 1, 6]])
+        assert np.array_equal(answered_queries(monkeypatch, p, queries, db_ext, (5, 2, 7)), queries[[4, 1, 6]])
         for bad in ((1, 0), (8,)):
             with pytest.raises(IndexError):
-                pir.server_answer(p, bad, queries.per_server[: len(bad)], db_ext)
+                pir.server_answer(p, bad, queries[: len(bad)], db_ext)
         with pytest.raises(ValueError):
-            pir.server_answer(p, (1, 2), queries.per_server[:3], db_ext)  # three queries, two ids
+            pir.server_answer(p, (1, 2), queries[:3], db_ext)  # three queries, two ids
 
-    def test_prefix_queries_are_a_view(self, params_ext):
-        # all k servers, and a full-mode session's first r, answer from per_server itself
+    def test_prefix_queries_are_a_view(self, monkeypatch, params_ext, db_ext):
+        # all k servers, and a full-mode session's first r, answer from the query array itself
         queries = pir.gen_queries(params_ext, 2, SeededStream(6, "batch"))
         for n in (1, params_ext.r, params_ext.k):
-            prefix = queries.for_servers(tuple(range(1, n + 1)))
-            assert np.shares_memory(prefix, queries.per_server)
-            assert np.array_equal(prefix, queries.per_server[:n])
+            prefix = answered_queries(monkeypatch, params_ext, queries, db_ext, tuple(range(1, n + 1)))
+            assert np.shares_memory(prefix, queries)
+            assert np.array_equal(prefix, queries[:n])
         for ids in ((2, 1), (2, 3), (1, 3)):
-            assert not np.shares_memory(queries.for_servers(ids), queries.per_server)
-        with pytest.raises(IndexError):
-            queries.for_servers(tuple(range(1, params_ext.k + 2)))
+            assert not np.shares_memory(answered_queries(monkeypatch, params_ext, queries, db_ext, ids), queries)
+        for ids in (tuple(range(1, params_ext.k + 2)), (0, 1)):
+            with pytest.raises(IndexError):
+                pir.collect_answers(params_ext, queries, db_ext, "trace", ids)
 
     @pytest.mark.parametrize("scheme", [(7, 1, 1, 5), (11, 1, 2, 8), (17, 1, 2, 8)])
     def test_all_k_batch_equals_single_calls_with_one_dot_each(self, monkeypatch, scheme):
@@ -479,26 +499,26 @@ class TestAnswers:
         every = tuple(range(1, p.k + 1))
         for mode in ("trace", "full"):
             calls.clear()
-            batch = pir.server_answer(p, every, queries.per_server, db, mode)
-            single = tuple(pir.server_answer(p, j, queries.per_server[j - 1], db, mode) for j in every)
+            batch = pir.server_answer(p, every, queries, db, mode)
+            single = tuple(pir.server_answer(p, j, queries[j - 1], db, mode) for j in every)
             assert batch == single
             assert calls == [p.k] + [1] * p.k
             kind = int if mode == "trace" else tuple
             assert all(type(answer) is kind for answer in batch)
         entries = [tuple(x) for x in db.array.reshape(-1, p.s).tolist()]
         for j, answer in zip(every, batch):
-            query = [tuple(x) for x in queries.per_server[j - 1].reshape(-1, p.s).tolist()]
+            query = [tuple(x) for x in queries[j - 1].reshape(-1, p.s).tolist()]
             assert answer == ref_dot(p.ext, entries, query)
 
     def test_dimension_mismatch(self, params_small, db_small):
         queries = pir.gen_queries(params_small, 1, SeededStream(1, "d"))
         bad_db = Database(db_small.array[:2])
         with pytest.raises(ValueError):
-            pir.server_answer(params_small, 1, queries.per_server[0], bad_db)
+            pir.server_answer(params_small, 1, queries[0], bad_db)
         with pytest.raises(IndexError):
-            pir.server_answer(params_small, 9, queries.per_server[0], db_small)
+            pir.server_answer(params_small, 9, queries[0], db_small)
         with pytest.raises(ValueError):
-            pir.server_answer(params_small, 1, queries.per_server[0], Database(((7,),) * 3))
+            pir.server_answer(params_small, 1, queries[0], Database(((7,),) * 3))
 
     def test_database_array_built_once_and_read_only(self, params_ext, db_ext):
         array = db_ext.array
@@ -960,7 +980,7 @@ class TestNonIntegerInput:
 
     def test_query(self, scheme):
         p, db, queries = scheme
-        query = queries.per_server[0]
+        query = queries[0]
         honest = pir.server_answer(p, 1, query, db)
         for bad in (query + 0.5, query.astype(float), query.astype(complex), query.astype(object)):
             with pytest.raises(ValueError):
@@ -970,12 +990,12 @@ class TestNonIntegerInput:
 
     def test_blinding(self, scheme):
         p, _, queries = scheme
-        blinding = queries.blinding
+        blinding = pir.draw_blinding(p, SeededStream(4, "nonint"))
         for bad in (blinding + 0.5, blinding.astype(float), blinding.astype(str)):
             with pytest.raises(ValueError):
                 pir.queries_from_blinding(p, 1, bad)
         for good in (blinding.astype(np.uint8), blinding.tolist()):
-            assert np.array_equal(pir.queries_from_blinding(p, 1, good).per_server, queries.per_server)
+            assert np.array_equal(pir.queries_from_blinding(p, 1, good), queries)
 
 
 class TestCapacity:
@@ -1055,7 +1075,7 @@ class TestSerialization:
             assert other is not params_ext
             assert other == params_ext and hash(other) == hash(params_ext)
         assert pir.setup(7, 1, 1, 5, m=3) != params_ext
-        assert pir._trace_forms(restored) is pir._trace_forms(params_ext)
+        assert pir._trace_forms(restored, (1, 2)) is pir._trace_forms(params_ext, (1, 2))
 
     def test_tampered_params_rejected(self, params_small):
         data = pir.params_to_json_dict(params_small)
@@ -1104,6 +1124,34 @@ def test_answer_degree_invariant_exhaustive_small():
         assert polyring.degree(list(curve)) <= p.t + p.delta - 1
 
 
+@pytest.mark.parametrize("scheme,q_hint,s", [((4, 1, 1, 4), 2**31 - 1, 1), ((7, 1, 1, 5), 65521, 2)])
+def test_trace_fold_exact_at_the_largest_fields(scheme, q_hint, s):
+    # the trace answers fold as one int64 product summed over s coefficients;
+    # uniform entries give uniform answers, whose terms reach q^2, at s = 1
+    # near 2^62, where a float64 fold would round
+    p = pir.setup(*scheme, q_hint=q_hint, m=3)
+    assert (p.q, p.s) == (q_hint, s)
+    ext = p.ext
+    rng = np.random.default_rng(71)
+    db = Database(rng.integers(0, p.q, size=(p.m, p.delta, p.s)))
+    iotas = [2, 1, 3, 2]
+    blindings = rng.integers(0, p.q, size=(len(iotas), p.t, p.m, p.delta, p.s))
+    batch = pir.queries_from_blinding(p, iotas, blindings)
+    every = tuple(range(1, p.k + 1))
+    batched_full = pir.collect_answers(p, batch, db, "full").values
+    batched_trace = pir.collect_answers(p, batch, db, "trace").values
+    for n, (iota, blinding) in enumerate(zip(iotas, blindings)):
+        queries = pir.queries_from_blinding(p, iota, blinding)
+        full = pir.server_answer(p, every, queries, db, "full")
+        assert full == batched_full[n]
+        expected = tuple(ext.trace(ext.mul(p.v[j - 1], full[j - 1])) for j in every)
+        assert batched_trace[n] == expected
+        assert pir.server_answer(p, every, queries, db, "trace") == expected
+        alone = tuple(pir.server_answer(p, j, queries[j - 1], db, "trace") for j in every)
+        assert alone == expected
+        assert all(type(v) is int for v in alone + batched_trace[n])
+
+
 def test_chunked_products_exact_near_q_2_to_the_31():
     # at q = 2^31 - 1 a product chunk is two terms: t*s = 3 chunks the
     # curve product and m*delta = 4 the batched Gram product
@@ -1121,15 +1169,15 @@ def test_chunked_products_exact_near_q_2_to_the_31():
                 for l in range(p.delta):
                     value = alpha_vals[l] if i == iota - 1 else ext.zero
                     for h in range(p.t):
-                        value = ext.add(value, ext.mul(chi_vals[h], tuple(queries.blinding[h][i][l])))
-                    assert tuple(queries.per_server[j][i][l].tolist()) == value
+                        value = ext.add(value, ext.mul(chi_vals[h], tuple(blinding[h][i][l].tolist())))
+                    assert tuple(queries[j][i][l].tolist()) == value
         entries = [tuple(x) for x in db.array.reshape(-1, p.s).tolist()]
         full = pir.collect_answers(p, queries, db, "full").values
         trace = pir.collect_answers(p, queries, db, "trace").values
         for j in range(1, p.k + 1):
-            query = [tuple(x) for x in queries.per_server[j - 1].reshape(-1, p.s).tolist()]
+            query = [tuple(x) for x in queries[j - 1].reshape(-1, p.s).tolist()]
             expected = ext.dot(query, entries)
             assert full[j - 1] == expected
             assert trace[j - 1] == ext.trace(ext.mul(p.v[j - 1], expected))
             for mode, values in (("full", full), ("trace", trace)):
-                assert pir.server_answer(p, j, queries.per_server[j - 1], db, mode) == values[j - 1]
+                assert pir.server_answer(p, j, queries[j - 1], db, mode) == values[j - 1]

@@ -312,8 +312,8 @@ class TestBatchDecode:
         assert calls == ["solve", "encode"]
 
     def test_lone_word_to_correct_solves_with_ints(self, monkeypatch):
-        # the stacked solve runs only for two or more words to correct; one
-        # such word among failures and codewords keeps the scalar solve
+        # only a batch's lone dirty word takes the scalar solve; one word to
+        # correct among failures and codewords takes the stacked one
         code = GrsCode(field=PrimeField(11), points=tuple(range(9)), multipliers=(1,) * 9, dim=5)
         kinds = []
         solve = rscodes.linalg.solve
@@ -332,7 +332,11 @@ class TestBatchDecode:
         batch = grs_decode(code, words)
         assert batch.failed.tolist() == [False, True, False, False, False, False]
         assert batch.errors[4].tolist() == [i in (2, 7) for i in range(9)]
+        assert kinds == ["ndarray"]
+        del kinds[:]
+        lone = grs_decode(code, [words[4], words[5]])  # one dirty word among codewords
         assert kinds == ["list"]
+        assert lone.corrected[0].tolist() == batch.corrected[4].tolist()
         words[0][6] = (words[0][6] + 3) % 11  # a second word to correct
         del kinds[:]
         again = grs_decode(code, words)
