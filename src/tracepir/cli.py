@@ -66,12 +66,12 @@ def cmd_params(args) -> int:
 
 def cmd_run(args) -> int:
     params = _setup_from_args(args)
-    db = _load_db(params, args)
     if not 1 <= args.iota <= params.m:
         raise InvalidParameters("iota", f"{args.iota} outside [1, {params.m}]")
     if any(not 1 <= j <= params.k for j in args.byzantine):
         raise InvalidParameters("byzantine", "server id outside [1, k]")
     harness.check_adversary(params, args.byzantine, args.strategy, args.offset)
+    db = _load_db(params, args)
     adversary = AdversaryModel(
         byzantine_set=args.byzantine,
         strategy=args.strategy,
@@ -92,8 +92,10 @@ def cmd_sweep(args) -> int:
     if args.randomized is not None:
         harness.check_sweep_trials(args.randomized)
     params = _setup_from_args(args)
-    db = _load_db(params, args)
     scope = "randomized" if args.randomized is not None else "exhaustive"
+    if scope == "exhaustive":
+        harness.check_exhaustive_sweep(params)
+    db = _load_db(params, args)
     report = harness.byzantine_sweep(
         params, db, scope=scope, trials=args.randomized or 0, seed=args.seed
     )

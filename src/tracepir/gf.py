@@ -199,7 +199,24 @@ class ExtField:
         return kernels.ext_dot(xs, ys, self._red, self.q)
 
     def frobenius(self, a: tuple) -> tuple:
-        return kernels.ext_pow(a, self.q, self._red, self.q)
+        """a^q, as a linear map: the F_q-linear sum of a_d * (xi^d)^q.
+
+        In characteristic q, (sum_d a_d xi^d)^q = sum_d a_d (xi^d)^q, so
+        the Frobenius is the s x s matrix `_frobenius_rows` over F_q and
+        costs s^2 products instead of a square-and-multiply in F_{q^s}.
+        """
+        q = self.q
+        acc = [0] * self.s
+        for c, row in zip(a, self._frobenius_rows, strict=True):
+            for d, x in enumerate(row):
+                acc[d] += c * x
+        return tuple(c % q for c in acc)
+
+    @functools.cached_property
+    def _frobenius_rows(self) -> tuple:
+        """(xi^d)^q = (xi^q)^d for d < s (row 0 is 1, also when s = 1)."""
+        xq = self.pow(tuple(int(d == 1) for d in range(self.s)), self.q)
+        return tuple(self.pow(xq, d) for d in range(self.s))
 
     def trace(self, a: tuple) -> int:
         """Tr(a) = sum of a^{q^i} for i < s; always a base-field element.
@@ -374,7 +391,9 @@ def rabin_irreducible(base: PrimeField, poly) -> bool:
     """Deterministic irreducibility test for a monic polynomial over F_q.
 
     Checks xi^{q^s} == xi mod f together with gcd(xi^{q^{s/p}} - xi, f) = 1
-    for every prime p dividing s.
+    for every prime p dividing s (Rabin, 1980).  The powers xi^{q^i} come
+    from `polyring.frobenius_powers`: one square-and-multiply for xi^q,
+    then one F_q matrix-vector product per further power.
     """
     poly = polyring.normalize(base, list(poly))
     s = polyring.degree(poly)
@@ -382,15 +401,13 @@ def rabin_irreducible(base: PrimeField, poly) -> bool:
         return False
     if s == 1:
         return True
-    q = base.q
     xi = [0, 1]
+    powers = polyring.frobenius_powers(base, poly, s)
     for p in _squarefree_prime_divisors(s):
-        h = polyring.poly_powmod(base, xi, q ** (s // p), poly)
-        h = polyring.poly_sub(base, h, xi)
+        h = polyring.poly_sub(base, powers[s // p], xi)
         if polyring.degree(polyring.poly_gcd(base, h, poly)) != 0:
             return False
-    h = polyring.poly_powmod(base, xi, q**s, poly)
-    return polyring.poly_sub(base, h, xi) == []
+    return polyring.poly_sub(base, powers[s], xi) == []
 
 
 def find_irreducibles(base: PrimeField, s: int, count: int) -> list:

@@ -475,6 +475,19 @@ def check_sweep_trials(trials: int) -> None:
         raise InvalidParameters("randomized", f"{trials} cases, need at least 1")
 
 
+def check_exhaustive_sweep(params: SchemeParams) -> None:
+    """Refuse an exhaustive sweep of more than EXHAUSTIVE_SWEEP_LIMIT cases.
+
+    Raises EnumerationTooLarge before any database is built or read;
+    ``byzantine_sweep`` and the CLI share it.
+    """
+    total = math.comb(params.k, params.b) * (params.q - 1) ** params.b * params.m
+    if total > EXHAUSTIVE_SWEEP_LIMIT:
+        raise EnumerationTooLarge(
+            f"{total} exhaustive cases exceed {EXHAUSTIVE_SWEEP_LIMIT}; use the randomized scope"
+        )
+
+
 def byzantine_sweep(
     params: SchemeParams,
     db: Database,
@@ -526,18 +539,14 @@ def byzantine_sweep(
     """
     if scope == "randomized":
         check_sweep_trials(trials)
+    elif scope == "exhaustive":
+        check_exhaustive_sweep(params)
     pir.check_dimensions(params, db)
     base_stream = SeededStream(seed, "sweep")
     failures: list = []
     cases = failed = 0
     k, b, q = params.k, params.b, params.q
     if scope == "exhaustive":
-        total = math.comb(k, b) * (q - 1) ** b * params.m
-        if total > EXHAUSTIVE_SWEEP_LIMIT:
-            raise EnumerationTooLarge(
-                f"{total} exhaustive cases exceed {EXHAUSTIVE_SWEEP_LIMIT}; "
-                "use the randomized scope"
-            )
         # with b = 0 there is one empty byzantine set and one empty injection
         grid = np.array(list(itertools.product(range(q - 1), repeat=b)), dtype=np.int64)
         grid = grid.reshape((q - 1) ** b, b)

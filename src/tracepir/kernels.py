@@ -9,7 +9,10 @@ stacks of elements, is two int64 matrix products through
 `linalg.matmul_mod`; it imports numpy where it is used.  `gf` calls these
 functions by module attribute, so rebinding one here reaches every
 caller; `ext_pow` multiplies through the private `_mul`, so such a
-rebound `ext_mul` sees only calls from outside the kernel.
+rebound `ext_mul` sees only calls from outside the kernel.  `ext_pow`
+is reached only through `ExtField.pow` (setup's theta and alpha powers
+among others); `ExtField.frobenius` is a linear map whose matrix
+`ext_pow` builds once per field, and it calls no kernel itself.
 """
 
 import functools

@@ -140,6 +140,25 @@ def _require(condition: bool, constraint: str, message: str):
         raise InvalidParameters(constraint, message)
 
 
+def _norm_power(ext: ExtField, frobenius_x, a: tuple, f) -> list:
+    """(x + a)^((q^s - 1)/2) mod f, through the norm of x + a.
+
+    (q^s - 1)/2 = ((q - 1)/2) * (1 + q + ... + q^(s-1)), and in
+    characteristic q, (x + a)^(q^i) = x^(q^i) + a^(q^i).  So the power is
+    the product of the s shifted Frobenius powers x^(q^i) + a^(q^i),
+    raised to (q - 1)/2: s - 1 products modulo f and a power by (q - 1)/2,
+    against about 2*s*log2(q) products for the whole exponent.
+    frobenius_x[i] is x^(q^i) modulo any multiple of f, with coefficients
+    in ext; q must be odd.
+    """
+    norm, conjugate = [ext.one], a
+    for h in frobenius_x:
+        shifted = [ext.add(h[0], conjugate), *h[1:]]
+        norm = polyring.poly_mod(ext, polyring.poly_mul(ext, norm, shifted), f)
+        conjugate = ext.frobenius(conjugate)
+    return polyring.poly_powmod(ext, norm, (ext.q - 1) // 2, f)
+
+
 def _find_root(ext: ExtField, poly) -> tuple:
     """Lexicographically smallest root in ext of a degree-s irreducible poly.
 
@@ -154,19 +173,26 @@ def _find_root(ext: ExtField, poly) -> tuple:
     the base field: all roots of f are conjugate, so r + a has the same
     quadratic character for every root when a is in F_q.  The search
     needs odd q, which s >= 2 implies (q >= k >= 3).
+
+    The power is the norm exponent (`_norm_power`).  Its x^(q^i) mod poly
+    have base-field coefficients and come once per poly from
+    `polyring.frobenius_powers`; they stay valid modulo every factor f of
+    poly that the splitting leaves.
     """
     s = ext.s
     if tuple(poly) == ext.modulus:
         root = (0, 1) + (0,) * (s - 2)
     else:
         f = [ext.embed(c) for c in poly]
-        half = (ext.size - 1) // 2
+        frobenius_x = [
+            [ext.embed(c) for c in h] for h in polyring.frobenius_powers(ext.base, list(poly), s - 1)
+        ]
         for a in ext.elements():
             if len(f) == 2:
                 break
             if not any(a[1:]):
                 continue
-            power = polyring.poly_powmod(ext, [a, ext.one], half, f)
+            power = _norm_power(ext, frobenius_x, a, f)
             g = polyring.poly_gcd(ext, polyring.poly_sub(ext, power, [ext.one]), f)
             if 1 < len(g) < len(f):
                 f = min(g, polyring.poly_divmod(ext, f, g)[0], key=len)
@@ -191,6 +217,14 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     three sets tile the first k + t + delta base elements.  Towers above
     2^32 elements are refused (constraint "field-size-guard") before any
     irreducible search; below that, setup is polynomial in s and log q.
+
+    Its cost, for s >= 2, is mostly in F_{q^s}[x]: each irreducibility
+    test (`rabin_irreducible`) takes one x^q mod f by square-and-multiply
+    and then one F_q matrix-vector product per Frobenius power, and each
+    Cantor-Zassenhaus shift in `_find_root` takes s - 1 products and a
+    power by (q - 1)/2.  At (17,1,2,8), cProfile splits setup into root
+    finding about half, `dual_multipliers` a fifth, `verify_params` a
+    tenth and the irreducible search under a tenth.
     """
     for name, value in (("k", k), ("t", t), ("b", b), ("r", r), ("m", m)):
         if not isinstance(value, int):

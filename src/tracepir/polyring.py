@@ -91,17 +91,51 @@ def poly_gcd(field, a, b):
 
 
 def poly_powmod(field, base, e: int, mod):
-    """base^e reduced modulo mod, square-and-multiply."""
+    """base^e reduced modulo mod, square-and-multiply.
+
+    The first set bit takes the square as it is and the top bit squares
+    no further, so e costs bit_length - 1 squarings and popcount - 1
+    multiplications.
+    """
     if e < 0:
         raise ValueError("negative exponent")
-    result = [field.one]
+    result = None
     base = poly_mod(field, base, mod)
     while e:
         if e & 1:
-            result = poly_mod(field, poly_mul(field, result, base), mod)
-        base = poly_mod(field, poly_mul(field, base, base), mod)
+            result = base if result is None else poly_mod(field, poly_mul(field, result, base), mod)
         e >>= 1
-    return result
+        if e:
+            base = poly_mod(field, poly_mul(field, base, base), mod)
+    return [field.one] if result is None else result
+
+
+def frobenius_powers(field, f, count: int):
+    """x^(q^i) mod f for i = 0..count, for f over the prime field F_q.
+
+    The q-power map is F_q-linear: h^q = sum_d h_d x^(q*d) because every
+    h_d in F_q satisfies h_d^q = h_d.  So x^q mod f (square-and-multiply)
+    and its first deg f powers are the rows of the map's matrix, and each
+    further power costs one matrix-vector product over F_q, in place of
+    about 2*log2(q) polynomial products (von zur Gathen and Shoup,
+    "Computing Frobenius Maps and Factoring Polynomials", 1992).
+    """
+    n = degree(f)
+    if n < 1:
+        raise ValueError("modulus must have degree >= 1")
+    q = field.q
+    xq = poly_powmod(field, [0, 1], q, f)
+    rows = [[1]]
+    for _ in range(n - 1):
+        rows.append(poly_mod(field, poly_mul(field, rows[-1], xq), f))
+    powers = [poly_mod(field, [0, 1], f)]
+    for _ in range(count):
+        acc = [0] * n
+        for c, row in zip(powers[-1], rows):
+            for d, x in enumerate(row):
+                acc[d] += c * x
+        powers.append(normalize(field, [c % q for c in acc]))
+    return powers
 
 
 def from_roots(field, roots):

@@ -3,6 +3,15 @@ import pytest
 from tracepir import pir
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--full-space",
+        action="store_true",
+        default=False,
+        help="check every tuple of tests/data/golden_params_space.json, not a drawn slice",
+    )
+
+
 @pytest.fixture(scope="session")
 def params_small():
     """s = 1 instance: k=4, t=1, b=1, r=4 over GF(7), three files."""
@@ -23,3 +32,4 @@ def db_small(params_small):
 @pytest.fixture(scope="session")
 def db_ext(params_ext):
     return pir.random_database(params_ext, 5678)
+

@@ -273,6 +273,35 @@ class TestSelftest:
         assert all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("run", *BASE, "--m", "3", "--iota", "4"), 2),
+        (("run", *BASE, "--m", "3", "--byzantine", "5"), 2),
+        (("run", *BASE, "--m", "3", "--byzantine", "1,1"), 2),
+        (("run", *BASE, "--m", "3", "--byzantine", "2", "--strategy", "offset", "--offset", "7"), 2),
+        (("sweep", "--k", "11", "--t", "1", "--b", "2", "--r", "8", "--q", "101", "--m", "2"), 5),
+    ],
+)
+@pytest.mark.parametrize("source", ["--random-db", "--db"])
+def test_refusals_come_before_the_database(capsys, monkeypatch, tmp_path, argv, code, source):
+    def no_database(*args):
+        raise AssertionError("a database was built or read before the refusal")
+
+    monkeypatch.setattr(pir, "random_database", no_database)
+    monkeypatch.setattr(pir, "load_database", no_database)
+    db = ("--random-db",) if source == "--random-db" else ("--db", str(tmp_path / "absent"))
+    assert run_cli(capsys, *argv, *db)[:2] == (code, "")
+
+
+def test_bad_iota_outranks_a_bad_database_file(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("1\nbroken\n3\n")
+    code, out, err = run_cli(capsys, "run", *BASE, "--m", "3", "--iota", "4", "--db", str(path))
+    assert (code, out) == (2, "")
+    assert "invalid-parameters [iota]" in err
+
+
 def _child_env():
     """Environment whose child imports the package this test imported, whatever PYTHONPATH says."""
     src = str(Path(tracepir.__file__).resolve().parents[1])

@@ -110,6 +110,20 @@ class TestExtField:
             # the sum lies in the base subfield and equals the trace there
             assert acc == (E.trace(x),) + (0,) * (s - 1)
 
+    @pytest.mark.parametrize("q,s", [(3, 4), (5, 3), (7, 2), (7, 1)])
+    def test_frobenius_is_the_q_power_everywhere(self, q, s):
+        E = tower(q, s).ext
+        for x in E.elements():
+            assert E.frobenius(x) == E.pow(x, q)
+
+    @pytest.mark.parametrize("q,s", [(65521, 2), (2**31 - 1, 1)])
+    def test_frobenius_is_the_q_power_at_large_q(self, q, s):
+        # entries near 2^31: products stay exact Python ints
+        E = tower(q, s).ext
+        rng = random.Random(q)
+        for x in [(q - 1,) * s] + [tuple(rng.randrange(q) for _ in range(s)) for _ in range(200)]:
+            assert E.frobenius(x) == E.pow(x, q)
+
     def test_inverse_and_pow(self):
         E = tower(7, 2).ext
         rng = random.Random(9)
@@ -178,6 +192,22 @@ class TestIrreducibles:
             if gf.rabin_irreducible(F, (*tail, 1))
         ]
         assert find_irreducibles(F, s, len(full)) == full
+
+    @pytest.mark.parametrize(
+        "q,s", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (3, 2), (3, 3), (3, 4), (3, 5),
+                (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)],
+    )
+    def test_rabin_matches_trial_division(self, q, s):
+        F = PrimeField(q)
+
+        def monic(d):
+            return [list(tail) + [1] for tail in itertools.product(range(q), repeat=d)]
+
+        divisors = [g for d in range(1, s // 2 + 1) for g in monic(d)]
+        verdicts = [gf.rabin_irreducible(F, f) for f in monic(s)]
+        expected = [all(polyring.poly_mod(F, f, g) for g in divisors) for f in monic(s)]
+        assert verdicts == expected
+        assert sum(verdicts) == irreducible_count(q, s)
 
     def test_outputs_have_no_roots_for_quadratics(self):
         F = PrimeField(11)

@@ -137,16 +137,45 @@ class TestSetup:
             p = pir.setup(sc["k"], sc["t"], sc["b"], sc["r"])
             assert pir.params_to_json_dict(p) == case["params"]
 
-    @pytest.mark.parametrize("q,s", [(3, 2), (7, 2), (3, 3), (3, 4)])
-    def test_find_root_is_smallest_root(self, q, s):
+    @pytest.mark.parametrize(
+        "q,s,stride",
+        [
+            pytest.param(q, s, stride, id=f"{q}-{s}")
+            for q, s, stride in [(3, 2, 1), (7, 2, 1), (3, 3, 1), (3, 4, 1), (3, 5, 8)]
+        ],
+    )
+    def test_find_root_is_smallest_root(self, q, s, stride):
+        # every modulus, each against every stride-th polynomial from its own
+        # index on (every polynomial when stride is 1; at (3, 5) the 48
+        # moduli cover all 48 polynomials six times); the modulus itself
+        # takes the xi shortcut, the others split
         base = gf.PrimeField(q)
         irreducibles = gf.find_irreducibles(base, s, gf.irreducible_count(q, s))
-        # the first modulus takes the xi shortcut for itself, the last does not
-        for modulus in (irreducibles[0], irreducibles[-1]):
+        for i, modulus in enumerate(irreducibles):
             ext = gf.ExtField(base, s, modulus)
-            for f in irreducibles:
-                smallest = min(x for x in ext.elements() if ext.eval_base_poly(f, x) == ext.zero)
+            for f in irreducibles[i % stride :: stride]:
+                # elements() runs in lexicographic order, so the first root is the smallest
+                smallest = next(x for x in ext.elements() if ext.eval_base_poly(f, x) == ext.zero)
                 assert pir._find_root(ext, f) == smallest
+
+    @pytest.mark.parametrize("q,s", [(3, 4), (5, 3), (7, 2), (17, 4)])
+    def test_norm_power_is_the_half_power(self, q, s):
+        base = gf.PrimeField(q)
+        modulus, poly = gf.find_irreducibles(base, s, 2)
+        ext = gf.ExtField(base, s, modulus)
+        frobenius_x = [
+            [ext.embed(c) for c in h] for h in polyring.frobenius_powers(base, list(poly), s - 1)
+        ]
+        # poly itself, and a proper factor of it over ext: the x^(q^i) mod
+        # poly serve every factor
+        root = pir._find_root(ext, poly)
+        factor = polyring.from_roots(ext, [root, ext.pow(root, q)])
+        rng = random.Random(q * s)
+        shifts = [(0,) * s, ext.one] + [tuple(rng.randrange(q) for _ in range(s)) for _ in range(6)]
+        for f in ([ext.embed(c) for c in poly], factor):
+            for a in shifts:
+                expected = polyring.poly_powmod(ext, [a, ext.one], (q**s - 1) // 2, f)
+                assert pir._norm_power(ext, frobenius_x, a, f) == expected
 
     def test_sets_disjoint_and_alpha_roots(self, params_ext):
         p = params_ext

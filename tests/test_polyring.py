@@ -97,6 +97,31 @@ def test_powmod_matches_repeated_multiplication():
         assert polyring.poly_powmod(F7, base, e, mod) == expected
 
 
+@pytest.mark.parametrize("q", [2, 3, 7, 65521])
+def test_frobenius_powers_match_powmod(q):
+    # any modulus: the q-power map is F_q-linear modulo reducible and
+    # non-monic f too
+    field = PrimeField(q)
+    rng = random.Random(q)
+    for n in range(1, 7):
+        for _ in range(4):
+            f = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
+            powers = polyring.frobenius_powers(field, f, 5)
+            assert len(powers) == 6
+            for i, h in enumerate(powers):
+                assert h == polyring.poly_powmod(field, [0, 1], q**i, f)
+
+
+def test_frobenius_powers_need_a_nonconstant_modulus():
+    with pytest.raises(ValueError):
+        polyring.frobenius_powers(F7, [3], 2)
+
+
+def test_powmod_exponent_zero_is_one():
+    assert polyring.poly_powmod(F7, [2, 5], 0, [3, 0, 1]) == [1]
+    assert polyring.poly_powmod(F7, [2, 5], 1, [3, 0, 1]) == [2, 5]
+
+
 def test_from_roots_vanishes_exactly_there():
     roots = [1, 3, 5]
     poly = polyring.from_roots(F7, roots)
