@@ -32,4 +32,3 @@ def db_small(params_small):
 @pytest.fixture(scope="session")
 def db_ext(params_ext):
     return pir.random_database(params_ext, 5678)
-

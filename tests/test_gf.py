@@ -118,7 +118,7 @@ class TestExtField:
 
     @pytest.mark.parametrize("q,s", [(65521, 2), (2**31 - 1, 1)])
     def test_frobenius_is_the_q_power_at_large_q(self, q, s):
-        # entries near 2^31: products stay exact Python ints
+        # entries up to 2^31 - 2: the products stay exact Python ints
         E = tower(q, s).ext
         rng = random.Random(q)
         for x in [(q - 1,) * s] + [tuple(rng.randrange(q) for _ in range(s)) for _ in range(200)]:

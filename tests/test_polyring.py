@@ -117,7 +117,7 @@ def test_frobenius_powers_need_a_nonconstant_modulus():
         polyring.frobenius_powers(F7, [3], 2)
 
 
-def test_powmod_exponent_zero_is_one():
+def test_powmod_small_exponents():
     assert polyring.poly_powmod(F7, [2, 5], 0, [3, 0, 1]) == [1]
     assert polyring.poly_powmod(F7, [2, 5], 1, [3, 0, 1]) == [2, 5]
 
