@@ -352,7 +352,7 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     else:
         subsets = tuple(itertools.combinations(range(1, params.k + 1), params.t))
     if mode == "transfer-matrix":
-        curve, _ = pir._query_tables(params)
+        curve = pir._query_tables(params)[0]
         # row h*s + a of subset u maps blinding coefficient a of term h to its
         # servers' query coefficients
         size = params.t * params.s
@@ -381,7 +381,7 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
             "use the transfer-matrix mode"
         )
     # draw n is the base-q digits of n: t elements of s coefficients each
-    digits = np.arange(draws, dtype=np.int64)[:, None] // q ** np.arange(t * s, dtype=np.int64) % q
+    digits = pir._base_q_digits(q, t * s)
     blinding = np.broadcast_to(digits.reshape(draws, t, 1, 1, s), (draws, t, m, delta, s))
     radix = q ** np.arange(s, dtype=np.int64)  # an element as one int: its base-q digits
     servers = np.array(subsets, dtype=np.int64) - 1  # (subsets, width)

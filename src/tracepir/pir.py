@@ -17,22 +17,29 @@ coefficients of an extension element: a database is one read-only
 are one (k, m, delta, s) array, server-major, whose row j - 1 goes to
 server j.  That array is the only form queries take, and nothing else
 of the client's travels with it: the file index and the blinding stay
-with whoever drew them.  The query curve is one broadcast product of
-the (m*delta, t*s) blinding rows with a (k, t*s, s) stack of
-multiply-by-constant blocks, whose result is already in that layout.
-The blinding may carry a leading batch axis of B draws, which the same
-product keeps in front of the queries: the exhaustive privacy audit
-evaluates every draw at one file index, and the randomized byzantine
-sweep runs B clients, each draw at its own index.  `gen_queries` is the
-batch of one.  An answer is the s x s coefficient-product matrix of
-database and query, folded through the modulus; the answers of a batch
-of servers, for one client or for B, come from one `ExtField.dot` over
-the stacked queries, and trace mode compresses them all in one more
-array product.  Every such product goes through `linalg.matmul_mod`,
-which keeps partial sums below 2^63 and so is exact for every q <= 2^31.
-Trace retrieval decodes a (W, k) batch of answer words in one call
-(`retrieve_many`).  Scalars (setup constants, single answers, retrieved
-symbols) stay Python ints and tuples.
+with whoever drew them.  The query curve's blinding terms are an
+F_q-linear map of the (m*delta, t*s) blinding rows: their product with
+a (k, t*s, s) stack of multiply-by-constant blocks.  A row takes only
+q^(t*s) values, so where the (k, q^(t*s), s) result over all of them
+has at most 2^20 entries (8 MB, `QUERY_TABLE_ENTRIES`), that one
+product is computed once, over its whole domain, and cached with the
+stack: each row is packed into its base-q code and its k terms are read
+from the table with one `np.take`.  The table is a memo of the product,
+not a second formula; above the budget the product runs on every call.
+Both give the queries already in that layout.  The blinding may carry a
+leading batch axis of B draws, which both keep in front of the queries:
+the exhaustive privacy audit evaluates every draw at one file index,
+and the randomized byzantine sweep runs B clients, each draw at its own
+index.  `gen_queries` is the batch of one.  An answer is the s x s
+coefficient-product matrix of database and query, folded through the
+modulus; the answers of a batch of servers, for one client or for B,
+come from one `ExtField.dot` over the stacked queries, and trace mode
+compresses them all in one more array product.  Every such product
+goes through `linalg.matmul_mod`, which keeps partial sums below 2^63
+and so is exact for every q <= 2^31.  Trace retrieval decodes a (W, k)
+batch of answer words in one call (`retrieve_many`).  Scalars (setup
+constants, single answers, retrieved symbols) stay Python ints and
+tuples.
 """
 
 from __future__ import annotations
@@ -223,8 +230,8 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     and then one F_q matrix-vector product per Frobenius power, and each
     Cantor-Zassenhaus shift in `_find_root` takes s - 1 products and a
     power by (q - 1)/2.  At (17,1,2,8), cProfile splits setup into root
-    finding about half, `dual_multipliers` a fifth, `verify_params` a
-    tenth and the irreducible search under a tenth.
+    finding more than half, and `verify_params`, `dual_multipliers` and
+    the irreducible search about a tenth each.
     """
     for name, value in (("k", k), ("t", t), ("b", b), ("r", r), ("m", m)):
         if not isinstance(value, int):
@@ -614,45 +621,69 @@ def _units(ext: ExtField) -> tuple:
     return tuple(tuple(int(a == d) for d in range(ext.s)) for a in range(ext.s))
 
 
+QUERY_TABLE_ENTRIES = 2**20  # int64 entries of the query map's lookup table: 8 MB
+
+
+def _base_q_digits(q: int, width: int) -> np.ndarray:
+    """Row c holds the `width` base-q digits of c, least significant first, for every c < q^width."""
+    return np.arange(q**width, dtype=np.int64)[:, None] // q ** np.arange(width, dtype=np.int64) % q
+
+
 @functools.lru_cache(maxsize=None)
 def _query_tables(params: SchemeParams) -> tuple:
-    """(curve, indicator): the query map as read-only int64 arrays.
+    """(curve, indicator, table): the query map as read-only int64 arrays.
 
     curve is (k, t*s, s): row h*s + a of curve[j - 1] holds chi_vals[h] *
     xi^a at beta_j, so the (m*delta, t*s) blinding rows times curve[j - 1]
     give server j's blinding terms, and one broadcast product gives every
     server's, already server-major.  indicator is (k, delta, s):
     alpha_vals at each beta_j, added at the requested row.
+
+    A blinding row takes only q^(t*s) values, and the map is F_q-linear,
+    so table memoizes that one product over its whole domain: table[j, c]
+    = digits(c) @ curve[j] mod q, for each c < q^(t*s) written in base q
+    least significant digit first (digit h*s + a is coefficient a of term
+    h), computed by the same `matmul_mod` from the same curve.  It is not
+    a second formula, and lives in the same cache entry as the curve, so
+    whatever the curve holds reaches the lookup too.  table is
+    (k, q^(t*s), s) when that has at most QUERY_TABLE_ENTRIES entries, and
+    None above it, where the product runs on every call.
     """
-    ext = params.ext
-    table = lagrange_basis_values(params)
+    ext, q, width = params.ext, params.q, params.t * params.s
+    basis = lagrange_basis_values(params)
     curve = np.array(
         [
             [ext.mul(chi_vals[h], unit) for h in range(params.t) for unit in _units(ext)]
-            for _, chi_vals in table
+            for _, chi_vals in basis
         ],
         dtype=np.int64,
     )
-    indicator = np.array([alpha_vals for alpha_vals, _ in table], dtype=np.int64)
-    return _frozen(curve), _frozen(indicator)
+    indicator = np.array([alpha_vals for alpha_vals, _ in basis], dtype=np.int64)
+    table = None
+    if params.k * q**width * params.s <= QUERY_TABLE_ENTRIES:
+        table = _frozen(matmul_mod(_base_q_digits(q, width), curve, q))
+    return _frozen(curve), _frozen(indicator), table
 
 
 def queries_from_blinding(params: SchemeParams, iota, blinding) -> np.ndarray:
     """Evaluate the indicator-plus-blinding curve at every server point.
 
     Returns the (k, m, delta, s) int64 queries, server-major: row j - 1
-    goes to server j, and it is all that server ever sees.  One product
-    of the (m*delta, t*s) blinding rows with the (k, t*s, s) curve stack
-    gives the queries in that layout, in new memory, so no query shares
-    memory with the blinding.  A (B, t, m, delta, s) blinding is a batch
-    of B draws: the same one product then gives (B, k, m, delta, s)
-    queries, draw-major.  With one file index every draw asks for that
-    file (the privacy audit); with a length-B sequence of them, as B
-    clients ask, draw n's indicator goes to row iota[n] of its own
+    goes to server j, and it is all that server ever sees.  The blinding
+    terms are the (m*delta, t*s) blinding rows times the (k, t*s, s)
+    curve stack.  Within the table budget (`_query_tables`) each row is
+    packed into its base-q code and the terms are read from the table;
+    above it they are one product with the stack.  Either way they come
+    out in that layout, in new memory, so no query shares memory with
+    the blinding or the table.  A (B, t, m, delta, s) blinding is a batch
+    of B draws, which gives (B, k, m, delta, s) queries, draw-major, by
+    the same lookup or product.  With one file index every draw asks for
+    that file (the privacy audit); with a length-B sequence of them, as
+    B clients ask, draw n's indicator goes to row iota[n] of its own
     queries.  Any index that is not an integer in [1, m] raises
     IndexError.
     """
-    k, t, m, delta, s = params.k, params.t, params.m, params.delta, params.s
+    k, t, m, delta, s, q = params.k, params.t, params.m, params.delta, params.s, params.q
     batched_iota = not isinstance(iota, (int, np.integer)) and np.ndim(iota) == 1
     indices = tuple(iota) if batched_iota else (iota,)
     if not all(isinstance(i, (int, np.integer)) and 1 <= i <= m for i in indices):
@@ -661,15 +692,26 @@ def queries_from_blinding(params: SchemeParams, iota, blinding) -> np.ndarray:
     lead = blinding.shape[:-4]
     if batched_iota and lead != (len(indices),):
         raise ValueError(f"{len(indices)} file indices for a blinding of shape {blinding.shape}")
-    curve, indicator = _query_tables(params)
+    curve, indicator, table = _query_tables(params)
     # (..., 1, m*delta, t*s) rows against the (k, t*s, s) stack give (..., k, m*delta, s)
     rows = blinding.swapaxes(-4, -3).swapaxes(-3, -2).reshape(lead + (1, m * delta, t * s))
-    queries = matmul_mod(rows, curve, params.q).reshape(lead + (k, m, delta, s))
+    if table is None:
+        queries = matmul_mod(rows, curve, q)
+    else:
+        codes = rows @ q ** np.arange(t * s, dtype=np.int64)  # (..., 1, m*delta)
+        if lead:
+            # row j*q^(t*s) + c of the flat table is table[j, c]: (B, k, m*delta) flat rows
+            # read the batch draw-major, with no transpose and copy of a (k, B, ...) result
+            flat = codes + np.arange(0, table.size // s, table.shape[1])[:, None]
+            queries = np.take(table.reshape(-1, s), flat, axis=0)
+        else:
+            queries = np.take(table, codes, axis=1)  # (k, 1, m*delta, s)
+    queries = queries.reshape(lead + (k, m, delta, s))
     if batched_iota:
         draws, asked = np.arange(len(indices)), np.array(indices, dtype=np.intp) - 1
-        queries[draws, :, asked] = (queries[draws, :, asked] + indicator) % params.q
+        queries[draws, :, asked] = (queries[draws, :, asked] + indicator) % q
     else:
-        queries[..., iota - 1, :, :] = (queries[..., iota - 1, :, :] + indicator) % params.q
+        queries[..., iota - 1, :, :] = (queries[..., iota - 1, :, :] + indicator) % q
     return queries
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, polyring
-from .gf import PrimeField
+from .gf import ExtField, PrimeField
 
 ORACLE_MAX_CODEWORDS = 2**20
 ORACLE_MAX_FIELD = 4096
@@ -569,6 +569,10 @@ def dual_multipliers(field, alphas, betas):
     u_i pairs with the alpha positions and v_j with the beta positions:
     u_i is the inverse of prod_{l != i}(a_i - a_l) * prod_j(a_i - b_j);
     v_j is the inverse of prod_l(b_j - a_l) * prod_{l != j}(b_j - b_l).
+    When field is an extension and every beta lies in its base field, as
+    the server points of `pir.setup` do, the beta differences are base
+    values: their product is taken in F_q and starts v_j's product, so
+    v_j costs len(alphas) extension products, not one per other point.
     """
     combined = list(alphas) + list(betas)
     if len(set(combined)) != len(combined):
@@ -582,13 +586,21 @@ def dual_multipliers(field, alphas, betas):
         for b in betas:
             prod = field.mul(prod, field.sub(a, b))
         u.append(field.inv(prod))
+    if isinstance(field, ExtField) and not any(any(b[1:]) for b in betas):
+        spreads = [field.embed(p) for p in _spreads(field.base, [b[0] for b in betas])]
+    else:
+        spreads = _spreads(field, betas)
     v = []
-    for j, b in enumerate(betas):
-        prod = field.one
+    for b, prod in zip(betas, spreads):
         for a in alphas:
             prod = field.mul(prod, field.sub(b, a))
-        for l, other in enumerate(betas):
-            if l != j:
-                prod = field.mul(prod, field.sub(b, other))
         v.append(field.inv(prod))
     return tuple(u), tuple(v)
+
+
+def _spreads(field, points) -> list:
+    """prod_{l != j}(p_j - p_l) for each point p_j."""
+    return [
+        functools.reduce(field.mul, (field.sub(p, o) for l, o in enumerate(points) if l != j), field.one)
+        for j, p in enumerate(points)
+    ]

@@ -387,6 +387,28 @@ def leak_at(monkeypatch, params, j):
     pir._query_tables.cache_clear()
 
 
+@pytest.mark.parametrize("j", [1, 4])
+def test_leaking_curve_reaches_the_query_table(monkeypatch, j):
+    # under the table budget the queries are read from the cached table, so
+    # a leaking curve must reach it: server j's rows then show the request
+    params = pir.setup(7, 1, 1, 5, m=3)
+    _, indicator, table = pir._query_tables(params)
+    assert table is not None
+    honest = pir.gen_queries(params, 2, SeededStream(5, "leak"))
+    try:
+        leak_at(monkeypatch, params, j)
+        assert pir._query_tables(params)[2] is not None
+        leaked = pir.gen_queries(params, 2, SeededStream(5, "leak"))
+    finally:
+        pir._query_tables.cache_clear()
+    expected = np.zeros_like(leaked[j - 1])
+    expected[1] = indicator[j - 1]
+    assert np.array_equal(leaked[j - 1], expected)
+    assert not np.array_equal(honest[j - 1], expected)
+    others = [n for n in range(params.k) if n != j - 1]
+    assert np.array_equal(leaked[others], honest[others])
+
+
 class TestPrivacyAudit:
     def test_exhaustive_distance_is_zero(self):
         params = pir.setup(4, 1, 1, 4, m=2)

@@ -5,7 +5,10 @@
 SHA-256 of `json.dumps(params_to_json_dict(setup(k, t, b, r, m=2)),
 sort_keys=True)`, or to the constraint `setup` refuses the tuple with.
 Tier-1 checks a slice drawn with a fixed seed; `pytest --full-space`
-checks every tuple.
+checks every tuple.  For each tuple that passes setup and whose query
+table fits `pir.QUERY_TABLE_ENTRIES`, one seeded draw through
+`queries_from_blinding`, which reads that table, must also equal the
+product form of the query map.
 
 The file pins constants that must not change.  To rewrite it after a
 deliberate change of the constants, run
@@ -17,9 +20,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tracepir import pir
+from tracepir import linalg, pir
 from tracepir.rand import SeededStream
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_params_space.json"
@@ -41,8 +45,25 @@ def pin(k, t, b, r) -> str:
         params = pir.setup(k, t, b, r, m=2)
     except pir.InvalidParameters as err:
         return f"refused: {err.constraint}"
+    assert lookup_equals_product(params), f"{k},{t},{b},{r}: query lookup differs from the product"
     text = json.dumps(pir.params_to_json_dict(params), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lookup_equals_product(params) -> bool:
+    """One seeded draw's queries equal matmul_mod(rows, curve, q) plus the indicator (True without a table)."""
+    p = params
+    try:
+        curve, indicator, table = pir._query_tables(p)
+        if table is None:
+            return True
+        blinding = pir.draw_blinding(p, SeededStream(20, f"params-space/{p.k},{p.t},{p.b},{p.r}"))
+        rows = np.moveaxis(blinding, 0, 2).reshape(p.m * p.delta, p.t * p.s)
+        expected = linalg.matmul_mod(rows, curve, p.q).reshape(p.k, p.m, p.delta, p.s)
+        expected[:, p.m - 1] = (expected[:, p.m - 1] + indicator) % p.q
+        return np.array_equal(pir.queries_from_blinding(p, p.m, blinding), expected)
+    finally:
+        pir._query_tables.cache_clear()  # a table takes up to 8 MB: keep none past its tuple
 
 
 def key(case) -> str:

@@ -259,6 +259,19 @@ def answered_queries(monkeypatch, params, queries, db, ids):
     return seen[0]
 
 
+def product_queries(params, iota, blinding) -> np.ndarray:
+    """The queries as the one product the lookup table memoizes: matmul_mod(rows, curve, q) plus the indicator."""
+    p = params
+    curve, indicator, _ = pir._query_tables(p)
+    lead = blinding.shape[:-4]
+    rows = np.moveaxis(blinding, -4, -2).reshape(lead + (1, p.m * p.delta, p.t * p.s))
+    queries = linalg.matmul_mod(rows, curve, p.q).reshape(lead + (p.k, p.m, p.delta, p.s))
+    iotas = np.broadcast_to(iota, lead)
+    for n in np.ndindex(lead):
+        queries[n + (slice(None), iotas[n] - 1)] += indicator
+    return queries % p.q
+
+
 class TestQueries:
     def test_indicator_constraints_at_alpha(self, params_ext):
         p = params_ext
@@ -426,6 +439,64 @@ class TestQueries:
         for j in range(1, params_ext.k + 1):
             view = queries[j - 1]
             assert not view.flags.owndata and np.shares_memory(view, queries)
+
+
+class TestQueryTable:
+    @pytest.mark.parametrize(
+        "scheme, q_hint, tabled",
+        [
+            ((4, 1, 1, 4), 262139, True),  # 4 * 262139 = 1,048,556 entries: just under 2^20
+            ((4, 1, 1, 4), 262147, False),  # 4 * 262147 = 1,048,588: just over
+            ((10, 2, 1, 7), None, True),  # t = 2, s = 2: codes of four digits
+            ((5, 3, 0, 4), None, True),  # t = 3
+            ((17, 1, 2, 8), None, False),  # s = 4 over GF(17): 17 * 17^4 * 4 entries
+            ((6, 1, 2, 6), 2**31 - 1, False),  # s = 1 at the largest prime
+        ],
+        ids=["4114-under", "4114-over", "10217", "5304", "17128", "6126-q31"],
+    )
+    def test_lookup_equals_product(self, scheme, q_hint, tabled):
+        p = pir.setup(*scheme, q_hint=q_hint, m=3)
+        table = pir._query_tables(p)[2]
+        entries = p.k * p.q ** (p.t * p.s) * p.s
+        assert (table is not None) == tabled == (entries <= pir.QUERY_TABLE_ENTRIES)
+        if tabled:
+            assert table.shape == (p.k, p.q ** (p.t * p.s), p.s)
+        shape = (p.t, p.m, p.delta, p.s)
+        stream = SeededStream(23, "table")
+        one = pir.draw_blinding(p, stream)
+        clients = np.stack([pir.draw_blinding(p, stream) for _ in range(4)])
+        # the audit's form: each draw repeats one value at every entry
+        draws = stream.randrange_array(p.q, 5 * p.t * p.s).reshape(5, p.t, 1, 1, p.s)
+        cases = [
+            (2, one),
+            ([3, 1, 1, 2], clients),
+            (3, np.broadcast_to(draws, (5,) + shape)),
+            (1, np.zeros((0,) + shape, dtype=np.int64)),
+            ([], np.zeros((0,) + shape, dtype=np.int64)),
+        ]
+        for iota, blinding in cases:
+            queries = pir.queries_from_blinding(p, iota, blinding)
+            expected = product_queries(p, iota, blinding)
+            assert queries.shape == expected.shape and queries.flags.c_contiguous
+            assert np.array_equal(queries, expected)
+
+    def test_table_isolated_from_queries(self):
+        # the indicator is added in place: it must land in the queries' own
+        # memory, never in the cached table they were read from
+        p = pir.setup(10, 2, 1, 7, m=3)
+        table = pir._query_tables(p)[2]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1
+        before = table.copy()
+        first = pir.gen_queries(p, 2, SeededStream(24, "isolation"))
+        again = pir.gen_queries(p, 2, SeededStream(24, "isolation"))
+        assert np.array_equal(first, again)
+        blindings = np.stack([pir.draw_blinding(p, SeededStream(n, "isolation")) for n in range(3)])
+        batch = pir.queries_from_blinding(p, [2, 3, 2], blindings)
+        for queries in (first, again, batch):
+            assert not np.shares_memory(queries, table)
+        assert np.array_equal(table, before)
 
 
 class TestAnswers:
