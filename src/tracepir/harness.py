@@ -10,10 +10,12 @@ seed, making sessions, sweeps, and audits reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import pir
 from .gf import next_prime
@@ -57,6 +59,36 @@ def _params_summary(params: SchemeParams) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _session_constants(params: SchemeParams, mode: str) -> tuple:
+    """(summary, figures): what every session report of one scheme and mode shares.
+
+    summary is the params summary; figures holds the report fields the
+    scheme and mode fix: the download and file sizes in base symbols and
+    in bits, the measured rate, both capacities and whether the rate
+    meets the asymptotic one.  Computed once per (params, mode), as pir
+    caches its tables per params, and handed out as read-only mappings:
+    each report copies the summary into a dict of its own.
+    """
+    log_q = math.log2(params.q)
+    # trace mode downloads one base symbol per server, full mode s from each of r
+    downloaded = params.k if mode == "trace" else params.r * params.s
+    file_syms = params.file_base_symbols
+    measured = Fraction(file_syms, downloaded)
+    asymptotic = capacity(params.t, params.b, params.k)
+    figures = {
+        "downloaded_base_symbols": downloaded,
+        "file_base_symbols": file_syms,
+        "downloaded_bits": downloaded * log_q,
+        "file_bits": file_syms * log_q,
+        "measured_rate": measured,
+        "capacity_finite_m": capacity(params.t, params.b, params.k, params.m),
+        "capacity_asymptotic": asymptotic,
+        "capacity_achieving": measured == asymptotic,
+    }
+    return MappingProxyType(_params_summary(params)), MappingProxyType(figures)
+
+
 # --- adversaries and servers --------------------------------------------------
 
 
@@ -98,6 +130,9 @@ class AdversaryModel:
             return self.targeted_fn(params, j, query_j, honest, mode, stream)
         # default query-aware adversary: answers for the query against itself
         return server_answer(params, j, query_j, Database(query_j), mode)
+
+
+_HONEST = AdversaryModel()  # the adversary of a session given none: it corrupts no server
 
 
 def check_adversary(params: SchemeParams, byzantine_set, strategy: str, offset: int) -> None:
@@ -207,9 +242,15 @@ def run_session(
     A decode failure is reported as a failed session, never raised; an
     adversary that ``check_adversary`` rejects raises InvalidParameters,
     and an unknown mode ValueError, both before any query is drawn.
+
+    At a small scheme the session is mostly fixed cost, so what the
+    scheme and mode fix (the params summary, sizes, rate and capacities)
+    comes from ``_session_constants``, computed once per scheme and mode,
+    and a session given no adversary uses the one honest model.  The
+    report still gets a params dict of its own.
     """
     pir.check_dimensions(params, db)
-    adversary = adversary or AdversaryModel()
+    adversary = adversary or _HONEST
     byz = tuple(sorted(adversary.byzantine_set))
     if any(not 1 <= j <= params.k for j in byz):
         raise IndexError("byzantine server id outside [1, k]")
@@ -235,18 +276,10 @@ def run_session(
         retrieval = retrieve_from_k(params, answers) if mode == "trace" else retrieve_from_r(params, answers)
     except ByzantineBudgetExceeded as exc:
         error = str(exc)
-    truth = db.row(iota)
-    match = retrieval is not None and retrieval.symbols == truth
-    log_q = math.log2(params.q)
-    if mode == "trace":
-        downloaded = params.k  # one base-field symbol per server
-    else:
-        downloaded = len(ids) * params.s
-    file_syms = params.file_base_symbols
-    measured = Fraction(file_syms, downloaded)
-    asymptotic = capacity(params.t, params.b, params.k)
+    match = retrieval is not None and retrieval.symbols == db.row(iota)
+    summary, figures = _session_constants(params, mode)
     return SessionReport(
-        params=_params_summary(params),
+        params=summary.copy(),
         seed=seed,
         iota=iota,
         mode=mode,
@@ -256,15 +289,8 @@ def run_session(
         identified_error_positions=retrieval.error_servers if retrieval else (),
         byzantine_set=byz,
         strategy=adversary.strategy if byz else "honest",
-        downloaded_base_symbols=downloaded,
-        file_base_symbols=file_syms,
-        downloaded_bits=downloaded * log_q,
-        file_bits=file_syms * log_q,
-        measured_rate=measured,
-        capacity_finite_m=capacity(params.t, params.b, params.k, params.m),
-        capacity_asymptotic=asymptotic,
-        capacity_achieving=measured == asymptotic,
         error=error,
+        **figures,
     )
 
 

@@ -52,8 +52,9 @@ def field_array(values, q: int, what: str):
     import numpy as np
 
     array = integer_array(values, what)
-    # read as unsigned, a negative entry is at least 2^63: one pass checks both ends
-    if array.size and array.view(np.uint64).max() >= q:
+    # read as unsigned, a negative entry is at least 2^63: one pass checks both ends.
+    # The ufunc's own reduce skips the method's dispatch, a third of a small check
+    if array.size and np.maximum.reduce(array.view(np.uint64), axis=None) >= q:
         raise ValueError(f"{what}: entries outside [0, {q})")
     return array
 
@@ -160,7 +161,8 @@ def solve_stacked(q: int, rows, rhs):
     Entries lie in [0, q).  invertible is a (G,) bool mask; where it is
     true, X[g] is the (n, W) int64 solution of rows[g] @ X[g] = rhs[g].
     Where it is false, X[g] has entries in [0, q) and no meaning.  W may
-    be 0, which tests invertibility alone.
+    be 0, which tests invertibility alone: the elimination then returns
+    the empty (G, n, 0) solutions without dividing out the diagonal.
 
     Fraction-free Gauss-Jordan, every system in step: at column c each
     system swaps its first row at or below c with a nonzero entry there
@@ -198,6 +200,8 @@ def solve_stacked(q: int, rows, rhs):
         aug += factors[:, :, None] * pivot_rows[:, None, :]
         aug %= q
         aug[:, col] = pivot_rows
+    if not rhs.shape[2]:
+        return aug[:, :, n:], invertible
     inverse = np.ones((count, n), dtype=np.int64)
     power = aug[:, np.arange(n), np.arange(n)]
     exponent = q - 2

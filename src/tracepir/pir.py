@@ -774,7 +774,7 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     """
     single = not isinstance(j, tuple)
     ids = (j,) if single else j
-    if not all(1 <= i <= params.k for i in ids):
+    if ids and not 1 <= min(ids) <= max(ids) <= params.k:
         raise IndexError(f"server id {j} outside [1, {params.k}]")
     if mode not in ("trace", "full"):
         raise ValueError(f"unknown answer mode {mode!r}")
@@ -787,11 +787,12 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     if mode == "trace":
         answers = ((answers * _trace_forms(params, ids)).sum(axis=-1) % params.q).tolist()
     else:
-        answers = [map(tuple, client) for client in answers.tolist()]
-    answers = tuple(map(tuple, answers))
+        answers = [list(map(tuple, client)) for client in answers.tolist()]
     if single:
         return answers[0][0]
-    return answers[0] if queries.ndim == len(shape) else answers
+    if queries.ndim == len(shape):
+        return tuple(answers[0])
+    return tuple(map(tuple, answers))
 
 
 def collect_answers(
@@ -993,10 +994,9 @@ def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
     if failed[0]:
         failure = DecodeFailure.beyond(params.b)
         raise ByzantineBudgetExceeded(str(failure)) from failure
-    return Retrieval(
-        symbols=tuple(map(tuple, files[0].tolist())),
-        error_servers=tuple(j for j, wrong in zip(answers.server_ids, errors[0].tolist()) if wrong),
-    )
+    # the ids are 1, ..., k: server j's answer is column j - 1
+    wrong = tuple((np.flatnonzero(errors[0]) + 1).tolist()) if np.count_nonzero(errors) else ()
+    return Retrieval(symbols=tuple(map(tuple, files[0].tolist())), error_servers=wrong)
 
 
 # --- capacity ---------------------------------------------------------------

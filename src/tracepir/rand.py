@@ -11,6 +11,7 @@ order-insensitive.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -20,12 +21,14 @@ class SeededStream:
     def __init__(self, seed: int, label: str = ""):
         self.seed = int(seed)
         self.label = label
-        self._key = hashlib.sha256(
-            b"tracepir:" + str(self.seed).encode() + b"/" + label.encode()
-        ).digest()
         self._counter = 0
         self._buffer = 0
         self._bits = 0
+
+    @functools.cached_property
+    def _key(self) -> bytes:
+        """Derived when the first block is read, so a stream that only forks hashes nothing."""
+        return hashlib.sha256(b"tracepir:" + str(self.seed).encode() + b"/" + self.label.encode()).digest()
 
     def fork(self, label: str) -> "SeededStream":
         """Independent child stream addressed by a path label."""
@@ -63,18 +66,20 @@ class SeededStream:
 
         The stream is left in the state n sequential randrange calls leave:
         the blocks those calls would have fetched are consumed, and the
-        bits after the last accepted group stay buffered.
+        bits after the last accepted group stay buffered.  The held bits
+        and the fetched blocks are joined into one Python int, the way
+        ``_refill`` joins them, and unpacked once into nbits-wide groups;
+        what the draws leave of it becomes the buffer.  A negative n
+        raises ValueError, as a bad bound does, before any bit is read.
         """
         if bound <= 0:
             raise ValueError("bound must be positive")
         if bound > 2**63:
             raise ValueError("bound does not fit an int64 array")
+        if n < 0:
+            raise ValueError(f"cannot draw {n} values")
         nbits = (bound - 1).bit_length() or 1
-        held = np.unpackbits(
-            np.frombuffer(self._buffer.to_bytes((self._bits + 7) // 8, "little"), np.uint8),
-            bitorder="little",
-        )[: self._bits]
-        weights = 1 << np.arange(nbits, dtype=np.int64)
+        weights = np.left_shift(1, np.arange(nbits, dtype=np.int64))
         # a value takes 2**nbits / bound < 2 groups on average: start from
         # that mean plus slack, and double until n values are accepted
         groups = n * 2**nbits // bound + 64
@@ -82,21 +87,22 @@ class SeededStream:
         while True:
             wanted = -(-(groups * nbits - self._bits) // 256)
             blocks += [self._block(self._counter + c) for c in range(len(blocks), wanted)]
-            raw = np.frombuffer(b"".join(blocks), np.uint8).reshape(-1, 32)[:, ::-1]
-            bits = np.concatenate([held, np.unpackbits(raw, bitorder="little")])
-            usable = len(bits) // nbits
-            values = bits[: usable * nbits].reshape(usable, nbits) @ weights
-            accepted = np.flatnonzero(values < bound)
+            size = self._bits + 256 * len(blocks)
+            stream = self._buffer | int.from_bytes(b"".join(reversed(blocks)), "big") << self._bits
+            bits = np.unpackbits(
+                np.frombuffer(stream.to_bytes(-(-size // 8), "little"), np.uint8), bitorder="little"
+            )
+            usable = size // nbits
+            values = bits[: usable * nbits].reshape(usable, nbits).astype(np.int64) @ weights
+            accepted = (values < bound).nonzero()[0]
             if len(accepted) >= n:
                 break
             groups *= 2
-        used = int(accepted[n - 1]) + 1 if n else 0
-        consumed = used * nbits
+        consumed = (int(accepted[n - 1]) + 1 if n else 0) * nbits
         fetched = max(0, -(-(consumed - self._bits) // 256))
-        rest = bits[consumed : self._bits + 256 * fetched]
         self._counter += fetched
-        self._buffer = int.from_bytes(np.packbits(rest, bitorder="little").tobytes(), "little")
-        self._bits = len(rest)
+        self._bits += 256 * fetched - consumed
+        self._buffer = stream >> consumed & ((1 << self._bits) - 1)
         return values[accepted[:n]]
 
     def randrange_excluding(self, bound: int, excluded: int) -> int:

@@ -353,11 +353,13 @@ def grs_decode(code: GrsCode, received):
     in one stacked ``linalg.solve``; one product per word with its set's
     inverse gives the messages, and one ``grs_encode`` of all of them the
     codewords.  The stacked solve costs a fixed amount: at dim 7 over
-    GF(11), correcting one word takes about 190 us with the scalar solve
-    and re-encode and 300 us stacked, and 100 words on 20 located sets
-    about 17 ms one word at a time and 0.7 ms stacked (2-CPU Xeon).  So
-    the lone dirty word of a batch, as a byzantine session decodes, takes
-    the scalar ``_message`` and ``grs_encode``.
+    GF(11), correcting one word takes about 85 us with the scalar solve
+    and 175 us stacked, and 100 words on 20 located sets about 17 ms one
+    word at a time and 0.7 ms stacked (2-CPU Xeon).  So the lone dirty
+    word of a batch, as a byzantine session decodes, takes the scalar
+    ``_message``; its message is then re-encoded as a (1, dim) batch, one
+    product with the cached ``code.generator`` in place of n polynomial
+    evaluations (about 23 -> 10 us at dim 7 and 51 -> 7 us at dim 13).
 
     The bookkeeping between these steps is array indexing: the dirty
     rows are ``np.flatnonzero`` of the nonzero syndrome rows, the kept
@@ -366,12 +368,14 @@ def grs_decode(code: GrsCode, received):
     root rows cost as much as the arithmetic once a sweep chunk holds
     2,000 words: at (11,1,2,8) such a chunk decoded in 5.3 ms with lists
     and 3.4 ms with arrays.  A single dirty word stays on Python ints
-    from the recurrence to the re-encode, with no kept mask, and a batch
+    from the recurrence to its message, with no kept mask, and a batch
     of one that is not a codeword is its own dirty word, so it skips the
     scan.  The scan and the mask cost about 3 and 5 us, which every
-    byzantine session's decode (about 200 us there) would pay for
+    byzantine session's decode (about 120 us there) would pay for
     nothing; without them a lone decode measured no slower than with
-    lists (23 of 31 alternating rounds won; 2-CPU Xeon).
+    lists (23 of 31 alternating rounds won; 2-CPU Xeon).  A batch whose
+    every word is a codeword returns at the syndrome test, before any
+    of the per-word arrays is built.
 
     So a codeword within tau forces L <= tau and exactly L located
     roots; when either fails, no codeword lies within tau and the word
@@ -396,11 +400,13 @@ def grs_decode(code: GrsCode, received):
 def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
     """``grs_decode`` of a validated (W, n) batch; its bookkeeping is described there."""
     F, tau = code.field, code.radius
+    syndromes = linalg.matmul_mod(words, code.check_matrix, F.q)
+    # every word is a codeword; count_nonzero costs a third of any() on a small batch
+    if not np.count_nonzero(syndromes):
+        no_errors = np.zeros(words.shape, dtype=bool)
+        return DecodedBatch(code, words.copy(), no_errors, np.zeros(len(words), dtype=bool))
     corrected = words.copy()
     failed = np.zeros(len(words), dtype=bool)
-    syndromes = linalg.matmul_mod(words, code.check_matrix, F.q)
-    if not syndromes.any():  # every word is a codeword
-        return DecodedBatch(code, corrected, np.zeros(words.shape, dtype=bool), failed)
     dirty = np.flatnonzero(syndromes.any(axis=1)) if len(words) > 1 else np.zeros(1, dtype=np.intp)
     if len(dirty) == 1:  # one word: the scalar recurrence and solve beat the arrays' fixed cost
         row = dirty[0]
@@ -429,14 +435,17 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
     return DecodedBatch(code, corrected, errors, failed)
 
 
-def _corrected_alone(code: GrsCode, word: list, located: list) -> tuple:
-    """The codeword of one word whose errors sit exactly on the located positions, in ints.
+def _corrected_alone(code: GrsCode, word: list, located: list) -> np.ndarray:
+    """The codeword of one word whose errors sit exactly on the located positions, as an (n,) array.
 
     Its clean positions are the first dim unlocated ones; ``_message``
-    solves for the message there and ``grs_encode`` re-encodes it.
+    solves for the message there in Python ints, and ``grs_encode``
+    re-encodes it as a (1, dim) batch: one product with the cached
+    ``code.generator``.
     """
     clean = [i for i, hit in enumerate(located) if not hit][: code.dim]
-    return grs_encode(code, _message(code, word, clean))
+    message = np.array([_message(code, word, clean)], dtype=np.int64)
+    return grs_encode(code, message)[0]
 
 
 def _corrected_words(code: GrsCode, words: np.ndarray, located: np.ndarray) -> np.ndarray:

@@ -45,6 +45,35 @@ class TestRunSession:
         assert report.measured_rate == Fraction(params_ext.delta, params_ext.r)
         assert not report.capacity_achieving
 
+    def test_report_constants_follow_m(self):
+        # the constants are cached per params: schemes that differ in m alone keep their own
+        reports = {}
+        for m in (2, 3):
+            params = pir.setup(4, 1, 1, 4, m=m)
+            reports[m] = run_session(params, pir.random_database(params, 1), 1, seed=1)
+        assert reports[2].capacity_finite_m == Fraction(1, 3)
+        assert reports[3].capacity_finite_m == Fraction(2, 7)
+        assert [reports[m].params["m"] for m in (2, 3)] == [2, 3]
+
+    def test_report_constants_follow_the_mode(self, params_ext, db_ext):
+        p = params_ext
+        for mode, downloaded in (("trace", p.k), ("full", p.r * p.s), ("trace", p.k)):
+            report = run_session(p, db_ext, 1, mode=mode, seed=3)
+            assert report.downloaded_base_symbols == downloaded, mode
+            assert report.downloaded_bits == downloaded * math.log2(p.q), mode
+            assert report.measured_rate == Fraction(p.file_base_symbols, downloaded), mode
+
+    def test_reports_own_their_params(self, params_small, db_small):
+        names = ("k", "t", "b", "r", "delta", "s", "q", "m")
+        expected = {name: getattr(params_small, name) for name in names}
+        first = run_session(params_small, db_small, 1, seed=1)
+        assert first.params == expected
+        first.params["k"] = 99
+        first.params["extra"] = True
+        assert run_session(params_small, db_small, 2, seed=2).params == expected
+        assert privacy_audit(params_small, mode="transfer-matrix").params == expected
+        assert byzantine_sweep(params_small, db_small).params == expected
+
     def test_deterministic_given_seed(self, params_ext, db_ext):
         fmt = params_ext.ext.format_element
         a = run_session(params_ext, db_ext, 2, seed=7).to_json_dict(fmt)

@@ -130,13 +130,18 @@ def test_stacked_mask_matches_the_list_elimination(q, n):
 
 
 def test_stacked_solve_with_a_zero_width_rhs_tests_invertibility_alone():
-    rng = random.Random(4)
-    stack = _invertible_stack(7, 4, 3, rng) + _singular(4, rng, 7)
-    got, invertible = linalg.solve_stacked(
-        7, np.array(stack, dtype=np.int64), np.zeros((len(stack), 4, 0), dtype=np.int64)
-    )
-    assert got.shape == (6, 4, 0)
-    assert invertible.tolist() == [True] * 3 + [False] * 3
+    # the zero-width stack stops after the elimination: its mask must be
+    # the one a stack with a right-hand side gets, and the reference's
+    for q in (7, 13, 2**31 - 1):
+        rng = random.Random(q)
+        stack = _invertible_stack(q, 4, 3, rng) + _singular(4, rng, q)
+        rows = np.array(stack, dtype=np.int64)
+        got, invertible = linalg.solve_stacked(q, rows, np.zeros((len(stack), 4, 0), dtype=np.int64))
+        assert got.shape == (6, 4, 0) and got.dtype == np.int64
+        assert invertible.tolist() == [True] * 3 + [False] * 3
+        assert invertible.tolist() == [_is_invertible(PrimeField(q), m) for m in stack]
+        _, with_rhs = linalg.solve_stacked(q, rows, np.ones((len(stack), 4, 1), dtype=np.int64))
+        assert invertible.tolist() == with_rhs.tolist()
 
 
 def test_stacked_solve_against_the_identity_gives_inverses():

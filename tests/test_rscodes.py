@@ -311,6 +311,23 @@ class TestBatchDecode:
         assert not batch.failed.any()
         assert calls == ["solve", "encode"]
 
+    def test_lone_word_reencodes_through_the_generator(self, monkeypatch):
+        # one grs_encode call per lone word, with its message as a (1, dim)
+        # array: one product with the cached generator, and no poly_eval
+        code = GrsCode(field=PrimeField(11), points=tuple(range(9)), multipliers=tuple(range(1, 10)), dim=5)
+        rng = random.Random(13)
+        word = grs_encode(code, [rng.randrange(11) for _ in range(5)])
+        received = list(word)
+        for pos in (2, 7):
+            received[pos] = (received[pos] + 4) % 11
+        encoded, evaluated = [], []
+        encode, poly_eval = rscodes.grs_encode, polyring.poly_eval
+        monkeypatch.setattr(rscodes, "grs_encode", lambda c, m: encoded.append(np.shape(m)) or encode(c, m))
+        monkeypatch.setattr(polyring, "poly_eval", lambda *args: evaluated.append(args) or poly_eval(*args))
+        result = grs_decode(code, received)
+        assert result.corrected_word == word and result.error_positions == (2, 7)
+        assert encoded == [(1, 5)] and evaluated == []
+
     def test_lone_word_to_correct_solves_with_ints(self, monkeypatch):
         # only a batch's lone dirty word takes the scalar solve; one word to
         # correct among failures and codewords takes the stacked one
