@@ -5,7 +5,10 @@ PrimeField element is a plain int in [0, q) and an ExtField element is a
 length-s tuple of ints (index d = coefficient of xi^d with respect to the
 construction modulus).  Their arithmetic is `kernels`: plain Python on
 single elements, and int64 matrix products for `ExtField.dot` over whole
-stacks of elements.
+stacks of elements.  Both classes also give the two row operations of
+`linalg`'s list elimination, `scale_row` and `sub_row_multiple`: over
+F_q a list comprehension on ints with one `% q` per entry, over F_{q^s}
+the element arithmetic entry by entry.
 
 Bulk data (databases, blinding arrays, queries in `pir`) is stored
 instead as int64 numpy arrays whose last axis holds the s coefficients of
@@ -105,6 +108,16 @@ class PrimeField:
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.q)
 
+    def scale_row(self, c: int, row) -> list:
+        """c times every entry of row: one product and one % q per entry."""
+        q = self.q
+        return [c * x % q for x in row]
+
+    def sub_row_multiple(self, row, f: int, pivot) -> list:
+        """row - f * pivot, entry by entry: one % q per entry."""
+        q = self.q
+        return [(x - f * p) % q for x, p in zip(row, pivot)]
+
     def elements(self):
         return range(self.q)
 
@@ -185,6 +198,14 @@ class ExtField:
 
     def pow(self, a: tuple, e: int) -> tuple:
         return kernels.ext_pow(a, e, self._red, self.q)
+
+    def scale_row(self, c: tuple, row) -> list:
+        """c times every entry of row."""
+        return [self.mul(c, x) for x in row]
+
+    def sub_row_multiple(self, row, f: tuple, pivot) -> list:
+        """row - f * pivot, entry by entry."""
+        return [self.sub(x, self.mul(f, p)) for x, p in zip(row, pivot)]
 
     def scalar_mul(self, c: int, a: tuple) -> tuple:
         q = self.q

@@ -205,8 +205,9 @@ def grs_encode(code: GrsCode, message_poly):
 def _message(code: GrsCode, word, positions) -> list:
     """The coefficients of the h of degree below dim with m_i h(x_i) = word_i at dim positions.
 
-    One Vandermonde solve; the positions are distinct points, so its
-    solution is unique.  The coefficients are not normalized.
+    One Vandermonde solve, over either field class, for
+    ``DecodeResult.message_poly``; the positions are distinct points, so
+    its solution is unique.  The coefficients are not normalized.
     """
     F = code.field
     rows, rhs = [], []
@@ -221,24 +222,28 @@ def _message(code: GrsCode, word, positions) -> list:
 
 
 def _berlekamp_massey(F, seq) -> tuple:
-    """Shortest linear recurrence of seq, as (C, L).
+    """Shortest linear recurrence of seq over the prime field F, as (C, L).
 
     C[0] = 1, C has degree at most L, and sum_{l <= L} C[l] seq[j - l] = 0
-    for every L <= j < len(seq) (Massey 1969).
+    for every L <= j < len(seq) (Massey 1969).  The arithmetic is on
+    Python ints modulo F.q, one reduction per discrepancy and per
+    updated coefficient.
     """
-    conn, prev = [F.one], [F.one]
-    length, shift, prev_disc = 0, 1, F.one
+    q = F.q
+    conn, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
     for j, s in enumerate(seq):
         disc = s
         for l in range(1, min(length, len(conn) - 1) + 1):
-            disc = F.add(disc, F.mul(conn[l], seq[j - l]))
-        if disc == F.zero:
+            disc += conn[l] * seq[j - l]
+        disc %= q
+        if not disc:
             shift += 1
             continue
-        scale = F.mul(disc, F.inv(prev_disc))
-        updated = conn + [F.zero] * (len(prev) + shift - len(conn))
-        for i, c in enumerate(prev):
-            updated[i + shift] = F.sub(updated[i + shift], F.mul(scale, c))
+        scale = disc * pow(prev_disc, -1, q) % q
+        updated = conn + [0] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev, shift):
+            updated[i] = (updated[i] - scale * c) % q
         if 2 * length <= j:
             length, prev, prev_disc, shift = j + 1 - length, conn, disc, 1
         else:
@@ -341,11 +346,14 @@ def grs_decode(code: GrsCode, received):
     C <- gamma C - d z B, whose C is the scalar C times a nonzero
     constant: the same L, the same locator roots, the same located sets.
     Its numpy calls cost a fixed amount: with 4 syndromes over GF(11),
-    the lockstep and the reversal to locators take about 77 us for one
-    word and 121 us for 100, against 6 us and 540 us for the scalar
-    recurrence (2-CPU Xeon).  So a batch with exactly one such word, as
-    a byzantine session decodes, runs the scalar ``_berlekamp_massey``;
-    the choice follows that observed count alone.
+    the lockstep and the reversal to locators take about 103 us for one
+    word and 148 us for 100, against 5 us and 530 us for the scalar
+    recurrence on Python ints (medians of 15 interleaved rounds, 2-CPU
+    Xeon).  So a batch with exactly one such word, as a byzantine
+    session decodes, runs the scalar ``_berlekamp_massey``; the choice
+    follows that observed count alone.  Its locator is then evaluated
+    at the n points by Horner's rule on Python ints, about half the
+    cost of building an array for one ``code.chien_powers`` product.
 
     When the lockstep has run, the words it leaves to correct have their
     located sets deduplicated, and each distinct set's dim x dim system
@@ -353,13 +361,16 @@ def grs_decode(code: GrsCode, received):
     in one stacked ``linalg.solve``; one product per word with its set's
     inverse gives the messages, and one ``grs_encode`` of all of them the
     codewords.  The stacked solve costs a fixed amount: at dim 7 over
-    GF(11), correcting one word takes about 85 us with the scalar solve
-    and 175 us stacked, and 100 words on 20 located sets about 17 ms one
-    word at a time and 0.7 ms stacked (2-CPU Xeon).  So the lone dirty
-    word of a batch, as a byzantine session decodes, takes the scalar
-    ``_message``; its message is then re-encoded as a (1, dim) batch, one
-    product with the cached ``code.generator`` in place of n polynomial
-    evaluations (about 23 -> 10 us at dim 7 and 51 -> 7 us at dim 13).
+    GF(11), correcting one word takes about 64 us with the list solve
+    and 236 us stacked, and 100 words on 20 located sets about 7 ms one
+    word at a time and 0.43 ms stacked (medians of 15 interleaved
+    rounds, 2-CPU Xeon).  So the lone dirty word of a batch, as a
+    byzantine session decodes, solves the same system,
+    ``code.generator`` transposed on its clean positions, as int rows in
+    the list ``linalg.solve`` (``_corrected_alone``); its message is
+    then re-encoded as a (1, dim) batch, one product with the cached
+    ``code.generator`` in place of n polynomial evaluations (about
+    23 -> 10 us at dim 7 and 51 -> 7 us at dim 13).
 
     The bookkeeping between these steps is array indexing: the dirty
     rows are ``np.flatnonzero`` of the nonzero syndrome rows, the kept
@@ -368,12 +379,13 @@ def grs_decode(code: GrsCode, received):
     root rows cost as much as the arithmetic once a sweep chunk holds
     2,000 words: at (11,1,2,8) such a chunk decoded in 5.3 ms with lists
     and 3.4 ms with arrays.  A single dirty word stays on Python ints
-    from the recurrence to its message, with no kept mask, and a batch
-    of one that is not a codeword is its own dirty word, so it skips the
-    scan.  The scan and the mask cost about 3 and 5 us, which every
-    byzantine session's decode (about 120 us there) would pay for
-    nothing; without them a lone decode measured no slower than with
-    lists (23 of 31 alternating rounds won; 2-CPU Xeon).  A batch whose
+    from the recurrence through the Chien search to its message, with no
+    kept mask, and a batch of one that is not a codeword is its own
+    dirty word, so it skips the scan.  The scan and the mask cost about
+    3 and 5 us, which every byzantine session's decode (about 90 us
+    there) would pay for nothing; without them a lone decode measured no
+    slower than with lists (23 of 31 alternating rounds won; 2-CPU
+    Xeon).  A batch whose
     every word is a codeword returns at the syndrome test, before any
     of the per-word arrays is built.
 
@@ -412,9 +424,13 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
         row = dirty[0]
         conn, length = _berlekamp_massey(F, syndromes[row].tolist())
         located = []  # a length beyond tau locates nothing, and the word fails
-        if length <= tau:
-            locator = np.array((conn + [F.zero] * length)[length::-1], dtype=np.int64)
-            located = (linalg.matmul_mod(locator, code.chien_powers[: length + 1], F.q) == 0).tolist()
+        if length <= tau:  # the locator z^L C(1/z) at every point, by Horner from C[0]
+            coefficients = (conn + [0] * length)[: length + 1]
+            for x in code.points:
+                value = 0
+                for c in coefficients:
+                    value = (value * x + c) % F.q
+                located.append(not value)
         if located.count(True) == length:
             corrected[row] = _corrected_alone(code, words[row].tolist(), located)
         else:
@@ -438,14 +454,15 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
 def _corrected_alone(code: GrsCode, word: list, located: list) -> np.ndarray:
     """The codeword of one word whose errors sit exactly on the located positions, as an (n,) array.
 
-    Its clean positions are the first dim unlocated ones; ``_message``
-    solves for the message there in Python ints, and ``grs_encode``
-    re-encodes it as a (1, dim) batch: one product with the cached
-    ``code.generator``.
+    Its clean positions are the first dim unlocated ones.  The message
+    solves ``code.generator.T`` on them against the word's symbols there,
+    the system ``_corrected_words`` stacks, here as a list solve on
+    Python ints; ``grs_encode`` re-encodes it as a (1, dim) batch: one
+    product with the cached ``code.generator``.
     """
     clean = [i for i, hit in enumerate(located) if not hit][: code.dim]
-    message = np.array([_message(code, word, clean)], dtype=np.int64)
-    return grs_encode(code, message)[0]
+    message = linalg.solve(code.field, code.generator.T[clean].tolist(), [word[i] for i in clean])
+    return grs_encode(code, np.array([message], dtype=np.int64))[0]
 
 
 def _corrected_words(code: GrsCode, words: np.ndarray, located: np.ndarray) -> np.ndarray:

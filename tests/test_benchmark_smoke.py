@@ -28,3 +28,5 @@ def test_traced_smoke_pass_has_no_errors(monkeypatch, workload):
     if workload == "verify":
         # every word of a verify sweep chunk has its errors on the same servers
         assert result["metrics"]["rscodes.grs_decode.solves_per_call"][0] == 1
+        # every verify session re-encodes its one lone dirty word
+        assert result["metrics"]["rscodes.grs_encode.calls"][0] == 1

@@ -61,6 +61,85 @@ def test_extension_field_solve():
         assert _times(E49, a, sol) == b
 
 
+@pytest.mark.parametrize("field", [F7, PrimeField(13), PrimeField(2**31 - 1), E49], ids=["7", "13", "2^31-1", "49"])
+def test_row_operations_match_the_entry_arithmetic(field):
+    rng = random.Random(repr(field))
+    for _ in range(20):
+        row, pivot = ([_random_element(field, rng) for _ in range(6)] for _ in range(2))
+        c = _random_element(field, rng)
+        assert field.scale_row(c, row) == [field.mul(c, x) for x in row]
+        assert field.sub_row_multiple(row, c, pivot) == [field.sub(x, field.mul(c, p)) for x, p in zip(row, pivot)]
+
+
+def _random_element(field, rng):
+    if isinstance(field, PrimeField):
+        return rng.randrange(field.q)
+    return tuple(rng.randrange(field.q) for _ in range(field.s))
+
+
+def _with_free_columns(q, nrows, ncols, free, rng):
+    """A random nrows x ncols system whose columns in `free` are combinations of earlier columns.
+
+    The other columns are independent, so they hold the pivots and the
+    columns in `free` are exactly the free variables.  The right-hand
+    side is the product with a random vector, so the system is
+    consistent.
+    """
+    field = PrimeField(q)
+    bound = [col for col in range(ncols) if col not in free]
+    while True:
+        columns = {col: [rng.randrange(q) for _ in range(nrows)] for col in bound}
+        square = [[columns[col][i] for col in bound] for i in range(len(bound))]
+        if _is_invertible(field, square):
+            break
+    for col in sorted(free):
+        earlier = [c for c in bound if c < col]
+        weights = [rng.randrange(1, q) for _ in earlier]
+        columns[col] = [sum(w * columns[c][i] for w, c in zip(weights, earlier)) % q for i in range(nrows)]
+    rows = [[columns[col][i] for col in range(ncols)] for i in range(nrows)]
+    return rows, _times(field, rows, [rng.randrange(q) for _ in range(ncols)])
+
+
+@pytest.mark.parametrize("q", [7, 13, 2**31 - 1])
+@pytest.mark.parametrize("shape, free", [((5, 5), {2}), ((5, 5), {0, 4}), ((4, 6), {1, 4}), ((7, 5), {3})],
+                         ids=["square", "square-zero-column", "wide", "tall"])
+def test_singular_consistent_system_sets_the_free_variables_to_zero(q, shape, free):
+    field = PrimeField(q)
+    rng = random.Random(q + len(free))
+    for _ in range(5):
+        rows, rhs = _with_free_columns(q, *shape, free, rng)
+        x = linalg.solve(field, rows, rhs)
+        assert x is not None and _times(field, rows, x) == rhs
+        assert [x[col] for col in sorted(free)] == [0] * len(free)
+
+
+@pytest.mark.parametrize("q", [7, 13, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(5, 5), (7, 5), (4, 6)], ids=["square", "tall", "wide"])
+def test_inconsistent_system_returns_none(q, shape):
+    # the last row is the sum of the first two, its right-hand side is not
+    field = PrimeField(q)
+    rng = random.Random(q * 7 + shape[1])
+    nrows, ncols = shape
+    rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows - 1)]
+    rows.append([(a + b) % q for a, b in zip(rows[0], rows[1])])
+    rhs = [rng.randrange(q) for _ in range(nrows - 1)]
+    rhs.append((rhs[0] + rhs[1] + rng.randrange(1, q)) % q)
+    assert linalg.solve(field, rows, rhs) is None
+
+
+@pytest.mark.parametrize("q", [7, 13, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9), (1, 4), (4, 1)], ids=["tall", "wide", "one-row", "one-column"])
+def test_tall_and_wide_consistent_systems_are_solved(q, shape):
+    field = PrimeField(q)
+    rng = random.Random(q * 3 + shape[0])
+    nrows, ncols = shape
+    for _ in range(10):
+        rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        rhs = _times(field, rows, [rng.randrange(q) for _ in range(ncols)])
+        x = linalg.solve(field, rows, rhs)
+        assert x is not None and _times(field, rows, x) == rhs
+
+
 def _invertible_stack(q, n, count, rng):
     """count random invertible n x n matrices over GF(q), as lists of rows.
 
@@ -78,8 +157,8 @@ def _invertible_stack(q, n, count, rng):
     return stack
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 13])
-@pytest.mark.parametrize("q", [2, 7, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 13])
+@pytest.mark.parametrize("q", [2, 7, 13, 2**31 - 1])
 def test_stacked_solve_matches_scalar_solve_system_by_system(q, n):
     field = PrimeField(q)
     rng = random.Random(q * 100 + n)
