@@ -5,9 +5,10 @@ machine-readable (JSON by default; the table also renders text/CSV) and
 byte-identical for identical invocations: the seed defaults to a fixed
 constant, never the clock.
 
-Exit codes: 0 success, 2 invalid parameters, 3 retrieval failure or
-byzantine budget exceeded, 4 I/O or parse errors, 5 exhaustive guard
-exceeded.
+Exit codes: 0 success, 1 a selftest criterion failed, 2 invalid
+parameters, 3 a failed check (retrieval failure or byzantine budget
+exceeded, sweep counterexamples, a failed privacy audit), 4 I/O or parse
+errors, 5 exhaustive guard exceeded.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ logic.  A byzantine server is an honest one whose answer an adversary
 replaces, so its error is added to the honest answer word.  All
 randomness flows through seeded streams and every report records its
 seed, making sessions, sweeps, and audits reproducible byte for byte.
+Every report serializes through ``json_dict``, field by field in order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -44,6 +46,22 @@ import numpy as np  # noqa: E402
 DEFAULT_SEED = 0xC0DEC0DE
 EXHAUSTIVE_AUDIT_LIMIT = 2**16  # randomness tuples per database entry
 EXHAUSTIVE_SWEEP_LIMIT = 10**6  # byzantine sets x corruption values x files
+
+
+def json_dict(value):
+    """`value` as JSON-ready data, converted all the way down: a dataclass
+    as the dict of its fields in order, a dict with its values converted,
+    tuples and lists as lists, a Fraction as its string, and anything else
+    as it is."""
+    if dataclasses.is_dataclass(value):
+        value = {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: json_dict(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [json_dict(item) for item in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
 
 
 def _params_summary(params: SchemeParams) -> dict:
@@ -196,32 +214,11 @@ class SessionReport:
     error: str | None
 
     def to_json_dict(self, format_element=None) -> dict:
-        retrieved = None
-        if self.retrieved_file is not None:
-            retrieved = [
-                format_element(x) if format_element else list(x) for x in self.retrieved_file
-            ]
-        return {
-            "params": self.params,
-            "seed": self.seed,
-            "iota": self.iota,
-            "mode": self.mode,
-            "ok": self.ok,
-            "retrieved_file": retrieved,
-            "ground_truth_match": self.ground_truth_match,
-            "identified_error_positions": list(self.identified_error_positions),
-            "byzantine_set": list(self.byzantine_set),
-            "strategy": self.strategy,
-            "downloaded_base_symbols": self.downloaded_base_symbols,
-            "file_base_symbols": self.file_base_symbols,
-            "downloaded_bits": self.downloaded_bits,
-            "file_bits": self.file_bits,
-            "measured_rate": str(self.measured_rate),
-            "capacity_finite_m": str(self.capacity_finite_m),
-            "capacity_asymptotic": str(self.capacity_asymptotic),
-            "capacity_achieving": self.capacity_achieving,
-            "error": self.error,
-        }
+        """``json_dict``, with each retrieved symbol as `format_element` formats it, if given."""
+        data = json_dict(self)
+        if format_element and self.retrieved_file is not None:
+            data["retrieved_file"] = [format_element(x) for x in self.retrieved_file]
+        return data
 
 
 def run_session(
@@ -309,17 +306,8 @@ class PrivacyAuditReport:
     failures: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "seed": None,
-            "mode": self.mode,
-            "subsets": [list(s) for s in self.subsets],
-            "verdict": self.verdict,
-            "max_tv_distance": None if self.max_tv_distance is None else str(self.max_tv_distance),
-            "cases_total": self.cases_total,
-            "cases_failed": self.cases_failed,
-            "failures": list(self.failures),
-        }
+        # an audit draws nothing at random: its seed is null, as reports record one
+        return {**json_dict(self), "seed": None}
 
 
 def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive") -> PrivacyAuditReport:
@@ -461,15 +449,7 @@ class SweepReport:
     cases_failed: int
     failures: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "seed": self.seed,
-            "scope": self.scope,
-            "cases_total": self.cases_total,
-            "cases_failed": self.cases_failed,
-            "failures": list(self.failures),
-        }
+    to_json_dict = json_dict
 
 
 SWEEP_REPORTED_FAILURES = 20  # counterexamples a sweep report lists
@@ -647,26 +627,9 @@ class SchemeColumn:
     byzantine_resistance: int
     live: dict | None  # measured columns for the two trace-based schemes
 
-    def to_json_dict(self) -> dict:
-        live = None
-        if self.live is not None:
-            live = {
-                "download_cost_base_symbols": self.live["download_cost_base_symbols"],
-                "download_rate": str(self.live["download_rate"]),
-                "matches_formula": self.live["matches_formula"],
-            }
-        return {
-            "scheme": self.scheme,
-            "file_size_base_symbols": self.file_size_base_symbols,
-            "file_size_bits": self.file_size_bits,
-            "field": self.field,
-            "download_cost_base_symbols": self.download_cost_base_symbols,
-            "download_cost_bits": self.download_cost_bits,
-            "download_rate": str(self.download_rate),
-            "capacity": str(self.capacity),
-            "byzantine_resistance": self.byzantine_resistance,
-            "live": live,
-        }
+
+def _cell(value) -> str:
+    return f"{value:.3f}" if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -679,25 +642,18 @@ class ComparisonTable:
     q: int
     columns: tuple  # four SchemeColumn entries
 
-    ROW_LABELS = (
-        "File size",
-        "Field",
-        "Download cost",
-        "Download rate",
-        "Capacity",
-        "Byzantine-resistance",
+    # (label, SchemeColumn field) of each text row, which is a CSV column
+    ROWS = (
+        ("File size", "file_size_bits"),
+        ("Field", "field"),
+        ("Download cost", "download_cost_bits"),
+        ("Download rate", "download_rate"),
+        ("Capacity", "capacity"),
+        ("Byzantine-resistance", "byzantine_resistance"),
     )
 
     def rows(self) -> list:
-        cells = {
-            "File size": [f"{c.file_size_bits:.3f}" for c in self.columns],
-            "Field": [c.field for c in self.columns],
-            "Download cost": [f"{c.download_cost_bits:.3f}" for c in self.columns],
-            "Download rate": [str(c.download_rate) for c in self.columns],
-            "Capacity": [str(c.capacity) for c in self.columns],
-            "Byzantine-resistance": [str(c.byzantine_resistance) for c in self.columns],
-        }
-        return [[label] + cells[label] for label in self.ROW_LABELS]
+        return [[label] + [_cell(getattr(c, name)) for c in self.columns] for label, name in self.ROWS]
 
     def to_text(self) -> str:
         header = [""] + [c.scheme for c in self.columns]
@@ -709,24 +665,13 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["scheme,file_size_bits,field,download_cost_bits,download_rate,capacity,byzantine_resistance"]
-        for c in self.columns:
-            lines.append(
-                f"{c.scheme},{c.file_size_bits:.3f},{c.field},{c.download_cost_bits:.3f},"
-                f"{c.download_rate},{c.capacity},{c.byzantine_resistance}"
-            )
-        return "\n".join(lines) + "\n"
+        """One line per scheme: the text table transposed, under the field names."""
+        header = ["scheme"] + [name for _, name in self.ROWS]
+        schemes = [c.scheme for c in self.columns]
+        lines = [header] + list(zip(schemes, *(row[1:] for row in self.rows())))
+        return "".join(",".join(line) + "\n" for line in lines)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "b": self.b,
-            "r": self.r,
-            "l": self.l,
-            "q": self.q,
-            "columns": [c.to_json_dict() for c in self.columns],
-        }
+    to_json_dict = json_dict
 
 
 def _field_cell(q: int, s_num: int, s_den: int) -> str:
@@ -755,6 +700,41 @@ def _live_measurement(k: int, t: int, b: int, r: int, l: int) -> dict | None:
     }
 
 
+def _column(scheme, q, file_syms, field, download_syms, rate, b, live) -> SchemeColumn:
+    """A column from its sizes in base symbols, also given in bits; its rate is its capacity."""
+    log_q = math.log2(q)
+    return SchemeColumn(
+        scheme=scheme,
+        file_size_base_symbols=file_syms,
+        file_size_bits=file_syms * log_q,
+        field=field,
+        download_cost_base_symbols=download_syms,
+        download_cost_bits=download_syms * log_q,
+        download_rate=rate,
+        capacity=rate,
+        byzantine_resistance=b,
+        live=live,
+    )
+
+
+def _trace_column(scheme, k, t, b, r, l, q) -> SchemeColumn:
+    """The trace scheme tolerating b byzantine servers: l(k-2b-t) base
+    symbols of file over F_{q^((k-2b-t)/(r-2b-t))}, for l from each server.
+    Its live measurement, where setup admits the scheme, must agree."""
+    live = _live_measurement(k, t, b, r, l)
+    if live is not None and not live["matches_formula"]:
+        raise AssertionError(f"live measurement diverges from formulas for {scheme}")
+    rem = k - 2 * b - t
+    return _column(scheme, q, l * rem, _field_cell(q, rem, r - 2 * b - t), l * k, Fraction(rem, k), b, live)
+
+
+def _staircase_column(scheme, k, t, b, r, l, q) -> SchemeColumn:
+    """The base-field staircase scheme tolerating b byzantine servers:
+    l(r-2b-t)(k-2b-t) base symbols of file, for l(r-2b-t) from each server."""
+    rem, delta = k - 2 * b - t, r - 2 * b - t
+    return _column(scheme, q, l * delta * rem, f"GF({q})", l * k * delta, Fraction(rem, k), b, None)
+
+
 def scheme_comparison(k: int, t: int, b: int, r: int, l: int = 1, q: int | None = None) -> ComparisonTable:
     """Four-scheme parameter comparison at one (k, t, b, r, l) tuple.
 
@@ -763,7 +743,7 @@ def scheme_comparison(k: int, t: int, b: int, r: int, l: int = 1, q: int | None 
     the base-field staircase analogues, whose formulas are computed only.
     The trace-based columns carry live measurements whenever the scheme
     is instantiable at these exact parameters, and those must equal the
-    formula columns.
+    formula columns.  A given `q` must pass ``pir.check_q``.
     """
     if l < 1:
         raise InvalidParameters("l >= 1", f"repetition count l={l} must be at least 1")
@@ -772,69 +752,17 @@ def scheme_comparison(k: int, t: int, b: int, r: int, l: int = 1, q: int | None 
             "t < r-2b <= k-2b",
             f"(k={k}, t={t}, b={b}, r={r}) violates t < r-2b and r <= k",
         )
-    if q is None:
+    if q is not None:
+        pir.check_q(q)
+    else:
         try:
             q = pir.setup(k, t, b, r).q
         except InvalidParameters:
             q = next_prime(k)
-    log_q = math.log2(q)
-    pi1_syms = l * (k - t)
-    pi2_syms = l * (k - 2 * b - t)
-    a1_syms = l * (r - t) * (k - t)
-    a2_syms = l * (r - 2 * b - t) * (k - 2 * b - t)
-    rate1 = Fraction(k - t, k)
-    rate2 = Fraction(k - 2 * b - t, k)
     columns = (
-        SchemeColumn(
-            scheme="Pi1",
-            file_size_base_symbols=pi1_syms,
-            file_size_bits=pi1_syms * log_q,
-            field=_field_cell(q, k - t, r - t),
-            download_cost_base_symbols=l * k,
-            download_cost_bits=l * k * log_q,
-            download_rate=rate1,
-            capacity=rate1,
-            byzantine_resistance=0,
-            live=_live_measurement(k, t, 0, r, l),
-        ),
-        SchemeColumn(
-            scheme="Pi2",
-            file_size_base_symbols=pi2_syms,
-            file_size_bits=pi2_syms * log_q,
-            field=_field_cell(q, k - 2 * b - t, r - 2 * b - t),
-            download_cost_base_symbols=l * k,
-            download_cost_bits=l * k * log_q,
-            download_rate=rate2,
-            capacity=rate2,
-            byzantine_resistance=b,
-            live=_live_measurement(k, t, b, r, l),
-        ),
-        SchemeColumn(
-            scheme="A1",
-            file_size_base_symbols=a1_syms,
-            file_size_bits=a1_syms * log_q,
-            field=f"GF({q})",
-            download_cost_base_symbols=l * k * (r - t),
-            download_cost_bits=l * k * (r - t) * log_q,
-            download_rate=rate1,
-            capacity=rate1,
-            byzantine_resistance=0,
-            live=None,
-        ),
-        SchemeColumn(
-            scheme="A2",
-            file_size_base_symbols=a2_syms,
-            file_size_bits=a2_syms * log_q,
-            field=f"GF({q})",
-            download_cost_base_symbols=l * k * (r - 2 * b - t),
-            download_cost_bits=l * k * (r - 2 * b - t) * log_q,
-            download_rate=rate2,
-            capacity=rate2,
-            byzantine_resistance=b,
-            live=None,
-        ),
+        _trace_column("Pi1", k, t, 0, r, l, q),
+        _trace_column("Pi2", k, t, b, r, l, q),
+        _staircase_column("A1", k, t, 0, r, l, q),
+        _staircase_column("A2", k, t, b, r, l, q),
     )
-    for column in columns[:2]:
-        if column.live is not None and not column.live["matches_formula"]:
-            raise AssertionError(f"live measurement diverges from formulas for {column.scheme}")
     return ComparisonTable(k=k, t=t, b=b, r=r, l=l, q=q, columns=columns)

@@ -212,6 +212,12 @@ def _find_root(ext: ExtField, poly) -> tuple:
     return min(conjugates)
 
 
+def check_q(q) -> None:
+    """Refuse, as InvalidParameters("q"), a q that is not a prime below 2^31;
+    ``setup`` and ``harness.scheme_comparison`` share it."""
+    _require(isinstance(q, int) and q <= MAX_PRIME and is_prime(q), "q", f"q={q} is not a prime below 2^31")
+
+
 def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1) -> SchemeParams:
     """Deterministic construction of all public scheme constants.
 
@@ -255,11 +261,7 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     if q_hint is None:
         q = next_prime(q_min)
     else:
-        _require(
-            isinstance(q_hint, int) and q_hint <= MAX_PRIME and is_prime(q_hint),
-            "q",
-            f"q={q_hint} is not a prime below 2^31",
-        )
+        check_q(q_hint)
         _require(
             q_hint >= q_min,
             "k <= q",
@@ -407,14 +409,7 @@ class OptimalityReport:
     divisibility: bool
     size_lower_bound_ok: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "balanced": self.balanced,
-            "rate_optimal": self.rate_optimal,
-            "file_size_optimal": self.file_size_optimal,
-            "divisibility": self.divisibility,
-            "size_lower_bound_ok": self.size_lower_bound_ok,
-        }
+    as_dict = dataclasses.asdict
 
     @property
     def all_ok(self) -> bool:
@@ -1087,54 +1082,43 @@ def parity_check_words(params: SchemeParams) -> list:
 # --- serialization ----------------------------------------------------------
 
 
+# the params JSON holds the SchemeParams fields in order: the tower as its
+# description under "field", these tuples of extension elements as their
+# strings, and every other field, an int or nested tuples of ints, as ints
+# in nested lists
+_ELEMENT_TUPLES = frozenset(("omega_alpha", "omega_chi", "u", "v", "theta", "eta"))
+
+
+def _int_tree(value, container):
+    """An int, or nested lists or tuples of ints, as ints nested in `container`s."""
+    if isinstance(value, (list, tuple)):
+        return container(_int_tree(x, container) for x in value)
+    return int(value)
+
+
 def params_to_json_dict(params: SchemeParams) -> dict:
-    ext, base = params.ext, params.base
-    return {
-        "k": params.k,
-        "t": params.t,
-        "b": params.b,
-        "r": params.r,
-        "delta": params.delta,
-        "s": params.s,
-        "m": params.m,
-        "q": params.q,
-        "field": params.tower.describe(),
-        "omega_alpha": [ext.format_element(x) for x in params.omega_alpha],
-        "omega_chi": [ext.format_element(x) for x in params.omega_chi],
-        "omega_beta": list(params.omega_beta),
-        "min_polys": [list(f) for f in params.min_polys],
-        "u": [ext.format_element(x) for x in params.u],
-        "v": [ext.format_element(x) for x in params.v],
-        "theta": [ext.format_element(x) for x in params.theta],
-        "eta": [ext.format_element(x) for x in params.eta],
-        "recovery_polys": [[list(h) for h in row] for row in params.recovery_polys],
-    }
+    ext = params.ext
+    data = {}
+    for field in dataclasses.fields(SchemeParams):
+        value = getattr(params, field.name)
+        if field.name == "tower":
+            data["field"] = value.describe()
+        elif field.name in _ELEMENT_TUPLES:
+            data[field.name] = [ext.format_element(x) for x in value]
+        else:
+            data[field.name] = _int_tree(value, list)
+    return data
 
 
 def params_from_json_dict(data: dict) -> SchemeParams:
+    """The SchemeParams ``params_to_json_dict`` wrote, checked by ``verify_params``."""
     tower = FieldTower.from_description(data["field"])
-    ext = tower.ext
-    params = SchemeParams(
-        k=int(data["k"]),
-        t=int(data["t"]),
-        b=int(data["b"]),
-        r=int(data["r"]),
-        delta=int(data["delta"]),
-        s=int(data["s"]),
-        m=int(data["m"]),
-        q=int(data["q"]),
-        tower=tower,
-        omega_alpha=tuple(ext.parse_element(x) for x in data["omega_alpha"]),
-        omega_chi=tuple(ext.parse_element(x) for x in data["omega_chi"]),
-        omega_beta=tuple(int(x) for x in data["omega_beta"]),
-        min_polys=tuple(tuple(int(c) for c in f) for f in data["min_polys"]),
-        u=tuple(ext.parse_element(x) for x in data["u"]),
-        v=tuple(ext.parse_element(x) for x in data["v"]),
-        theta=tuple(ext.parse_element(x) for x in data["theta"]),
-        eta=tuple(ext.parse_element(x) for x in data["eta"]),
-        recovery_polys=tuple(
-            tuple(tuple(int(c) for c in h) for h in row) for row in data["recovery_polys"]
-        ),
-    )
+    values = {"tower": tower}
+    for field in dataclasses.fields(SchemeParams):
+        if field.name in _ELEMENT_TUPLES:
+            values[field.name] = tuple(tower.ext.parse_element(x) for x in data[field.name])
+        elif field.name != "tower":
+            values[field.name] = _int_tree(data[field.name], tuple)
+    params = SchemeParams(**values)
     verify_params(params)
     return params

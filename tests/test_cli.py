@@ -49,8 +49,8 @@ class TestParams:
         payload = json.loads(out)
         assert (payload["params"]["delta"], payload["params"]["s"]) == (2, 2)
 
-    @pytest.mark.parametrize("command", ["params", "run"])
-    @pytest.mark.parametrize("q", ["9", "1", str(2**31 + 11)])
+    @pytest.mark.parametrize("command", ["params", "run", "table"])
+    @pytest.mark.parametrize("q", ["9", "1", str(2**31 + 11), "0", "4"])
     def test_q_not_a_usable_prime_exit_2(self, capsys, command, q):
         extra = ("--m", "2", "--random-db") if command == "run" else ()
         code, out, err = run_cli(capsys, command, *BASE, "--q", q, *extra)
@@ -265,12 +265,23 @@ class TestTable:
 
 class TestSelftest:
     def test_quick_criteria_subset(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest", "--criteria", "3,4,8,9")
+        # every criterion but 6, the decoder oracle comparison, which takes seconds
+        code, out, _ = run_cli(capsys, "selftest", "--criteria", "1,2,3,4,5,7,8,9,10")
         assert code == 0
-        lines = [line for line in capsys.readouterr().out.splitlines() if line] or out.splitlines()
         lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 4
-        assert all(line.startswith("PASS") for line in lines)
+        assert [line.split(":")[0] for line in lines] == [
+            f"PASS criterion {n}" for n in (1, 2, 3, 4, 5, 7, 8, 9, 10)
+        ]
+
+    def test_failed_criterion_exit_1(self, capsys, monkeypatch):
+        # criterion 9 must catch setup output flagged non-optimal
+        flagged = pir.OptimalityReport(False, False, False, False, False)
+        monkeypatch.setattr(pir, "validate_optimality", lambda *args, **kwargs: flagged)
+        code, out, _ = run_cli(capsys, "selftest", "--criteria", "8,9")
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "PASS criterion 8", "FAIL criterion 9"
+        ]
 
 
 @pytest.mark.parametrize(
@@ -308,15 +319,28 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
-def test_golden_cli_stdout(capsys):
-    # stdout and exit codes of `run` frozen at commit 79ee429: trace and
-    # full mode, every strategy, b and b + 1 byzantine servers (some above r
-    # in full mode), all servers byzantine, and (13,1,2,9; m=1024)
-    with open(Path(__file__).parent / "data" / "golden_cli.json") as fh:
+def _replay_golden(capsys, name):
+    with open(Path(__file__).parent / "data" / name) as fh:
         cases = json.load(fh)
     for case in cases:
         code, out, _ = run_cli(capsys, *case["argv"].split())
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_golden_cli_stdout(capsys):
+    # stdout and exit codes of `run` frozen at commit 79ee429: trace and
+    # full mode, every strategy, b and b + 1 byzantine servers (some above r
+    # in full mode), all servers byzantine, and (13,1,2,9; m=1024)
+    _replay_golden(capsys, "golden_cli.json")
+
+
+def test_golden_cli_reports_stdout(capsys):
+    # stdout and exit codes of `params`, `sweep`, `audit` and `table` frozen
+    # at commit 6cec125: params at s = 1 and 2; exhaustive and randomized
+    # sweeps; exhaustive, transfer-matrix, beyond-threshold and t = 2 audits;
+    # tables in text, csv and json, at (8,1,1,5), where setup refuses and no
+    # column is live, and at an explicit --q
+    _replay_golden(capsys, "golden_cli_reports.json")
 
 
 def test_cli_import_leaves_selftest_out():

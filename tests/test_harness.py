@@ -933,6 +933,72 @@ class TestComparisonTable:
             scheme_comparison(4, 1, 1, 4, l=0)
 
 
+def _json_round_trip(payload: dict) -> None:
+    """payload must be plain JSON: no NaN, numpy scalar, Fraction, tuple or non-string key."""
+    assert json.loads(json.dumps(payload, allow_nan=False)) == payload
+
+
+def _session(byzantine_set, seed, outcome):
+    params = pir.setup(4, 1, 1, 4, m=3)
+    adversary = AdversaryModel(byzantine_set=byzantine_set)
+    report = run_session(params, pir.random_database(params, 1234), 2, adversary, seed=seed)
+    assert ("failed" if report.error else "ok" if report.ok else "wrong file") == outcome
+    return [report.to_json_dict(), report.to_json_dict(params.ext.format_element)]
+
+
+def _leaking_audit(monkeypatch, mode):
+    params = pir.setup(4, 1, 1, 4, m=3)
+    try:
+        leak_at(monkeypatch, params, 1)
+        report = privacy_audit(params, mode=mode)
+    finally:
+        pir._query_tables.cache_clear()
+    assert report.verdict == "fail"
+    return [report.to_json_dict()]
+
+
+def _sweep(monkeypatch, scope, wrong_recon):
+    params = pir.setup(7, 1, 1, 5, m=2)
+    if wrong_recon:
+        _rebuild_zero_files(monkeypatch)
+    report = byzantine_sweep(params, pir.random_database(params, 3), scope=scope, trials=30, seed=5)
+    assert bool(report.failures) == wrong_recon
+    return [report.to_json_dict()]
+
+
+def _one_payload(report):
+    return [report.to_json_dict()]
+
+
+REPORT_KINDS = {
+    "session-honest": lambda mp: _session((), 1, "ok"),
+    "session-corrected": lambda mp: _session((3,), 1, "ok"),
+    "session-failed": lambda mp: _session((1, 2), 3, "failed"),
+    "sweep-exhaustive": lambda mp: _sweep(mp, "exhaustive", False),
+    "sweep-counterexamples": lambda mp: _sweep(mp, "randomized", True),
+    "audit-pass": lambda mp: _one_payload(privacy_audit(pir.setup(4, 1, 1, 4, m=2))),
+    "audit-leaking": lambda mp: _leaking_audit(mp, "exhaustive"),
+    "audit-leaking-transfer": lambda mp: _leaking_audit(mp, "transfer-matrix"),
+    "audit-beyond-threshold": lambda mp: _one_payload(privacy_audit(pir.setup(4, 1, 1, 4), (1, 2))),
+    "audit-transfer": lambda mp: _one_payload(privacy_audit(pir.setup(7, 1, 1, 5), mode="transfer-matrix")),
+    "table": lambda mp: _one_payload(scheme_comparison(7, 1, 1, 5, l=2)),
+    "table-no-live": lambda mp: _one_payload(scheme_comparison(8, 1, 1, 5, q=13)),
+    "optimality": lambda mp: [pir.validate_optimality(pir.setup(7, 1, 1, 5)).as_dict()],
+}
+
+
+@pytest.mark.parametrize("kind", REPORT_KINDS)
+def test_every_report_kind_survives_json(monkeypatch, kind):
+    for payload in REPORT_KINDS[kind](monkeypatch):
+        _json_round_trip(payload)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), Fraction(1, 2), (1, 2), {1: 2}, float("nan")])
+def test_json_round_trip_rejects_what_is_not_plain_json(value):
+    with pytest.raises((TypeError, ValueError, AssertionError)):
+        _json_round_trip({"x": value})
+
+
 def test_measured_rate_equals_capacity_across_instances():
     for k, t, b, r in ((4, 1, 1, 4), (7, 1, 1, 5), (5, 1, 0, 3), (11, 1, 2, 8)):
         params = pir.setup(k, t, b, r, m=2)
