@@ -334,7 +334,10 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     transfer-matrix mode also refuses a subset of fewer than t servers
     as InvalidParameters("subset"): its map is not square, and whether it
     is onto needs a rank, which the elimination kernel does not give;
-    the exhaustive mode audits such a subset.
+    the exhaustive mode audits such a subset.  The exhaustive mode
+    refuses m = 1 as InvalidParameters("m >= 2") before it enumerates
+    anything: with one file there is no pair of indices to compare, and
+    a pass would certify nothing.
     """
     if mode not in ("exhaustive", "transfer-matrix"):
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -387,6 +390,8 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
             failures=tuple(failures),
         )
     q, s, t, m, delta = params.q, params.s, params.t, params.m, params.delta
+    if m < 2:
+        raise InvalidParameters("m >= 2", f"the exhaustive audit compares file indices; m={m} has no pair")
     size = params.ext.size  # field elements, and keys of one server's query entry
     draws = size**t
     if draws > EXHAUSTIVE_AUDIT_LIMIT:
@@ -743,7 +748,9 @@ def scheme_comparison(k: int, t: int, b: int, r: int, l: int = 1, q: int | None 
     the base-field staircase analogues, whose formulas are computed only.
     The trace-based columns carry live measurements whenever the scheme
     is instantiable at these exact parameters, and those must equal the
-    formula columns.  A given `q` must pass ``pir.check_q``.
+    formula columns.  A given `q` must pass ``pir.check_q`` against
+    ``pir.min_q``, the minimum setup applies; the default is the first
+    prime from that minimum, the q setup picks where it admits the tuple.
     """
     if l < 1:
         raise InvalidParameters("l >= 1", f"repetition count l={l} must be at least 1")
@@ -752,13 +759,11 @@ def scheme_comparison(k: int, t: int, b: int, r: int, l: int = 1, q: int | None 
             "t < r-2b <= k-2b",
             f"(k={k}, t={t}, b={b}, r={r}) violates t < r-2b and r <= k",
         )
-    if q is not None:
-        pir.check_q(q)
+    q_min = pir.min_q(k, t, b, r)
+    if q is None:
+        q = next_prime(q_min)
     else:
-        try:
-            q = pir.setup(k, t, b, r).q
-        except InvalidParameters:
-            q = next_prime(k)
+        pir.check_q(q, q_min)
     columns = (
         _trace_column("Pi1", k, t, 0, r, l, q),
         _trace_column("Pi2", k, t, b, r, l, q),

@@ -147,23 +147,21 @@ def _require(condition: bool, constraint: str, message: str):
         raise InvalidParameters(constraint, message)
 
 
-def _norm_power(ext: ExtField, frobenius_x, a: tuple, f) -> list:
-    """(x + a)^((q^s - 1)/2) mod f, through the norm of x + a.
+def _trace_poly(ext: ExtField, frobenius_x, j: int) -> list:
+    """T_j(x) = sum_(i < s) (xi^j)^(q^i) * frobenius_x[i](x), over ext.
 
-    (q^s - 1)/2 = ((q - 1)/2) * (1 + q + ... + q^(s-1)), and in
-    characteristic q, (x + a)^(q^i) = x^(q^i) + a^(q^i).  So the power is
-    the product of the s shifted Frobenius powers x^(q^i) + a^(q^i),
-    raised to (q - 1)/2: s - 1 products modulo f and a power by (q - 1)/2,
-    against about 2*s*log2(q) products for the whole exponent.
-    frobenius_x[i] is x^(q^i) modulo any multiple of f, with coefficients
-    in ext; q must be odd.
+    frobenius_x[i] is x^(q^i) modulo a degree-s poly with base-field
+    coefficients, for i < s (`polyring.frobenius_powers`).  At every
+    root r of poly, T_j(r) = sum_i (xi^j r)^(q^i) = Tr(xi^j r), so T_j
+    mod any factor of poly takes base-field values on that factor's
+    roots.  It costs s^2 products of a base-field scalar and an element.
     """
-    norm, conjugate = [ext.one], a
+    form, conjugate = [ext.zero] * ext.s, tuple(int(d == j) for d in range(ext.s))
     for h in frobenius_x:
-        shifted = [ext.add(h[0], conjugate), *h[1:]]
-        norm = polyring.poly_mod(ext, polyring.poly_mul(ext, norm, shifted), f)
+        for d, c in enumerate(h):
+            form[d] = ext.add(form[d], ext.scalar_mul(c, conjugate))
         conjugate = ext.frobenius(conjugate)
-    return polyring.poly_powmod(ext, norm, (ext.q - 1) // 2, f)
+    return polyring.normalize(ext, form)
 
 
 def _find_root(ext: ExtField, poly) -> tuple:
@@ -173,36 +171,51 @@ def _find_root(ext: ExtField, poly) -> tuple:
     one of them, so one root found algebraically gives all of them and
     the smallest is returned; the result does not depend on how the first
     root was found.  For the construction modulus that root is xi.  For
-    any other polynomial, Cantor-Zassenhaus equal-degree splitting finds
-    it: gcd(f, (x + a)^((q^s - 1)/2) - 1) holds the roots r with r + a a
-    nonzero square, and the smaller factor is split again until one is
-    linear.  The shifts a run over ext in `elements()` order, skipping
-    the base field: all roots of f are conjugate, so r + a has the same
-    quadratic character for every root when a is in F_q.  The search
-    needs odd q, which s >= 2 implies (q >= k >= 3).
+    any other polynomial, Berlekamp's trace algorithm splits it
+    ("Factoring Polynomials over Large Finite Fields", 1970).  The trace
+    form T_j (`_trace_poly`) is Tr(xi^j r) in F_q at every root r.  For
+    j = 1, ..., s - 1 and, per j, shifts c = 0, ..., q - 1, the factor f
+    left splits into gcd(f, (T_j + c)^((q - 1)/2) - 1), the roots r with
+    T_j(r) + c a nonzero square, and its cofactor; the smaller one is
+    kept, until f is linear.  An attempt is one power by (q - 1)/2
+    modulo f.  Once T_j mod f is constant, T_j takes one value on every
+    root left and the next j is taken.  A shift that failed on f fails
+    on each of its factors too (their roots share its verdict), so c
+    runs on after a split instead of restarting.  The search needs odd
+    q, which s >= 2 implies (q >= k >= 3).
 
-    The power is the norm exponent (`_norm_power`).  Its x^(q^i) mod poly
-    have base-field coefficients and come once per poly from
-    `polyring.frobenius_powers`; they stay valid modulo every factor f of
-    poly that the splitting leaves.
+    It terminates with f linear after at most (s - 1) * q attempts.
+    Conjugate roots share Tr(r), and the trace form is nondegenerate:
+    if Tr(xi^j u) = Tr(xi^j v) for every j < s, then u = v.  So any two
+    roots left are separated by some T_j with j >= 1.  For values u != v
+    in F_q, some c in [0, q) puts exactly one of u + c and v + c among
+    the (q - 1)/2 nonzero squares S: otherwise S + (u - v) = S, and as
+    u - v generates F_q, S would be empty or all of F_q.  So by the end
+    of pass j no two roots of f differ in T_j, and after pass s - 1 one
+    root is left; the ArithmeticError below is a guard.  The x^(q^i) mod
+    poly come once per poly from `polyring.frobenius_powers` and stay
+    valid modulo every factor of poly; each form is built only when the
+    ones before it stop separating.
     """
-    s = ext.s
+    s, q = ext.s, ext.q
     if tuple(poly) == ext.modulus:
         root = (0, 1) + (0,) * (s - 2)
     else:
         f = [ext.embed(c) for c in poly]
-        frobenius_x = [
-            [ext.embed(c) for c in h] for h in polyring.frobenius_powers(ext.base, list(poly), s - 1)
-        ]
-        for a in ext.elements():
+        frobenius_x = polyring.frobenius_powers(ext.base, list(poly), s - 1)
+        for j in range(1, s):
             if len(f) == 2:
                 break
-            if not any(a[1:]):
-                continue
-            power = _norm_power(ext, frobenius_x, a, f)
-            g = polyring.poly_gcd(ext, polyring.poly_sub(ext, power, [ext.one]), f)
-            if 1 < len(g) < len(f):
-                f = min(g, polyring.poly_divmod(ext, f, g)[0], key=len)
+            reduced = polyring.poly_mod(ext, _trace_poly(ext, frobenius_x, j), f)
+            for c in range(q):
+                if len(reduced) < 2:  # constant: T_j no longer separates the roots of f
+                    break
+                shifted = [ext.add(reduced[0], ext.embed(c)), *reduced[1:]]
+                power = polyring.poly_powmod(ext, shifted, (q - 1) // 2, f)
+                g = polyring.poly_gcd(ext, polyring.poly_sub(ext, power, [ext.one]), f)
+                if 1 < len(g) < len(f):
+                    f = min(g, polyring.poly_divmod(ext, f, g)[0], key=len)
+                    reduced = polyring.poly_mod(ext, reduced, f)
         if len(f) != 2:
             raise ArithmeticError(f"{poly} does not split into linear factors in {ext!r}")
         root = ext.neg(f[0])
@@ -212,10 +225,23 @@ def _find_root(ext: ExtField, poly) -> tuple:
     return min(conjugates)
 
 
-def check_q(q) -> None:
-    """Refuse, as InvalidParameters("q"), a q that is not a prime below 2^31;
+def min_q(k: int, t: int, b: int, r: int) -> int:
+    """The smallest q ``setup`` admits for (k, t, b, r).
+
+    The k beta points are distinct elements of F_q; when s = 1, that is
+    r = k, the t chi and delta alpha points are further base-field
+    elements beside them.
+    """
+    delta = r - 2 * b - t
+    return k + delta + t if r == k else k
+
+
+def check_q(q, q_minimum: int) -> None:
+    """Refuse, as InvalidParameters("q"), a q that is not a prime below 2^31,
+    and, as InvalidParameters("k <= q"), one below q_minimum (`min_q`);
     ``setup`` and ``harness.scheme_comparison`` share it."""
     _require(isinstance(q, int) and q <= MAX_PRIME and is_prime(q), "q", f"q={q} is not a prime below 2^31")
+    _require(q >= q_minimum, "k <= q", f"q={q} is below the minimum {q_minimum} for these parameters")
 
 
 def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1) -> SchemeParams:
@@ -234,10 +260,10 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     Its cost, for s >= 2, is mostly in F_{q^s}[x]: each irreducibility
     test (`rabin_irreducible`) takes one x^q mod f by square-and-multiply
     and then one F_q matrix-vector product per Frobenius power, and each
-    Cantor-Zassenhaus shift in `_find_root` takes s - 1 products and a
-    power by (q - 1)/2.  At (17,1,2,8), cProfile splits setup into root
-    finding more than half, and `verify_params`, `dual_multipliers` and
-    the irreducible search about a tenth each.
+    splitting attempt in `_find_root` takes one power by (q - 1)/2 of a
+    shifted trace form modulo the factor left.  At (17,1,2,8), cProfile
+    of 100 setups puts half of setup in root finding, and 11-14% each in
+    `verify_params`, `dual_multipliers` and the irreducible search.
     """
     for name, value in (("k", k), ("t", t), ("b", b), ("r", r), ("m", m)):
         if not isinstance(value, int):
@@ -257,16 +283,11 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     # divisibility with rem >= 1 forces rem >= delta, i.e. r <= k
     assert r <= k
     s = rem // delta
-    q_min = k + delta + t if s == 1 else k
+    q_min = min_q(k, t, b, r)
     if q_hint is None:
         q = next_prime(q_min)
     else:
-        check_q(q_hint)
-        _require(
-            q_hint >= q_min,
-            "k <= q",
-            f"q={q_hint} is below the minimum {q_min} for these parameters",
-        )
+        check_q(q_hint, q_min)
         q = q_hint
     _require(
         q**s <= MAX_FIELD_SIZE,

@@ -379,15 +379,18 @@ def grs_decode(code: GrsCode, received):
     root rows cost as much as the arithmetic once a sweep chunk holds
     2,000 words: at (11,1,2,8) such a chunk decoded in 5.3 ms with lists
     and 3.4 ms with arrays.  A single dirty word stays on Python ints
-    from the recurrence through the Chien search to its message, with no
+    from the recurrence through the Chien search and its message to its
+    error positions and the distance guard (``_decoded_alone``), with no
     kept mask, and a batch of one that is not a codeword is its own
     dirty word, so it skips the scan.  The scan and the mask cost about
-    3 and 5 us, which every byzantine session's decode (about 90 us
-    there) would pay for nothing; without them a lone decode measured no
-    slower than with lists (23 of 31 alternating rounds won; 2-CPU
-    Xeon).  A batch whose
-    every word is a codeword returns at the syndrome test, before any
-    of the per-word arrays is built.
+    3 and 5 us, which every byzantine session's decode (about 80 us
+    there) would pay for nothing.  Only the lone word's result rows are
+    then written into the batch's arrays, about 3 us of bookkeeping where
+    the whole-batch comparison, row sums and masks took 4.6 (at 11
+    points, dim 7, two errors: a lone decode won 19 of 21 alternating
+    in-process rounds, and a failing word went from 25 to 18 us; 2-CPU
+    Xeon).  A batch whose every word is a codeword returns at the
+    syndrome test, before any of the per-word arrays is built.
 
     So a codeword within tau forces L <= tau and exactly L located
     roots; when either fails, no codeword lies within tau and the word
@@ -417,37 +420,55 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
     if not np.count_nonzero(syndromes):
         no_errors = np.zeros(words.shape, dtype=bool)
         return DecodedBatch(code, words.copy(), no_errors, np.zeros(len(words), dtype=bool))
-    corrected = words.copy()
-    failed = np.zeros(len(words), dtype=bool)
     dirty = np.flatnonzero(syndromes.any(axis=1)) if len(words) > 1 else np.zeros(1, dtype=np.intp)
     if len(dirty) == 1:  # one word: the scalar recurrence and solve beat the arrays' fixed cost
-        row = dirty[0]
-        conn, length = _berlekamp_massey(F, syndromes[row].tolist())
-        located = []  # a length beyond tau locates nothing, and the word fails
-        if length <= tau:  # the locator z^L C(1/z) at every point, by Horner from C[0]
-            coefficients = (conn + [0] * length)[: length + 1]
-            for x in code.points:
-                value = 0
-                for c in coefficients:
-                    value = (value * x + c) % F.q
-                located.append(not value)
-        if located.count(True) == length:
-            corrected[row] = _corrected_alone(code, words[row].tolist(), located)
-        else:
-            failed[row] = True
-    else:
-        locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes[dirty]), tau)
-        roots = linalg.matmul_mod(locators, code.chien_powers, F.q) == 0
-        kept = roots.sum(axis=1) == lengths
-        rows = dirty[kept]
-        failed[dirty[~kept]] = True
-        if len(rows):
-            corrected[rows] = _corrected_words(code, words[rows], roots[kept])
+        return _decoded_alone(code, words, dirty[0], syndromes[dirty[0]].tolist())
+    corrected = words.copy()
+    failed = np.zeros(len(words), dtype=bool)
+    locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes[dirty]), tau)
+    roots = linalg.matmul_mod(locators, code.chien_powers, F.q) == 0
+    kept = roots.sum(axis=1) == lengths
+    rows = dirty[kept]
+    failed[dirty[~kept]] = True
+    if len(rows):
+        corrected[rows] = _corrected_words(code, words[rows], roots[kept])
     errors = corrected != words
     failed |= errors.sum(axis=1) > tau  # the distance guard
     if failed.any():
         corrected[failed] = 0
         errors[failed] = False
+    return DecodedBatch(code, corrected, errors, failed)
+
+
+def _decoded_alone(code: GrsCode, words: np.ndarray, row: int, syndrome: list) -> DecodedBatch:
+    """The decoded batch whose only word off the code is row `row`, with that row's syndrome.
+
+    The recurrence, the Chien search by Horner's rule, the message solve
+    (``_corrected_alone``), the error positions and the distance guard
+    all run on the row's Python ints; the other rows are codewords and
+    are returned as they are.
+    """
+    F, tau = code.field, code.radius
+    conn, length = _berlekamp_massey(F, syndrome)
+    located = []  # a length beyond tau locates nothing, and the word fails
+    if length <= tau:  # the locator z^L C(1/z) at every point, by Horner from C[0]
+        coefficients = (conn + [0] * length)[: length + 1]
+        for x in code.points:
+            value = 0
+            for c in coefficients:
+                value = (value * x + c) % F.q
+            located.append(not value)
+    corrected = words.copy()
+    errors = np.zeros(words.shape, dtype=bool)
+    failed = np.zeros(len(words), dtype=bool)
+    if located.count(True) == length:
+        word = words[row].tolist()
+        codeword = _corrected_alone(code, word, located).tolist()
+        wrong = [x != y for x, y in zip(codeword, word)]
+        if wrong.count(True) <= tau:  # the distance guard
+            corrected[row], errors[row] = codeword, wrong
+            return DecodedBatch(code, corrected, errors, failed)
+    corrected[row], failed[row] = 0, True
     return DecodedBatch(code, corrected, errors, failed)
 
 

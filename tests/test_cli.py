@@ -58,6 +58,14 @@ class TestParams:
         assert out == ""
         assert err == f"error: invalid-parameters [q]: q={q} is not a prime below 2^31\n"
 
+    @pytest.mark.parametrize("command", ["params", "table"])
+    @pytest.mark.parametrize("q", ["3", "5"])
+    def test_q_below_the_setup_minimum_exit_2(self, capsys, command, q):
+        # s = 1 at (4,1,1,4): k = 4 beta, 1 chi and 1 alpha point in GF(q)
+        code, out, err = run_cli(capsys, command, *BASE, "--q", q)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid-parameters [k <= q]: q={q} is below the minimum 6 for these parameters\n"
+
     def test_missing_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["params", "--k", "4", "--t", "1", "--b", "1"])
@@ -196,6 +204,12 @@ class TestSweepAudit:
         payload = json.loads(out)
         assert payload["verdict"] == "pass"
         assert payload["max_tv_distance"] == "0"
+
+    def test_audit_exhaustive_one_file_exit_2(self, capsys):
+        # the default m = 1 leaves no pair of file indices to compare
+        code, out, err = run_cli(capsys, "audit", *BASE)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid-parameters [m >= 2]")
 
     def test_audit_transfer_matrix(self, capsys):
         code, out, _ = run_cli(

@@ -475,7 +475,7 @@ class TestPrivacyAudit:
         [
             ((4, 1, 1, 4), 2, None),
             ((4, 1, 1, 4), 3, None),
-            ((4, 1, 1, 4), 1, None),  # one file: no index pair to compare
+            ((4, 1, 1, 4), 1, None),  # one file: no index pair to compare, refused
             ((7, 1, 1, 5), 2, None),
             ((11, 1, 2, 8), 2, None),
             ((6, 2, 1, 5), 2, None),
@@ -486,6 +486,12 @@ class TestPrivacyAudit:
     )
     def test_exhaustive_matches_per_draw_reference(self, scheme, m, t_subset):
         params = pir.setup(*scheme, m=m)
+        if m == 1:
+            # an audit that compares nothing must not read as a pass
+            with pytest.raises(pir.InvalidParameters) as err:
+                privacy_audit(params, t_subset=t_subset, mode="exhaustive")
+            assert err.value.constraint == "m >= 2"
+            return
         report = privacy_audit(params, t_subset=t_subset, mode="exhaustive")
         assert report.to_json_dict() == reference_exhaustive_audit(params, t_subset).to_json_dict()
 

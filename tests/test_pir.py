@@ -1,5 +1,6 @@
 """Scheme parameters, queries, answers, retrieval, capacity, serialization."""
 
+import functools
 import itertools
 import json
 import random
@@ -20,6 +21,68 @@ from tracepir.pir import (
 from tracepir.rand import SeededStream
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def norm_power(ext, frobenius_x, a, f) -> list:
+    """Reference: (x + a)^((q^s - 1)/2) mod f as the norm of x + a to the power (q - 1)/2.
+
+    frobenius_x[i] is x^(q^i) modulo a multiple of f, for i < s.
+    """
+    norm, conjugate = [ext.one], a
+    for h in frobenius_x:
+        shifted = [ext.add(h[0], conjugate), *h[1:]]
+        norm = polyring.poly_mod(ext, polyring.poly_mul(ext, norm, shifted), f)
+        conjugate = ext.frobenius(conjugate)
+    return polyring.poly_powmod(ext, norm, (ext.q - 1) // 2, f)
+
+
+def norm_splitter_root(ext, poly) -> tuple:
+    """Reference: the smallest root of an irreducible poly by Cantor-Zassenhaus splitting.
+
+    Shifts a run over ext in `elements()` order, skipping the base field,
+    and each splits the factor left by gcd(f, (x + a)^((q^s - 1)/2) - 1).
+    """
+    f = [ext.embed(c) for c in poly]
+    frobenius_x = [
+        [ext.embed(c) for c in h] for h in polyring.frobenius_powers(ext.base, list(poly), ext.s - 1)
+    ]
+    for a in ext.elements():
+        if len(f) == 2:
+            break
+        if any(a[1:]):
+            power = norm_power(ext, frobenius_x, a, f)
+            g = polyring.poly_gcd(ext, polyring.poly_sub(ext, power, [ext.one]), f)
+            if 1 < len(g) < len(f):
+                f = min(g, polyring.poly_divmod(ext, f, g)[0], key=len)
+    roots = [ext.neg(f[0])]
+    for _ in range(ext.s - 1):
+        roots.append(ext.frobenius(roots[-1]))
+    return min(roots)
+
+
+# (q, s) beyond brute force, and (q, None) for x^2 + a over GF(q)
+SPLIT_CASES = {
+    "7-6": (7, 6),
+    "5-8": (5, 8),
+    "3-12": (3, 12),
+    "101-2": (101, 2),
+    "65521-2": (65521, 2),
+    "x2+a-5": (5, None),
+    "x2+a-13": (13, None),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def split_cases(name) -> tuple:
+    """The extension field and the irreducible polynomials SPLIT_CASES[name] splits."""
+    q, s = SPLIT_CASES[name]
+    base = gf.PrimeField(q)
+    if s is None:  # every irreducible x^2 + a, under the first other irreducible
+        polys = [(a, 0, 1) for a in range(q) if gf.rabin_irreducible(base, [a, 0, 1])]
+        modulus = next(f for f in gf.find_irreducibles(base, 2, 3) if f not in polys)
+    else:  # the first five irreducibles after the modulus
+        modulus, *polys = gf.find_irreducibles(base, s, 6)
+    return gf.ExtField(base, len(modulus) - 1, modulus), polys
 
 
 def poly_add(field, a, b) -> list:
@@ -159,23 +222,49 @@ class TestSetup:
                 assert pir._find_root(ext, f) == smallest
 
     @pytest.mark.parametrize("q,s", [(3, 4), (5, 3), (7, 2), (17, 4)])
-    def test_norm_power_is_the_half_power(self, q, s):
+    def test_trace_poly_is_the_trace(self, q, s):
         base = gf.PrimeField(q)
         modulus, poly = gf.find_irreducibles(base, s, 2)
         ext = gf.ExtField(base, s, modulus)
-        frobenius_x = [
-            [ext.embed(c) for c in h] for h in polyring.frobenius_powers(base, list(poly), s - 1)
-        ]
-        # poly itself, and a proper factor of it over ext: the x^(q^i) mod
-        # poly serve every factor
+        frobenius_x = polyring.frobenius_powers(base, list(poly), s - 1)
+        # poly itself, and a proper factor of it over ext: T_j mod either
+        # is Tr(xi^j r) at each of its roots
         root = pir._find_root(ext, poly)
-        factor = polyring.from_roots(ext, [root, ext.pow(root, q)])
-        rng = random.Random(q * s)
-        shifts = [(0,) * s, ext.one] + [tuple(rng.randrange(q) for _ in range(s)) for _ in range(6)]
-        for f in ([ext.embed(c) for c in poly], factor):
-            for a in shifts:
-                expected = polyring.poly_powmod(ext, [a, ext.one], (q**s - 1) // 2, f)
-                assert pir._norm_power(ext, frobenius_x, a, f) == expected
+        roots = [root]
+        for _ in range(s - 1):
+            roots.append(ext.frobenius(roots[-1]))
+        factor = polyring.from_roots(ext, roots[:2])
+        for j in range(s):
+            form = pir._trace_poly(ext, frobenius_x, j)
+            xi_j = tuple(int(d == j) for d in range(s))
+            for f, its_roots in (([ext.embed(c) for c in poly], roots), (factor, roots[:2])):
+                reduced = polyring.poly_mod(ext, form, f)
+                for r in its_roots:
+                    assert polyring.poly_eval(ext, reduced, r) == ext.embed(ext.trace(ext.mul(xi_j, r)))
+
+    @pytest.mark.parametrize("name", list(SPLIT_CASES))
+    def test_find_root_matches_the_norm_splitter(self, name):
+        # fields beyond brute force, and x^2 + a over GF(5) and GF(13), whose
+        # roots +-r a form with no shift cannot tell apart
+        ext, polys = split_cases(name)
+        for f in polys:
+            assert pir._find_root(ext, f) == norm_splitter_root(ext, f)
+
+    @pytest.mark.parametrize("name", list(SPLIT_CASES))
+    def test_find_root_work_is_bounded(self, name, monkeypatch):
+        # 3 to 4 powers per root on average on these fields, one of them x^q
+        # mod poly in `frobenius_powers`; the bound is about twice that
+        ext, polys = split_cases(name)
+        powmod, calls = polyring.poly_powmod, []
+
+        def counting(*args):
+            calls.append(args)
+            return powmod(*args)
+
+        monkeypatch.setattr(polyring, "poly_powmod", counting)
+        for f in polys:
+            pir._find_root(ext, f)
+        assert len(calls) <= 8 * len(polys)
 
     def test_sets_disjoint_and_alpha_roots(self, params_ext):
         p = params_ext

@@ -361,6 +361,25 @@ class TestBatchDecode:
         assert again.corrected[1:].tolist() == batch.corrected[1:].tolist()
         assert again.result(0) == grs_decode(code, words[0])
 
+    @pytest.mark.parametrize("lone", [True, False], ids=["lone", "stacked"])
+    def test_distance_guard_fails_a_far_correction(self, monkeypatch, lone):
+        # the re-encoded word always lies within the radius; a correction
+        # that does not (here the zero word: a nonzero message of degree
+        # below 5 vanishes on at most 4 of the 9 points) must fail its row
+        # alone and leave the batch's codewords as they are
+        code = GrsCode(field=PrimeField(11), points=tuple(range(9)), multipliers=(1,) * 9, dim=5)
+        rng = random.Random(14)
+        words = [list(grs_encode(code, [rng.randrange(1, 11) for _ in range(5)])) for _ in range(3)]
+        for row in (1,) if lone else (1, 2):
+            words[row][3] = (words[row][3] + 2) % 11
+        monkeypatch.setattr(rscodes, "_corrected_alone", lambda code, word, located: np.zeros(9, dtype=np.int64))
+        monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, located: np.zeros_like(words))
+        batch = grs_decode(code, words)
+        dirty = [False, True, not lone]
+        assert batch.failed.tolist() == dirty
+        assert not batch.errors.any()
+        assert batch.corrected.tolist() == [[0] * 9 if bad else word for bad, word in zip(dirty, words)]
+
     def test_mixed_batch_exact_near_q_2_to_the_31(self):
         # GF(2^31 - 1): honest words, words on several located sets and
         # several words on one shared set; an unreduced fraction-free update
