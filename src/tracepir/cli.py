@@ -8,7 +8,8 @@ constant, never the clock.
 Exit codes: 0 success, 1 a selftest criterion failed, 2 invalid
 parameters, 3 a failed check (retrieval failure or byzantine budget
 exceeded, sweep counterexamples, a failed privacy audit), 4 I/O or parse
-errors, 5 exhaustive guard exceeded.
+errors, 5 a size guard exceeded (an exhaustive enumeration, or a session's
+k x m x delta x s queries).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ def cmd_run(args) -> int:
     if any(not 1 <= j <= params.k for j in args.byzantine):
         raise InvalidParameters("byzantine", "server id outside [1, k]")
     harness.check_adversary(params, args.byzantine, args.strategy, args.offset)
+    harness.check_query_size(params)
     db = _load_db(params, args)
     adversary = AdversaryModel(
         byzantine_set=args.byzantine,
@@ -96,6 +98,7 @@ def cmd_sweep(args) -> int:
     scope = "randomized" if args.randomized is not None else "exhaustive"
     if scope == "exhaustive":
         harness.check_exhaustive_sweep(params)
+    harness.check_query_size(params)
     db = _load_db(params, args)
     report = harness.byzantine_sweep(
         params, db, scope=scope, trials=args.randomized or 0, seed=args.seed

@@ -317,13 +317,7 @@ class DualBasisPair:
 
 
 class FieldTower:
-    """A base field and one extension of it, built deterministically.
-
-    Without an explicit modulus the construction picks the first monic
-    irreducible of degree s in lexicographic coefficient order, so two
-    runs (or two implementations honouring the same convention) agree on
-    every derived constant.
-    """
+    """A base field and one extension of it."""
 
     def __init__(self, base: PrimeField, ext: ExtField):
         if ext.base != base:
@@ -333,32 +327,9 @@ class FieldTower:
         self.q = base.q
         self.s = ext.s
 
-    @classmethod
-    def build(cls, q: int, s: int, modulus=None) -> "FieldTower":
-        base = PrimeField(q)
-        if q**s > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {q}^{s} exceeds 2^32")
-        if modulus is None:
-            modulus = find_irreducibles(base, s, 1)[0]
-        return cls(base, ExtField(base, s, modulus))
-
     def describe(self) -> str:
         mod = ":".join(str(c) for c in self.ext.modulus)
         return f"q={self.q};s={self.s};mod={mod}"
-
-    @classmethod
-    def from_description(cls, text: str) -> "FieldTower":
-        fields = {}
-        for part in text.split(";"):
-            key, _, value = part.partition("=")
-            fields[key.strip()] = value.strip()
-        try:
-            q = int(fields["q"])
-            s = int(fields["s"])
-            mod = [int(c) for c in fields["mod"].split(":")]
-        except (KeyError, ValueError):
-            raise ValueError(f"bad field description {text!r}") from None
-        return cls.build(q, s, mod)
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and other.ext == self.ext

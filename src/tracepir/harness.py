@@ -46,6 +46,9 @@ import numpy as np  # noqa: E402
 DEFAULT_SEED = 0xC0DEC0DE
 EXHAUSTIVE_AUDIT_LIMIT = 2**16  # randomness tuples per database entry
 EXHAUSTIVE_SWEEP_LIMIT = 10**6  # byzantine sets x corruption values x files
+# k x m x delta x s int64 entries of one session's queries: 128 MiB, twice the
+# 6.8M entries of (13,1,2,9; m=65536)
+QUERY_ENTRIES_LIMIT = 2**24
 
 
 def json_dict(value):
@@ -247,6 +250,7 @@ def run_session(
     report still gets a params dict of its own.
     """
     pir.check_dimensions(params, db)
+    check_query_size(params)
     adversary = adversary or _HONEST
     byz = tuple(sorted(adversary.byzantine_set))
     if any(not 1 <= j <= params.k for j in byz):
@@ -484,6 +488,20 @@ def check_sweep_trials(trials: int) -> None:
     """Reject a randomized sweep of no cases; ``byzantine_sweep`` and the CLI share it."""
     if trials < 1:
         raise InvalidParameters("randomized", f"{trials} cases, need at least 1")
+
+
+def check_query_size(params: SchemeParams) -> None:
+    """Refuse a scheme whose k x m x delta x s queries exceed QUERY_ENTRIES_LIMIT.
+
+    Raises EnumerationTooLarge before any database is built or read, or
+    any query drawn, so a huge m ends in a refusal and not in a long
+    hash loop and a MemoryError; ``run_session`` and the CLI share it.
+    """
+    entries = params.k * params.m * params.delta * params.s
+    if entries > QUERY_ENTRIES_LIMIT:
+        raise EnumerationTooLarge(
+            f"{entries} query entries (k*m*delta*s) exceed {QUERY_ENTRIES_LIMIT}"
+        )
 
 
 def check_exhaustive_sweep(params: SchemeParams) -> None:

@@ -542,13 +542,6 @@ def random_database(params: SchemeParams, randomness) -> Database:
     return Database(draws.reshape(params.m, params.delta, params.s))
 
 
-def format_database(params: SchemeParams, db: Database) -> str:
-    ext = params.ext
-    return "\n".join(
-        ",".join(ext.format_element(x) for x in row) for row in db.array.tolist()
-    ) + "\n"
-
-
 def parse_database(params: SchemeParams, text: str) -> Database:
     ext = params.ext
     rows = []
@@ -581,11 +574,6 @@ def load_database(params: SchemeParams, path) -> Database:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DatabaseFormatError(f"byte {data[exc.start]:#04x} is not ASCII", line) from None
     return parse_database(params, text)
-
-
-def save_database(params: SchemeParams, db: Database, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_database(params, db))
 
 
 # --- queries ----------------------------------------------------------------
@@ -1110,10 +1098,10 @@ def parity_check_words(params: SchemeParams) -> list:
 _ELEMENT_TUPLES = frozenset(("omega_alpha", "omega_chi", "u", "v", "theta", "eta"))
 
 
-def _int_tree(value, container):
-    """An int, or nested lists or tuples of ints, as ints nested in `container`s."""
-    if isinstance(value, (list, tuple)):
-        return container(_int_tree(x, container) for x in value)
+def _int_tree(value):
+    """An int, or nested tuples of ints, as ints in nested lists."""
+    if isinstance(value, tuple):
+        return [_int_tree(x) for x in value]
     return int(value)
 
 
@@ -1127,19 +1115,5 @@ def params_to_json_dict(params: SchemeParams) -> dict:
         elif field.name in _ELEMENT_TUPLES:
             data[field.name] = [ext.format_element(x) for x in value]
         else:
-            data[field.name] = _int_tree(value, list)
+            data[field.name] = _int_tree(value)
     return data
-
-
-def params_from_json_dict(data: dict) -> SchemeParams:
-    """The SchemeParams ``params_to_json_dict`` wrote, checked by ``verify_params``."""
-    tower = FieldTower.from_description(data["field"])
-    values = {"tower": tower}
-    for field in dataclasses.fields(SchemeParams):
-        if field.name in _ELEMENT_TUPLES:
-            values[field.name] = tuple(tower.ext.parse_element(x) for x in data[field.name])
-        elif field.name != "tower":
-            values[field.name] = _int_tree(data[field.name], tuple)
-    params = SchemeParams(**values)
-    verify_params(params)
-    return params

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import tracepir
-from tracepir import cli, pir
+from conftest import save_database
+
+from tracepir import cli, harness, pir
 
 
 def run_cli(capsys, *argv):
@@ -101,7 +103,7 @@ class TestRun:
         params = pir.setup(4, 1, 1, 4, m=3)
         db = pir.random_database(params, 55)
         path = tmp_path / "db.txt"
-        pir.save_database(params, db, path)
+        save_database(params, db, path)
         code, out, _ = run_cli(
             capsys, "run", *BASE, "--m", "3", "--iota", "3", "--db", str(path)
         )
@@ -317,6 +319,29 @@ def test_refusals_come_before_the_database(capsys, monkeypatch, tmp_path, argv, 
     monkeypatch.setattr(pir, "load_database", no_database)
     db = ("--random-db",) if source == "--random-db" else ("--db", str(tmp_path / "absent"))
     assert run_cli(capsys, *argv, *db)[:2] == (code, "")
+
+
+@pytest.mark.parametrize("command", [("run",), ("sweep",), ("sweep", "--randomized", "1")])
+@pytest.mark.parametrize("source", ["--random-db", "--db"])
+def test_query_size_guard_comes_before_the_database(capsys, monkeypatch, tmp_path, command, source):
+    # BASE at m=3 has k*m*delta*s = 4*3*1*1 = 12 query entries.  The limit
+    # is patched just below that, so a broken guard builds a tiny database.
+    def no_database(*args):
+        raise AssertionError("a database was built or read before the refusal")
+
+    monkeypatch.setattr(harness, "QUERY_ENTRIES_LIMIT", 11)
+    monkeypatch.setattr(pir, "random_database", no_database)
+    monkeypatch.setattr(pir, "load_database", no_database)
+    db = ("--random-db",) if source == "--random-db" else ("--db", str(tmp_path / "absent"))
+    code, out, err = run_cli(capsys, *command, *BASE, "--m", "3", *db)
+    assert (code, out) == (5, "")
+    assert err == "error: guard-exceeded: 12 query entries (k*m*delta*s) exceed 11\n"
+
+
+@pytest.mark.parametrize("command", [("run",), ("sweep",), ("sweep", "--randomized", "1")])
+def test_query_size_guard_admits_its_limit(capsys, monkeypatch, command):
+    monkeypatch.setattr(harness, "QUERY_ENTRIES_LIMIT", 12)
+    assert run_cli(capsys, *command, *BASE, "--m", "3", "--random-db")[0] == 0
 
 
 def test_bad_iota_outranks_a_bad_database_file(capsys, tmp_path):

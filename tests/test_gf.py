@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+from conftest import build_tower, tower_from_description
+
 from tracepir import gf, polyring
 from tracepir.gf import (
     DualBasisPair,
     ExtField,
     FieldMismatchError,
-    FieldTower,
     PrimeField,
     SingularBasisError,
     dual_basis,
@@ -22,7 +23,7 @@ from tracepir.gf import (
 
 
 def tower(q, s):
-    return FieldTower.build(q, s)
+    return build_tower(q, s)
 
 
 class TestPrimeField:
@@ -138,7 +139,7 @@ class TestExtField:
 
     def test_field_size_guard(self):
         with pytest.raises(ValueError):
-            FieldTower.build(65537, 2)
+            build_tower(65537, 2)
 
     def test_element_serialization_roundtrip(self):
         E = tower(7, 3).ext
@@ -293,11 +294,11 @@ class TestFieldTower:
     def test_description_roundtrip(self):
         t = tower(7, 2)
         assert t.describe() == "q=7;s=2;mod=1:0:1"
-        assert FieldTower.from_description(t.describe()) == t
+        assert tower_from_description(t.describe()) == t
 
     def test_bad_description(self):
         with pytest.raises(ValueError):
-            FieldTower.from_description("q=7;mod=1:0:1")
+            tower_from_description("q=7;mod=1:0:1")
 
     def test_dataclass_pair_is_frozen(self):
         pair = DualBasisPair(theta=((1,),), eta=((1,),))

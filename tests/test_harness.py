@@ -1,5 +1,6 @@
 """Sessions, adversaries, privacy audits, sweeps, and the comparison table."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -134,6 +135,17 @@ class TestRunSession:
         monkeypatch.setattr(harness, "gen_queries", refuse)
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             run_session(params_small, db_small, 1, mode="bogus")
+
+    def test_query_size_guard_raises_before_queries(self, params_small, db_small, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("queries drawn past the query size guard")
+
+        p = params_small
+        entries = p.k * p.m * p.delta * p.s
+        monkeypatch.setattr(harness, "gen_queries", refuse)
+        monkeypatch.setattr(harness, "QUERY_ENTRIES_LIMIT", entries - 1)
+        with pytest.raises(rscodes.EnumerationTooLarge, match=f"^{entries} query entries"):
+            run_session(p, db_small, 1)
 
     def test_only_byzantine_servers_get_streams(self, params_small, db_small, monkeypatch):
         labels = []
@@ -406,6 +418,16 @@ def reference_exhaustive_audit(params, t_subset=None):
         cases_failed=len(failures),
         failures=tuple(failures),
     )
+
+
+def test_query_size_guard_admits_the_large_m_scheme():
+    # its limit is a constant of the module; check it at m = 65536 and just
+    # above the limit without building either scheme's database
+    params = pir.setup(13, 1, 2, 9, m=2)
+    harness.check_query_size(dataclasses.replace(params, m=65536))
+    per_file = params.k * params.delta * params.s
+    with pytest.raises(rscodes.EnumerationTooLarge):
+        harness.check_query_size(dataclasses.replace(params, m=harness.QUERY_ENTRIES_LIMIT // per_file + 1))
 
 
 def leak_at(monkeypatch, params, j):

@@ -5,11 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from conftest import build_tower
+
 from tracepir import gf, harness, linalg, pir
-from tracepir.gf import FieldTower, PrimeField
+from tracepir.gf import PrimeField
 
 F7 = PrimeField(7)
-E49 = FieldTower.build(7, 2).ext
+E49 = build_tower(7, 2).ext
 
 
 def test_solve_known_system():

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import build_tower, format_database, params_from_json_dict, save_database
+
 from tracepir import gf, harness, kernels, linalg, pir, polyring, rscodes
 from tracepir.pir import (
     AnswerSet,
@@ -95,7 +97,7 @@ def poly_add(field, a, b) -> list:
     return polyring.normalize(field, out)
 
 
-@pytest.mark.parametrize("field", [gf.PrimeField(7), gf.FieldTower.build(7, 2).ext], ids=["GF(7)", "GF(49)"])
+@pytest.mark.parametrize("field", [gf.PrimeField(7), build_tower(7, 2).ext], ids=["GF(7)", "GF(49)"])
 def test_poly_add_reference_helper(field):
     # commutative, distributive under the package's product, and undone by its difference
     rng = random.Random(3)
@@ -768,9 +770,9 @@ class TestDatabase:
     def test_file_text_frozen_and_round_trips(self, params_ext, tmp_path):
         db = Database([[[1, 2], [3, 0]], [[6, 5], [0, 4]], [[0, 0], [6, 6]], [[2, 1], [5, 3]]])
         text = "1:2,3:0\n6:5,0:4\n0:0,6:6\n2:1,5:3\n"
-        assert pir.format_database(params_ext, db) == text
+        assert format_database(params_ext, db) == text
         path = tmp_path / "db.txt"
-        pir.save_database(params_ext, db, path)
+        save_database(params_ext, db, path)
         assert path.read_text() == text
         assert pir.load_database(params_ext, path) == db
 
@@ -1252,14 +1254,14 @@ class TestDualWords:
 class TestSerialization:
     def test_params_json_roundtrip(self, params_ext):
         payload = json.dumps(pir.params_to_json_dict(params_ext), sort_keys=True)
-        restored = pir.params_from_json_dict(json.loads(payload))
+        restored = params_from_json_dict(json.loads(payload))
         assert restored == params_ext
 
     def test_equal_params_hash_equal(self, params_ext):
         # every cached table is keyed on params: equal but distinct params
         # must find the same entries
         rebuilt = pir.setup(7, 1, 1, 5, m=4)
-        restored = pir.params_from_json_dict(pir.params_to_json_dict(params_ext))
+        restored = params_from_json_dict(pir.params_to_json_dict(params_ext))
         for other in (rebuilt, restored):
             assert other is not params_ext
             assert other == params_ext and hash(other) == hash(params_ext)
@@ -1270,15 +1272,15 @@ class TestSerialization:
         data = pir.params_to_json_dict(params_small)
         data["eta"] = ["3"]  # breaks trace-orthogonality
         with pytest.raises(InvalidParameters):
-            pir.params_from_json_dict(data)
+            params_from_json_dict(data)
 
     def test_database_file_roundtrip(self, params_ext, db_ext, tmp_path):
         path = tmp_path / "db.txt"
-        pir.save_database(params_ext, db_ext, path)
+        save_database(params_ext, db_ext, path)
         assert pir.load_database(params_ext, path) == db_ext
 
     def test_database_format_frozen(self, params_ext, db_ext):
-        text = pir.format_database(params_ext, db_ext)
+        text = format_database(params_ext, db_ext)
         first = text.splitlines()[0]
         assert first == ",".join(params_ext.ext.format_element(x) for x in db_ext.row(1))
 

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from conftest import build_tower
+
 from tracepir import polyring
-from tracepir.gf import FieldTower, PrimeField
+from tracepir.gf import PrimeField
 
 F7 = PrimeField(7)
-E49 = FieldTower.build(7, 2).ext
+E49 = build_tower(7, 2).ext
 
 
 def rand_poly(field, rng, max_len):

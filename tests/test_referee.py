@@ -16,6 +16,8 @@ import math
 
 import pytest
 
+from conftest import params_from_json_dict
+
 from tracepir import cli, linalg, pir
 from tracepir.gf import MAX_FIELD_SIZE, next_prime
 from tracepir.harness import AdversaryModel, privacy_audit, run_session
@@ -112,7 +114,7 @@ def test_cli_params_refuses_what_setup_refuses(drawn, capsys):
 def test_sessions_return_the_planted_file(drawn, n):
     params = drawn[0][n]
     scheme = (params.k, params.t, params.b, params.r)
-    restored = pir.params_from_json_dict(json.loads(json.dumps(pir.params_to_json_dict(params))))
+    restored = params_from_json_dict(json.loads(json.dumps(pir.params_to_json_dict(params))))
     assert restored == params, scheme
     stream = SeededStream(SEED, f"sessions-{scheme}")
     db = pir.random_database(params, stream.fork("db"))

@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from conftest import build_tower
+
 from tracepir import polyring, rscodes
-from tracepir.gf import FieldTower, PrimeField
+from tracepir.gf import PrimeField
 from tracepir.rscodes import (
     DecodeFailure,
     EnumerationTooLarge,
@@ -244,7 +246,7 @@ class TestDecode:
     def test_extension_field_code_rejected_before_any_work(self):
         # one decoder: a code over F_{q^s} is refused before its word is
         # read or any of its tables is built
-        ext = FieldTower.build(7, 2).ext
+        ext = build_tower(7, 2).ext
         code = GrsCode(field=ext, points=tuple(ext.embed(i) for i in range(5)),
                        multipliers=(ext.one,) * 5, dim=3)
         with pytest.raises(TypeError, match="prime field"):
@@ -596,7 +598,7 @@ class TestOracle:
 
     def test_extension_field_code(self):
         # the oracle works over any field: over F_{q^s} it referees full-mode retrieval
-        ext = FieldTower.build(7, 2).ext
+        ext = build_tower(7, 2).ext
         code = GrsCode(
             field=ext,
             points=tuple(ext.embed(i) for i in range(5)),
