@@ -239,9 +239,11 @@ def run_session(
     their rows of the query array and nothing else; then the adversary
     corrupts the answer of each byzantine one among them, from its query
     row, with its own stream, forked from the session's as "server-<id>".
-    A decode failure is reported as a failed session, never raised; an
-    adversary that ``check_adversary`` rejects raises InvalidParameters,
-    and an unknown mode ValueError, both before any query is drawn.
+    The report names only the byzantine servers the session asked, and
+    the strategy "honest" when it asked none of them.  A decode failure
+    is reported as a failed session, never raised; an adversary that
+    ``check_adversary`` rejects raises InvalidParameters, and an unknown
+    mode ValueError, both before any query is drawn.
 
     At a small scheme the session is mostly fixed cost, so what the
     scheme and mode fix (the params summary, sizes, rate and capacities)
@@ -265,11 +267,11 @@ def run_session(
     stream = SeededStream(seed, "session")
     queries = gen_queries(params, iota, stream.fork("query"))
     values = list(ServerNode(server_id=ids, db=db).respond(params, queries[: len(ids)], mode))
-    for j in byz:
-        if j <= len(ids):
-            values[j - 1] = adversary.corrupt(
-                params, j, queries[j - 1], values[j - 1], mode, stream.fork(f"server-{j}")
-            )
+    asked = tuple(j for j in byz if j <= len(ids))  # full mode never asks a server above r
+    for j in asked:
+        values[j - 1] = adversary.corrupt(
+            params, j, queries[j - 1], values[j - 1], mode, stream.fork(f"server-{j}")
+        )
     answers = AnswerSet(mode=mode, server_ids=ids, values=tuple(values))
     error = None
     retrieval = None
@@ -288,8 +290,8 @@ def run_session(
         retrieved_file=retrieval.symbols if retrieval else None,
         ground_truth_match=match,
         identified_error_positions=retrieval.error_servers if retrieval else (),
-        byzantine_set=byz,
-        strategy=adversary.strategy if byz else "honest",
+        byzantine_set=asked,
+        strategy=adversary.strategy if asked else "honest",
         error=error,
         **figures,
     )

@@ -585,14 +585,22 @@ def _lagrange_values(field, nodes, points) -> tuple:
     Entry [p][n] is l_n(points[p]) = w_n prod_{l != n}(points[p] - nodes[l]),
     where w_n = 1 / prod_{l != n}(nodes[n] - nodes[l]) are the weights that
     ``dual_multipliers`` gives for the nodes alone.  A point may be a node.
+    The products over l != n are a prefix product over l < n times a
+    suffix product over l > n, so a point costs about four extension
+    products per node, not one per other node.
     """
     _, weights = dual_multipliers(field, (), nodes)
     out = []
     for point in points:
         diffs = [field.sub(point, node) for node in nodes]
-        out.append(tuple(
-            functools.reduce(field.mul, diffs[:n] + diffs[n + 1 :], w) for n, w in enumerate(weights)
-        ))
+        suffix = [field.one]  # prod_{l > n} diffs[l], built from the last node back
+        for diff in reversed(diffs[1:]):
+            suffix.append(field.mul(diff, suffix[-1]))
+        prefix, values = field.one, []
+        for diff, w, after in zip(diffs, weights, reversed(suffix)):
+            values.append(field.mul(field.mul(w, prefix), after))
+            prefix = field.mul(prefix, diff)
+        out.append(tuple(values))
     return tuple(out)
 
 

@@ -255,61 +255,75 @@ def _berlekamp_massey(F, seq) -> tuple:
 def _lockstep_berlekamp_massey(q: int, syndromes: np.ndarray) -> tuple:
     """``_berlekamp_massey`` of every row of a (D, N) int64 array over GF(q) at once, as (C, L).
 
-    Returns a (D, N + 1) int64 array C and a (D,) int64 array L: row w of
-    C is a nonzero multiple of the scalar connection polynomial of row w,
-    coefficient l in column l, and L[w] its length.  All rows step through
-    the N syndromes together, keeping C, B, L and the old discrepancy
-    gamma as arrays; each discrepancy is one row-wise sum of products
-    reduced mod q, and the updates are selected per row by masks.
+    Returns a (D, N + 1) int64 array C, a transposed view, and a (D,)
+    int64 array L: row w of C is a nonzero multiple of the scalar
+    connection polynomial of syndrome row w, coefficient l in column l,
+    and L[w] its length.  All rows step through the N syndromes
+    together, keeping C, B, L and the old discrepancy gamma as arrays.
+
+    Layout: the syndromes are read as (N, D) rows (the transpose of a
+    C-contiguous (N, D) array, as the decoder passes it, is not copied),
+    and C and z B are held as (N + 1, D) arrays, one contiguous row per
+    coefficient, so every step is a few whole-row operations and the
+    shift by z is a write one row down.  After step j no polynomial has
+    degree above j + 1, so step j touches only the first j + 2 rows.
+    Each discrepancy is one column sum of products reduced mod q.
 
     It is the inversion-free form: C <- gamma C - d z B, with B shifted by
     z at every step in which it is not replaced by C.  That is the scalar
-    update C - (d / gamma) z B times gamma, so no inverse is needed and
-    every C stays a nonzero multiple of the scalar one: the lengths, the
-    roots of the reversed locators and hence the located sets are the
-    scalar decoder's.  deg C <= L <= N, so N + 1 columns hold C and every
-    z B that is used.
+    update C - (d / gamma) z B times gamma, so no inverse is needed.
+    Every row takes the update at every step, with no per-row select:
+    where d = 0 it is gamma C, a nonzero multiple of C, and B is shifted
+    as the scalar recurrence shifts it.  So every C stays a nonzero
+    multiple of the scalar one, and a scale changes neither the length
+    nor the roots of the reversed locator: the located sets are the
+    scalar decoder's.
 
-    Exact for q < 2^31: every product is below (q - 1)^2, a discrepancy
-    adds at most N + 1 products already reduced mod q, and
-    gamma C + (q - d) z B (with q - d taken mod q) is below
-    2 (q - 1)^2 < 2^63.
+    Exact for q < 2^31: each product C[l] S[j - l] is reduced mod q
+    before a discrepancy sums at most N of them, and the update
+    gamma C + (q - d) z B, with q - d in [1, q] (q - d = q is 0 mod q),
+    is at most (q - 1)^2 + q (q - 1) < 2 q^2 < 2^63 before its reduction.
     """
-    rows, n = syndromes.shape
-    conn = np.zeros((rows, n + 1), dtype=np.int64)
-    conn[:, 0] = 1
-    prev = conn.copy()
-    shifted = np.zeros_like(conn)
-    length = np.zeros(rows, dtype=np.int64)
-    gamma = np.ones(rows, dtype=np.int64)
+    words, n = syndromes.shape
+    syndromes = np.ascontiguousarray(syndromes.T)
+    conn = np.zeros((n + 1, words), dtype=np.int64)
+    conn[0] = 1
+    shifted = np.zeros_like(conn)  # z B
+    shifted[1] = 1
+    length = np.zeros(words, dtype=np.int64)
+    gamma = np.ones(words, dtype=np.int64)
     for j in range(n):
-        products = conn[:, : j + 1] * syndromes[:, j::-1]
+        products = conn[: j + 1] * syndromes[j::-1]
         products %= q
-        disc = products.sum(axis=1) % q
-        shifted[:, 1:] = prev[:, :-1]
-        updated = gamma[:, None] * conn + ((-disc) % q)[:, None] * shifted
-        updated %= q
-        step = disc != 0
-        grow = step & (2 * length <= j)
-        prev = np.where(grow[:, None], conn, shifted)
-        conn = np.where(step[:, None], updated, conn)
-        length = np.where(grow, j + 1 - length, length)
-        gamma = np.where(grow, disc, gamma)
-    return conn, length
+        disc = products.sum(axis=0)
+        disc %= q
+        grow = (disc != 0) & (2 * length <= j)
+        head = conn[: j + 2]
+        update = (q - disc) * shifted[: j + 2]
+        if j + 1 < n:  # z B for the next step: z C where the length grows, else z (z B)
+            shifted[1 : j + 3] = np.where(grow, head, shifted[: j + 2])
+        head *= gamma
+        head += update
+        head %= q
+        np.subtract(j + 1, length, out=length, where=grow)
+        np.copyto(gamma, disc, where=grow)
+    return conn.T, length
 
 
 def _reversed_locators(conn: np.ndarray, length: np.ndarray, tau: int) -> tuple:
     """The error locators z^L C(1/z) of lockstep Berlekamp-Massey rows, as a (D, tau + 1) array.
 
-    Coefficient i of a locator is C[L - i] for i <= L.  A row with
+    Coefficient i of a locator is C[L - i] for i <= L.  It is gathered
+    from ``conn.T``, the coefficient-major array the lockstep computes
+    in, whose first tau + 1 rows are all a locator can read.  A row with
     L > tau gets the zero locator and length -1, which matches no root
     count.  Returns (locators, lengths).
     """
-    index = length[:, None] - np.arange(tau + 1)
-    locators = np.take_along_axis(conn, np.maximum(index, 0), axis=1)
+    index = length - np.arange(tau + 1)[:, None]
+    locators = np.take_along_axis(conn.T[: tau + 1], np.clip(index, 0, tau), axis=0)
     beyond = length > tau
-    locators[(index < 0) | beyond[:, None]] = 0
-    return locators, np.where(beyond, -1, length)
+    locators[(index < 0) | beyond] = 0
+    return locators.T, np.where(beyond, -1, length)
 
 
 def grs_decode(code: GrsCode, received):
@@ -346,8 +360,8 @@ def grs_decode(code: GrsCode, received):
     C <- gamma C - d z B, whose C is the scalar C times a nonzero
     constant: the same L, the same locator roots, the same located sets.
     Its numpy calls cost a fixed amount: with 4 syndromes over GF(11),
-    the lockstep and the reversal to locators take about 103 us for one
-    word and 148 us for 100, against 5 us and 530 us for the scalar
+    the lockstep and the reversal to locators take about 100 us for one
+    word and 125 us for 100, against 5.5 us and 520 us for the scalar
     recurrence on Python ints (medians of 15 interleaved rounds, 2-CPU
     Xeon).  So a batch with exactly one such word, as a byzantine
     session decodes, runs the scalar ``_berlekamp_massey``; the choice
@@ -372,17 +386,21 @@ def grs_decode(code: GrsCode, received):
     ``code.generator`` in place of n polynomial evaluations (about
     23 -> 10 us at dim 7 and 51 -> 7 us at dim 13).
 
-    The bookkeeping between these steps is array indexing: the dirty
-    rows are ``np.flatnonzero`` of the nonzero syndrome rows, the kept
-    rows those whose Chien root count equals their length, and `failed`
-    and `corrected` are indexed with those arrays.  Lists of syndrome and
-    root rows cost as much as the arithmetic once a sweep chunk holds
-    2,000 words: at (11,1,2,8) such a chunk decoded in 5.3 ms with lists
-    and 3.4 ms with arrays.  A single dirty word stays on Python ints
-    from the recurrence through the Chien search and its message to its
-    error positions and the distance guard (``_decoded_alone``), with no
-    kept mask, and a batch of one that is not a codeword is its own
-    dirty word, so it skips the scan.  The scan and the mask cost about
+    The bookkeeping between these steps is array indexing: the
+    syndromes are computed as (n - dim, W) rows, the lockstep's layout,
+    the dirty words are ``np.flatnonzero`` of the nonzero syndrome
+    columns, the kept words those whose Chien root count equals their
+    length, and `failed` and `corrected` are indexed with those arrays.
+    When every word is dirty and kept, as in an exhaustive sweep chunk,
+    whose words all carry b errors, none of them is gathered, copied or
+    scattered: the corrected words are the correction step's own array.
+    Lists of syndrome and root rows cost as much as the arithmetic once
+    a sweep chunk holds 2,000 words: at (11,1,2,8) such a chunk decoded
+    in 5.3 ms with lists and 3.4 ms with arrays.  A single dirty word
+    stays on Python ints from the recurrence through the Chien search and
+    its message to its error positions and the distance guard
+    (``_decoded_alone``), with no kept mask, and a batch of one that is
+    not a codeword is its own dirty word, so it skips the scan.  The scan and the mask cost about
     3 and 5 us, which every byzantine session's decode (about 80 us
     there) would pay for nothing.  Only the lone word's result rows are
     then written into the batch's arrays, about 3 us of bookkeeping where
@@ -415,23 +433,30 @@ def grs_decode(code: GrsCode, received):
 def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
     """``grs_decode`` of a validated (W, n) batch; its bookkeeping is described there."""
     F, tau = code.field, code.radius
-    syndromes = linalg.matmul_mod(words, code.check_matrix, F.q)
+    # one row per syndrome and one column per word, the lockstep's layout
+    syndromes = linalg.matmul_mod(code.check_matrix.T, words.T, F.q)
     # every word is a codeword; count_nonzero costs a third of any() on a small batch
     if not np.count_nonzero(syndromes):
         no_errors = np.zeros(words.shape, dtype=bool)
         return DecodedBatch(code, words.copy(), no_errors, np.zeros(len(words), dtype=bool))
-    dirty = np.flatnonzero(syndromes.any(axis=1)) if len(words) > 1 else np.zeros(1, dtype=np.intp)
+    dirty = np.flatnonzero(syndromes.any(axis=0)) if len(words) > 1 else np.zeros(1, dtype=np.intp)
     if len(dirty) == 1:  # one word: the scalar recurrence and solve beat the arrays' fixed cost
-        return _decoded_alone(code, words, dirty[0], syndromes[dirty[0]].tolist())
-    corrected = words.copy()
-    failed = np.zeros(len(words), dtype=bool)
-    locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes[dirty]), tau)
+        return _decoded_alone(code, words, dirty[0], syndromes[:, dirty[0]].tolist())
+    everyone = len(dirty) == len(words)  # as in a sweep chunk, whose words all carry errors
+    if not everyone:
+        syndromes = syndromes[:, dirty]
+    locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes.T), tau)
     roots = linalg.matmul_mod(locators, code.chien_powers, F.q) == 0
     kept = roots.sum(axis=1) == lengths
-    rows = dirty[kept]
-    failed[dirty[~kept]] = True
-    if len(rows):
-        corrected[rows] = _corrected_words(code, words[rows], roots[kept])
+    failed = np.zeros(len(words), dtype=bool)
+    if everyone and kept.all():  # every word is corrected: no gather, copy or scatter
+        corrected = _corrected_words(code, words, roots)
+    else:
+        corrected = words.copy()
+        rows = dirty[kept]
+        failed[dirty[~kept]] = True
+        if len(rows):
+            corrected[rows] = _corrected_words(code, words[rows], roots[kept])
     errors = corrected != words
     failed |= errors.sum(axis=1) > tau  # the distance guard
     if failed.any():

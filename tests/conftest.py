@@ -16,6 +16,12 @@ def pytest_addoption(parser):
         default=False,
         help="check every tuple of tests/data/golden_params_space.json, not a drawn slice",
     )
+    parser.addoption(
+        "--mutants",
+        action="store_true",
+        default=False,
+        help="run the decoder tests against every mutant of tests/data/mutants.json",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -369,8 +369,22 @@ def _replay_golden(capsys, name):
 def test_golden_cli_stdout(capsys):
     # stdout and exit codes of `run` frozen at commit 79ee429: trace and
     # full mode, every strategy, b and b + 1 byzantine servers (some above r
-    # in full mode), all servers byzantine, and (13,1,2,9; m=1024)
+    # in full mode), all servers byzantine, and (13,1,2,9; m=1024).  The
+    # three full-mode entries with byzantine ids above r were regenerated
+    # when reports stopped naming servers that full mode never asks
     _replay_golden(capsys, "golden_cli.json")
+
+
+def test_full_mode_byzantine_above_r_reported_honest(capsys):
+    # servers 9 and 10 lie above r = 8, so no answer is corrupted
+    code, out, _ = run_cli(
+        capsys, "run", "--k", "11", "--t", "1", "--b", "2", "--r", "8", "--m", "2", "--random-db",
+        "--mode", "full", "--byzantine", "9,10", "--strategy", "offset", "--offset", "3",
+    )
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert report["byzantine_set"] == [] and report["strategy"] == "honest"
+    assert report["identified_error_positions"] == []
 
 
 def test_golden_cli_reports_stdout(capsys):

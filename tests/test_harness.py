@@ -109,6 +109,19 @@ class TestRunSession:
         assert report.ok
         assert report.identified_error_positions == (2,)
 
+    @pytest.mark.parametrize("byzantine,asked", [((6, 7), ()), ((2, 6), (2,)), ((1, 5, 7), (1, 5))])
+    def test_full_mode_reports_only_the_asked_servers(self, params_ext, db_ext, byzantine, asked):
+        # full mode asks servers 1..r = 5: a byzantine server above r corrupts
+        # nothing and is not reported, and with none asked the session is an
+        # honest one, strategy included
+        adversary = AdversaryModel(byzantine_set=byzantine, strategy="offset", offset=3)
+        report = run_session(params_ext, db_ext, 3, adversary, mode="full", seed=4)
+        alone = AdversaryModel(byzantine_set=asked, strategy="offset", offset=3)
+        assert report == run_session(params_ext, db_ext, 3, alone, mode="full", seed=4)
+        assert report.byzantine_set == asked
+        assert report.strategy == ("offset" if asked else "honest")
+        assert report.ok == (len(asked) <= params_ext.b)
+
     def test_bad_byzantine_id(self, params_small, db_small):
         with pytest.raises(IndexError):
             run_session(params_small, db_small, 1, AdversaryModel(byzantine_set=(9,)))

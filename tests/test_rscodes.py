@@ -363,21 +363,24 @@ class TestBatchDecode:
         assert again.corrected[1:].tolist() == batch.corrected[1:].tolist()
         assert again.result(0) == grs_decode(code, words[0])
 
-    @pytest.mark.parametrize("lone", [True, False], ids=["lone", "stacked"])
-    def test_distance_guard_fails_a_far_correction(self, monkeypatch, lone):
+    @pytest.mark.parametrize(
+        "rows", [(1,), (1, 2), (0, 1, 2)], ids=["lone", "stacked", "every-word-dirty"]
+    )
+    def test_distance_guard_fails_a_far_correction(self, monkeypatch, rows):
         # the re-encoded word always lies within the radius; a correction
         # that does not (here the zero word: a nonzero message of degree
         # below 5 vanishes on at most 4 of the 9 points) must fail its row
-        # alone and leave the batch's codewords as they are
+        # alone and leave the batch's codewords as they are, also when no
+        # word of the batch is a codeword
         code = GrsCode(field=PrimeField(11), points=tuple(range(9)), multipliers=(1,) * 9, dim=5)
         rng = random.Random(14)
         words = [list(grs_encode(code, [rng.randrange(1, 11) for _ in range(5)])) for _ in range(3)]
-        for row in (1,) if lone else (1, 2):
+        for row in rows:
             words[row][3] = (words[row][3] + 2) % 11
         monkeypatch.setattr(rscodes, "_corrected_alone", lambda code, word, located: np.zeros(9, dtype=np.int64))
         monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, located: np.zeros_like(words))
         batch = grs_decode(code, words)
-        dirty = [False, True, not lone]
+        dirty = [row in rows for row in range(3)]
         assert batch.failed.tolist() == dirty
         assert not batch.errors.any()
         assert batch.corrected.tolist() == [[0] * 9 if bad else word for bad, word in zip(dirty, words)]
@@ -448,26 +451,77 @@ class TestBatchDecode:
         assert [batch.result(row) for row in range(len(words))] == alone
         assert [len(result.error_positions) for result in alone].count(0) == len(words) - corrupted
 
-    @pytest.mark.parametrize("q", [2, 3, 7, 2**31 - 1])
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("q", [2, 3, 7, 65521, 2**31 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
     def test_lockstep_berlekamp_massey_matches_scalar(self, q, n):
         # row by row: the same length, and a nonzero multiple of the scalar
         # connection polynomial; at q = 2^31 - 1 an unreduced sum of
-        # products leaves int64
+        # products leaves int64.  A mixed batch, one row alone and a batch
+        # of zero rows, each as a (D, N) array and as the transpose of an
+        # (N, D) one, the layout the decoder passes
         F = PrimeField(q)
         rng = random.Random(q * 10 + n)
         rows = [[0 if rng.random() < 0.2 else rng.randrange(q) for _ in range(n)] for _ in range(300)]
         rows[::17] = [[0] * n] * len(rows[::17])
-        conn, length = rscodes._lockstep_berlekamp_massey(q, np.array(rows, dtype=np.int64))
-        assert conn.shape == (len(rows), n + 1)
-        for row, syndrome in enumerate(rows):
-            expected, expected_length = rscodes._berlekamp_massey(F, syndrome)
-            assert length[row] == expected_length, syndrome
-            expected = expected + [0] * (n + 1 - len(expected))
-            assert not any(expected[n + 1:]), syndrome
-            scale = conn[row, 0].item()
-            assert scale != 0, syndrome
-            assert conn[row].tolist() == [scale * c % q for c in expected[: n + 1]], syndrome
+        for batch in (rows, rows[1:2], [[0] * n] * 5):
+            for syndromes in (np.array(batch, dtype=np.int64), np.array(batch, dtype=np.int64).T.copy().T):
+                conn, length = rscodes._lockstep_berlekamp_massey(q, syndromes)
+                assert conn.shape == (len(batch), n + 1)
+                assert length.shape == (len(batch),)
+                for row, syndrome in enumerate(batch):
+                    expected, expected_length = rscodes._berlekamp_massey(F, syndrome)
+                    assert length[row] == expected_length, syndrome
+                    expected = expected + [0] * (n + 1 - len(expected))
+                    assert not any(expected[n + 1:]), syndrome
+                    scale = conn[row, 0].item()
+                    assert scale != 0, syndrome
+                    assert conn[row].tolist() == [scale * c % q for c in expected[: n + 1]], syndrome
+
+    def test_chunk_of_dirty_correctable_words_equals_each_word_alone(self):
+        # 2,000 words, each a codeword with 1..tau errors, as an exhaustive
+        # sweep chunk holds them: every row is off the code and every row is
+        # corrected, so the batch takes no gather, copy or scatter
+        code = GrsCode(field=PrimeField(11), points=tuple(range(11)),
+                       multipliers=tuple(range(1, 11)) + (3,), dim=7)
+        rng = random.Random(27)
+        words = []
+        for _ in range(2000):
+            word = list(grs_encode(code, [rng.randrange(11) for _ in range(code.dim)]))
+            for pos in rng.sample(range(code.n), rng.randrange(1, code.radius + 1)):
+                word[pos] = (word[pos] + rng.randrange(1, 11)) % 11
+            words.append(word)
+        batch = grs_decode(code, np.array(words, dtype=np.int64))
+        assert not batch.failed.any()
+        for row, word in enumerate(words):
+            alone = grs_decode(code, word)
+            assert batch.result(row) == alone, word
+            assert 1 <= len(alone.error_positions) <= code.radius, word
+
+    def test_only_the_corrected_words_reach_the_correction_step(self, monkeypatch):
+        # every word is off the code, half of them far beyond the radius: a
+        # word whose locator does not have as many roots among the points as
+        # its length fails before the correction step, which sees exactly
+        # the words that the batch corrects
+        code = GrsCode(field=PrimeField(11), points=tuple(range(11)), multipliers=(1,) * 11, dim=5)
+        rng = random.Random(15)
+        words = []
+        for row in range(400):
+            word = list(grs_encode(code, [rng.randrange(11) for _ in range(code.dim)]))
+            weight = rng.randrange(1, code.radius + 1) if row % 2 else code.n
+            for pos in rng.sample(range(code.n), weight):
+                word[pos] = (word[pos] + rng.randrange(1, 11)) % 11
+            words.append(word)
+        seen = []
+        corrected_words = rscodes._corrected_words
+
+        def counted(code, words, located):
+            seen.append(len(words))
+            return corrected_words(code, words, located)
+
+        monkeypatch.setattr(rscodes, "_corrected_words", counted)
+        batch = grs_decode(code, np.array(words, dtype=np.int64))
+        assert 0 < batch.failed.sum() < len(words) // 2 + 1
+        assert sum(seen) == np.count_nonzero(batch.errors.any(axis=1)) == len(words) - batch.failed.sum()
 
     @pytest.mark.parametrize("q", [11, 2**31 - 1])
     def test_random_batches_equal_each_row_decoded_alone(self, q):
