@@ -328,13 +328,15 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     `np.bincount` gives every (subset, entry) histogram of keys over the
     draws.  The TV distance of an index pair is half the L1 distance
     between their histograms over the draw count, an exact Fraction.
-    Memory per iota is O((C(k, t) + k*s) * m * delta * draws) ints: the
-    batched queries, the keys, and histograms no longer than the keys
-    they count, which are kept for the pair comparisons.  Transfer mode
-    checks instead that each t-subset's blinding-to-query map is a
-    bijection (which forces uniformity), in one stacked elimination of
-    its (t*s) x (t*s) expansion over F_q; the map is F_q-linear, so that
-    is exact.  A `t_subset` must be a nonempty set of ids in [1, k] (else
+    Its arrays are the batched queries and keys of one iota,
+    (k*s + C(k, t)) * m * delta * draws ints, the histograms of all m
+    iotas, kept for the pair comparisons, and the pair distances; when
+    any of them would exceed QUERY_ENTRIES_LIMIT entries, or the draws
+    EXHAUSTIVE_AUDIT_LIMIT, it raises EnumerationTooLarge before the
+    first query is drawn.  Transfer mode checks instead that each
+    t-subset's blinding-to-query map is a bijection (which forces
+    uniformity), in one stacked elimination of its (t*s) x (t*s)
+    expansion over F_q; the map is F_q-linear, so that is exact.  A `t_subset` must be a nonempty set of ids in [1, k] (else
     InvalidParameters("subset")), and `mode` "exhaustive" or
     "transfer-matrix" (else ValueError, before anything else).  The
     transfer-matrix mode also refuses a subset of fewer than t servers
@@ -347,7 +349,6 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     """
     if mode not in ("exhaustive", "transfer-matrix"):
         raise ValueError(f"unknown audit mode {mode!r}")
-    summary = _params_summary(params)
     if t_subset is not None:
         subset = tuple(sorted(t_subset))
         if not subset or len(set(subset)) != len(subset) or not 1 <= subset[0] <= subset[-1] <= params.k:
@@ -361,20 +362,12 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
                 "audit needs a t-subset (use the exhaustive mode)",
             )
         subsets = (subset,)
-        if len(subset) > params.t:
-            return PrivacyAuditReport(
-                params=summary,
-                mode=mode,
-                subsets=subsets,
-                verdict="beyond threshold, privacy not claimed",
-                max_tv_distance=None,
-                cases_total=0,
-                cases_failed=0,
-                failures=(),
-            )
     else:
         subsets = tuple(itertools.combinations(range(1, params.k + 1), params.t))
-    if mode == "transfer-matrix":
+    max_tv, failures = None, []
+    if len(subsets[0]) > params.t:  # only a given subset is wider than t
+        verdict, cases = "beyond threshold, privacy not claimed", 0
+    elif mode == "transfer-matrix":
         curve = pir._query_tables(params)[0]
         # row h*s + a of subset u maps blinding coefficient a of term h to its
         # servers' query coefficients
@@ -385,16 +378,24 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
             {"subset": list(subsets[u]), "reason": "transfer matrix singular"}
             for u in np.flatnonzero(~invertible).tolist()
         ]
-        return PrivacyAuditReport(
-            params=summary,
-            mode=mode,
-            subsets=subsets,
-            verdict="pass" if not failures else "fail",
-            max_tv_distance=None,
-            cases_total=len(subsets),
-            cases_failed=len(failures),
-            failures=tuple(failures),
-        )
+        verdict, cases = "pass" if not failures else "fail", len(subsets)
+    else:
+        max_tv, cases, failures = _exhaustive_audit(params, subsets)
+        verdict = "pass" if max_tv == 0 else "fail"
+    return PrivacyAuditReport(
+        params=_params_summary(params),
+        mode=mode,
+        subsets=subsets,
+        verdict=verdict,
+        max_tv_distance=max_tv,
+        cases_total=cases,
+        cases_failed=len(failures),
+        failures=tuple(failures),
+    )
+
+
+def _exhaustive_audit(params: SchemeParams, subsets: tuple) -> tuple:
+    """``privacy_audit``'s exhaustive mode over `subsets`, as (max TV distance, cases, failures)."""
     q, s, t, m, delta = params.q, params.s, params.t, params.m, params.delta
     if m < 2:
         raise InvalidParameters("m >= 2", f"the exhaustive audit compares file indices; m={m} has no pair")
@@ -405,15 +406,23 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
             f"{draws} blinding draws per entry exceed {EXHAUSTIVE_AUDIT_LIMIT}; "
             "use the transfer-matrix mode"
         )
+    width = len(subsets[0])
+    keyspace = size**width  # keys of one subset's query tuple at one entry
+    slots = len(subsets) * m * delta  # (subset, entry) pairs
+    for what, entries in (
+        ("queries and keys of one file index", draws * m * delta * (params.k * s + len(subsets))),
+        ("histogram counts kept for the pairs", m * slots * keyspace),
+        ("pair distances", slots * m * (m - 1) // 2),
+    ):
+        if entries > QUERY_ENTRIES_LIMIT:
+            raise EnumerationTooLarge(f"{entries} {what} exceed {QUERY_ENTRIES_LIMIT}")
     # draw n is the base-q digits of n: t elements of s coefficients each
     digits = pir._base_q_digits(q, t * s)
     blinding = np.broadcast_to(digits.reshape(draws, t, 1, 1, s), (draws, t, m, delta, s))
     radix = q ** np.arange(s, dtype=np.int64)  # an element as one int: its base-q digits
     servers = np.array(subsets, dtype=np.int64) - 1  # (subsets, width)
-    width = servers.shape[1]
-    keyspace = size**width  # keys of one subset's query tuple at one entry
     # each (subset, entry) slot counts its keys in its own range of one bincount
-    offsets = np.arange(len(subsets) * m * delta, dtype=np.int64).reshape(len(subsets), m, delta)
+    offsets = np.arange(slots, dtype=np.int64).reshape(len(subsets), m, delta)
     offsets *= keyspace
     histograms = []  # histograms[iota - 1][subset, i, l, key]: the draws giving that key
     for iota in range(1, m + 1):
@@ -436,16 +445,7 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
         for u, i, l, p in np.argwhere(diffs).tolist()
     ]
     max_tv = Fraction(diffs.max(initial=0).item(), 2 * draws)
-    return PrivacyAuditReport(
-        params=summary,
-        mode=mode,
-        subsets=subsets,
-        verdict="pass" if max_tv == 0 else "fail",
-        max_tv_distance=max_tv,
-        cases_total=diffs.size,
-        cases_failed=len(failures),
-        failures=tuple(failures),
-    )
+    return max_tv, diffs.size, failures
 
 
 # --- byzantine sweep ----------------------------------------------------------

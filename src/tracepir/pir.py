@@ -775,7 +775,8 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     (len(j), m, delta, s) queries; the answers then come back as a tuple
     in that order, and a single server is the batch of one.  Stacked
     (B, len(j), m, delta, s) queries are B clients asking the same
-    servers, and give B such tuples, in client order.  With the database
+    servers, and give B such tuples, in client order; an empty tuple of
+    ids raises ValueError before any work.  With the database
     flattened to (N, s) and the queries to (B * len(j), N, s), one
     `ExtField.dot` gives every answer element as an int64 row.  Trace
     mode folds them all in one array product with the cached forms of
@@ -786,7 +787,9 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     """
     single = not isinstance(j, tuple)
     ids = (j,) if single else j
-    if ids and not 1 <= min(ids) <= max(ids) <= params.k:
+    if not ids:
+        raise ValueError("an empty tuple of server ids asks no server")
+    if not 1 <= min(ids) <= max(ids) <= params.k:
         raise IndexError(f"server id {j} outside [1, {params.k}]")
     if mode not in ("trace", "full"):
         raise ValueError(f"unknown answer mode {mode!r}")

@@ -12,16 +12,16 @@ linear solve on dim unlocated positions gives the message, which is
 re-encoded.
 
 ``grs_decode`` works over a prime field, where it decodes a (W, n)
-int64 batch in one pass: the syndromes and the Chien search are one
-matrix product each, the words with a nonzero syndrome run
-Berlekamp-Massey in lockstep as array operations, and the words with
-errors to correct get their messages from one stacked solve, one
-dim x dim system per distinct located set, and their codewords from one
-re-encode.  The per-word bookkeeping (which words are off the code,
-which are kept to correct, which fail) is array indexing too.  A batch
-with a single word off the code runs the scalar recurrence and solve
-instead, which cost less for one word.  A single word is the batch of
-one.
+int64 batch in one pass over all its rows: the syndromes and the Chien
+search are one matrix product each, Berlekamp-Massey runs in lockstep as
+array operations, and every word gets its message from one stacked
+solve, one dim x dim system per distinct located set, and its codeword
+from one re-encode.  A codeword locates nothing and re-encodes to
+itself; a word whose root count or distance is wrong is marked failed
+and zeroed in place, so no row is gathered or scattered.  A batch of
+codewords returns at the syndrome test, and a batch with a single word
+off the code runs the scalar recurrence and solve instead, which cost
+less for one word.  A single word is the batch of one.
 ``oracle_decode`` is the brute-force counterpart used to cross-check
 the decoder, over any field; it enumerates every codeword, so it is
 guarded by an enumeration bound.
@@ -369,8 +369,8 @@ def grs_decode(code: GrsCode, received):
     at the n points by Horner's rule on Python ints, about half the
     cost of building an array for one ``code.chien_powers`` product.
 
-    When the lockstep has run, the words it leaves to correct have their
-    located sets deduplicated, and each distinct set's dim x dim system
+    When the lockstep has run, the located sets of all words are
+    deduplicated, and each distinct set's dim x dim system
     (``code.generator`` transposed, on its clean positions) is inverted
     in one stacked ``linalg.solve``; one product per word with its set's
     inverse gives the messages, and one ``grs_encode`` of all of them the
@@ -386,29 +386,31 @@ def grs_decode(code: GrsCode, received):
     ``code.generator`` in place of n polynomial evaluations (about
     23 -> 10 us at dim 7 and 51 -> 7 us at dim 13).
 
-    The bookkeeping between these steps is array indexing: the
-    syndromes are computed as (n - dim, W) rows, the lockstep's layout,
-    the dirty words are ``np.flatnonzero`` of the nonzero syndrome
-    columns, the kept words those whose Chien root count equals their
-    length, and `failed` and `corrected` are indexed with those arrays.
-    When every word is dirty and kept, as in an exhaustive sweep chunk,
-    whose words all carry b errors, none of them is gathered, copied or
-    scattered: the corrected words are the correction step's own array.
-    Lists of syndrome and root rows cost as much as the arithmetic once
-    a sweep chunk holds 2,000 words: at (11,1,2,8) such a chunk decoded
-    in 5.3 ms with lists and 3.4 ms with arrays.  A single dirty word
-    stays on Python ints from the recurrence through the Chien search and
-    its message to its error positions and the distance guard
-    (``_decoded_alone``), with no kept mask, and a batch of one that is
-    not a codeword is its own dirty word, so it skips the scan.  The scan and the mask cost about
-    3 and 5 us, which every byzantine session's decode (about 80 us
-    there) would pay for nothing.  Only the lone word's result rows are
-    then written into the batch's arrays, about 3 us of bookkeeping where
-    the whole-batch comparison, row sums and masks took 4.6 (at 11
-    points, dim 7, two errors: a lone decode won 19 of 21 alternating
-    in-process rounds, and a failing word went from 25 to 18 us; 2-CPU
-    Xeon).  A batch whose every word is a codeword returns at the
-    syndrome test, before any of the per-word arrays is built.
+    The bookkeeping between these steps is one array pass: the syndromes
+    are computed as (n - dim, W) rows, the lockstep's layout, and once
+    two words are off the code every row runs the lockstep, the Chien
+    product and the stacked correction, with no row gathered, copied or
+    scattered.  A codeword leaves the recurrence with L = 0 and the
+    locator 1, shares the empty located set and re-encodes to itself.  A
+    failing row still gets a nonsingular system: any dim distinct points
+    give one, and where L > tau the zero locator locates every point.  A
+    row fails where its root count is not its length or its correction
+    lies beyond tau, and is then zeroed.  Lists of syndrome and root rows
+    cost as much as the arithmetic once a sweep chunk holds 2,000 words:
+    at (11,1,2,8) such a chunk decoded in 5.3 ms with lists and 3.4 ms
+    with arrays.
+
+    A single dirty word stays on Python ints from the recurrence through
+    the Chien search and its message to its error positions and the
+    distance guard (``_decoded_alone``), with no root-count mask, and a
+    batch of one that is not a codeword is its own dirty word, so it
+    skips the scan.  The scan and the mask cost about 3 and 5 us, which every
+    byzantine session's decode (about 80 us there) would pay for
+    nothing.  Only the lone word's result rows are then written into the
+    batch's arrays, about 3 us of bookkeeping where the whole-batch
+    comparison, row sums and masks took 4.6 (at 11 points, dim 7, two
+    errors: a lone decode won 19 of 21 alternating in-process rounds, and
+    a failing word went from 25 to 18 us; 2-CPU Xeon).
 
     So a codeword within tau forces L <= tau and exactly L located
     roots; when either fails, no codeword lies within tau and the word
@@ -442,23 +444,13 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
     dirty = np.flatnonzero(syndromes.any(axis=0)) if len(words) > 1 else np.zeros(1, dtype=np.intp)
     if len(dirty) == 1:  # one word: the scalar recurrence and solve beat the arrays' fixed cost
         return _decoded_alone(code, words, dirty[0], syndromes[:, dirty[0]].tolist())
-    everyone = len(dirty) == len(words)  # as in a sweep chunk, whose words all carry errors
-    if not everyone:
-        syndromes = syndromes[:, dirty]
+    # every row, clean ones too: a codeword locates nothing and re-encodes to itself
     locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes.T), tau)
     roots = linalg.matmul_mod(locators, code.chien_powers, F.q) == 0
-    kept = roots.sum(axis=1) == lengths
-    failed = np.zeros(len(words), dtype=bool)
-    if everyone and kept.all():  # every word is corrected: no gather, copy or scatter
-        corrected = _corrected_words(code, words, roots)
-    else:
-        corrected = words.copy()
-        rows = dirty[kept]
-        failed[dirty[~kept]] = True
-        if len(rows):
-            corrected[rows] = _corrected_words(code, words[rows], roots[kept])
+    corrected = _corrected_words(code, words, roots)
     errors = corrected != words
-    failed |= errors.sum(axis=1) > tau  # the distance guard
+    # the Chien root count, then the distance guard
+    failed = (roots.sum(axis=1) != lengths) | (errors.sum(axis=1) > tau)
     if failed.any():
         corrected[failed] = 0
         errors[failed] = False
@@ -512,14 +504,16 @@ def _corrected_alone(code: GrsCode, word: list, located: list) -> np.ndarray:
 
 
 def _corrected_words(code: GrsCode, words: np.ndarray, located: np.ndarray) -> np.ndarray:
-    """The codewords of (K, n) words whose errors sit exactly on the (K, n) located masks.
+    """The codewords of (W, n) words whose errors sit exactly on the (W, n) located masks.
 
-    The masks are deduplicated through one exact key per row, its bits
-    packed into bytes and read as a single void value.  Each distinct
-    set's clean positions are its first dim unlocated ones; the G systems
-    ``code.generator.T`` on them are inverted in one stacked solve, each
-    word's message is its set's inverse times its clean symbols, and one
-    ``grs_encode`` gives every codeword.
+    A row whose errors do not, or whose every position is located, still
+    gets one, from dim distinct points.  The masks are deduplicated
+    through one exact key per row, its bits packed into bytes and read
+    as a single void value.  Each distinct set's clean positions are its
+    first dim unlocated ones; the G systems ``code.generator.T`` on them
+    are inverted in one stacked solve, each word's message is its set's
+    inverse times its clean symbols, and one ``grs_encode`` gives every
+    codeword.
     """
     q, dim = code.field.q, code.dim
     packed = np.packbits(located, axis=1)

@@ -344,6 +344,19 @@ def test_query_size_guard_admits_its_limit(capsys, monkeypatch, command):
     assert run_cli(capsys, *command, *BASE, "--m", "3", "--random-db")[0] == 0
 
 
+def test_exhaustive_audit_at_m_1024_refused_before_any_query(capsys, monkeypatch):
+    # 13^2 draws per entry pass the draw guard, but the audit's arrays at
+    # m=1024 do not fit: the histograms kept for the pairs alone would hold
+    # 1024^2 * 13 * 4 * 13^2 = 9.2 * 10^9 int64 counts, 74 GB
+    def no_query(*args):
+        raise AssertionError("a query was drawn before the refusal")
+
+    monkeypatch.setattr(harness, "queries_from_blinding", no_query)
+    code, out, err = run_cli(capsys, "audit", "--k", "13", "--t", "1", "--b", "2", "--r", "9", "--m", "1024")
+    assert (code, out) == (5, "")
+    assert err.startswith("error: guard-exceeded: ") and f"exceed {harness.QUERY_ENTRIES_LIMIT}\n" in err
+
+
 def test_bad_iota_outranks_a_bad_database_file(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1\nbroken\n3\n")

@@ -633,6 +633,33 @@ class TestPrivacyAudit:
             privacy_audit(params, mode="exhaustive")
         assert "transfer-matrix" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "scheme, m, t_subset, entries, what",
+        [
+            ((6, 2, 0, 4), 2, (1,), 124852, "queries and keys of one file index"),
+            ((4, 1, 1, 4), 3, None, 252, "histogram counts kept for the pairs"),
+            ((4, 1, 1, 4), 40, (1,), 31200, "pair distances"),
+        ],
+        ids=["queries", "histograms", "pairs"],
+    )
+    def test_exhaustive_size_guard(self, monkeypatch, scheme, m, t_subset, entries, what):
+        # draws * m * delta * (k*s + subsets) queries and keys, m * subsets
+        # * m * delta * (q^s)^width kept counts, subsets * m * delta * C(m, 2)
+        # distances: the largest is refused one entry below it, before any
+        # query is drawn, and admitted at it
+        params = pir.setup(*scheme, m=m)
+
+        def no_query(*args):
+            raise AssertionError("a query was drawn before the refusal")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "QUERY_ENTRIES_LIMIT", entries - 1)
+            patch.setattr(harness, "queries_from_blinding", no_query)
+            with pytest.raises(EnumerationTooLarge, match=f"^{entries} {what} exceed {entries - 1}$"):
+                privacy_audit(params, t_subset=t_subset, mode="exhaustive")
+        monkeypatch.setattr(harness, "QUERY_ENTRIES_LIMIT", entries)
+        assert privacy_audit(params, t_subset=t_subset, mode="exhaustive").verdict == "pass"
+
     def test_guard_and_audit_never_enumerate_the_field(self, monkeypatch):
         # GF(11^8) has 214,358,881 elements: the guard must come from the
         # field size, and the audit below it builds its draws as arrays

@@ -660,6 +660,19 @@ class TestAnswers:
         with pytest.raises(ValueError):
             pir.server_answer(p, (1, 2), queries[:3], db_ext)  # three queries, two ids
 
+    def test_empty_server_ids_refused_before_any_work(self, monkeypatch, params_ext, db_ext):
+        # an empty id tuple used to pass the id check and fail in numpy's reshape
+        queries = pir.gen_queries(params_ext, 2, SeededStream(6, "batch"))
+
+        def no_work(*args):
+            raise AssertionError("answered an empty set of servers")
+
+        monkeypatch.setattr(pir, "check_dimensions", no_work)
+        with pytest.raises(ValueError, match="empty tuple of server ids"):
+            pir.server_answer(params_ext, (), queries[:0], db_ext)
+        with pytest.raises(ValueError, match="empty tuple of server ids"):
+            pir.collect_answers(params_ext, queries, db_ext, "trace", server_ids=())
+
     def test_prefix_queries_are_a_view(self, monkeypatch, params_ext, db_ext):
         # all k servers, and a full-mode session's first r, answer from the query array itself
         queries = pir.gen_queries(params_ext, 2, SeededStream(6, "batch"))

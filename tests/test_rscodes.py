@@ -371,14 +371,18 @@ class TestBatchDecode:
         # that does not (here the zero word: a nonzero message of degree
         # below 5 vanishes on at most 4 of the 9 points) must fail its row
         # alone and leave the batch's codewords as they are, also when no
-        # word of the batch is a codeword
+        # word of the batch is a codeword.  The stacked correction sees the
+        # codewords too, with nothing located, and re-encodes them as they are
         code = GrsCode(field=PrimeField(11), points=tuple(range(9)), multipliers=(1,) * 9, dim=5)
         rng = random.Random(14)
         words = [list(grs_encode(code, [rng.randrange(1, 11) for _ in range(5)])) for _ in range(3)]
         for row in rows:
             words[row][3] = (words[row][3] + 2) % 11
         monkeypatch.setattr(rscodes, "_corrected_alone", lambda code, word, located: np.zeros(9, dtype=np.int64))
-        monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, located: np.zeros_like(words))
+        monkeypatch.setattr(
+            rscodes, "_corrected_words",
+            lambda code, words, located: np.where(located.any(axis=1)[:, None], 0, words),
+        )
         batch = grs_decode(code, words)
         dirty = [row in rows for row in range(3)]
         assert batch.failed.tolist() == dirty
@@ -480,7 +484,7 @@ class TestBatchDecode:
     def test_chunk_of_dirty_correctable_words_equals_each_word_alone(self):
         # 2,000 words, each a codeword with 1..tau errors, as an exhaustive
         # sweep chunk holds them: every row is off the code and every row is
-        # corrected, so the batch takes no gather, copy or scatter
+        # corrected in the batch's one array pass
         code = GrsCode(field=PrimeField(11), points=tuple(range(11)),
                        multipliers=tuple(range(1, 11)) + (3,), dim=7)
         rng = random.Random(27)
@@ -497,11 +501,11 @@ class TestBatchDecode:
             assert batch.result(row) == alone, word
             assert 1 <= len(alone.error_positions) <= code.radius, word
 
-    def test_only_the_corrected_words_reach_the_correction_step(self, monkeypatch):
-        # every word is off the code, half of them far beyond the radius: a
-        # word whose locator does not have as many roots among the points as
-        # its length fails before the correction step, which sees exactly
-        # the words that the batch corrects
+    def test_chien_check_alone_fails_the_words_beyond_the_radius(self, monkeypatch):
+        # every word is off the code, half of them far beyond the radius.
+        # With a correction step that returns every word as it is, the
+        # distance guard never trips, so the Chien root count alone must
+        # fail exactly the rows that the real decode fails
         code = GrsCode(field=PrimeField(11), points=tuple(range(11)), multipliers=(1,) * 11, dim=5)
         rng = random.Random(15)
         words = []
@@ -511,17 +515,15 @@ class TestBatchDecode:
             for pos in rng.sample(range(code.n), weight):
                 word[pos] = (word[pos] + rng.randrange(1, 11)) % 11
             words.append(word)
-        seen = []
-        corrected_words = rscodes._corrected_words
-
-        def counted(code, words, located):
-            seen.append(len(words))
-            return corrected_words(code, words, located)
-
-        monkeypatch.setattr(rscodes, "_corrected_words", counted)
-        batch = grs_decode(code, np.array(words, dtype=np.int64))
-        assert 0 < batch.failed.sum() < len(words) // 2 + 1
-        assert sum(seen) == np.count_nonzero(batch.errors.any(axis=1)) == len(words) - batch.failed.sum()
+        words = np.array(words, dtype=np.int64)
+        decoded = grs_decode(code, words)
+        assert 0 < decoded.failed.sum() < len(words) // 2 + 1
+        assert np.count_nonzero(decoded.errors.any(axis=1)) == len(words) - decoded.failed.sum()
+        monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, located: words.copy())
+        injected = grs_decode(code, words)
+        assert injected.failed.tolist() == decoded.failed.tolist()
+        assert not injected.errors.any()
+        assert injected.corrected[~decoded.failed].tolist() == words[~decoded.failed].tolist()
 
     @pytest.mark.parametrize("q", [11, 2**31 - 1])
     def test_random_batches_equal_each_row_decoded_alone(self, q):
