@@ -2,16 +2,19 @@
 
 `solve_stacked` is the one elimination kernel: a stack of square int64
 systems over a prime field, eliminated at once as array operations.
-Setup, `gf.dual_basis`, the transfer-matrix audit (on F_q expansions)
-and the decoder's batch correction step run on it.  The list form,
-`solve` on row lists over either field class, serves the decoder's lone
-dirty word and `rscodes._message` (`message_poly`, also over F_{q^s}
-codes).  It eliminates to echelon form by the field's row operations,
-`scale_row` and `sub_row_multiple`, one call per row (plain int list
-comprehensions, one `% q` per entry, over a prime field), and back
-substitutes: one 7 x 7 system over GF(11) took 41 us there against
-135 us in the kernel, and one 13 x 13 system over GF(17) 181 us against
-361 us (best of 21 x 1000 calls on a 2-CPU x86-64 host).
+Setup, `gf.dual_basis`, the transfer-matrix audit (on F_q expansions),
+the decoder's batch error-value step (tau x tau systems) and a code's
+cached `interpolation` inverse run on it.  The list form, `solve` on row
+lists over either field class, serves the decoder's lone dirty word (an
+L x L error-value system, L <= tau) and `rscodes._message`
+(`message_poly`, dim x dim, also over F_{q^s} codes).  It eliminates to
+echelon form by the field's row operations, `scale_row` and
+`sub_row_multiple`, one call per row (plain int list comprehensions, one
+`% q` per entry, over a prime field), and back substitutes: one 2 x 2
+system over GF(11) took 7-11 us there against 50 us in the kernel, one
+7 x 7 system 35-39 us against 142-230 us, and one 13 x 13 system over
+GF(17) 166-170 us against 279-288 us (best of 21 x 1000 calls, two runs,
+on a 2-CPU x86-64 host).
 
 `matmul_mod` is the one modular product of int64 arrays that every
 layer shares (the query curve, the answers, syndromes, the Chien search

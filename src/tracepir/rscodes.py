@@ -7,21 +7,24 @@ of m_i prod_{l != i}(x_i - x_l), give the syndromes of the received
 word; a zero syndrome means the word is a codeword and is returned as it
 is.  Otherwise Berlekamp-Massey finds the shortest linear recurrence of
 the syndromes, the reversal of its connection polynomial is the error
-locator, a Chien search finds its roots among the code points, and one
-linear solve on dim unlocated positions gives the message, which is
-re-encoded.
+locator, a Chien search finds its roots among the code points, and the
+error values there solve the first tau syndromes, a tau x tau system
+for tau = floor((n - dim) / 2).  The word minus its error is re-encoded
+through its first dim symbols, and the distance guard compares the
+codeword with the word.
 
 ``grs_decode`` works over a prime field, where it decodes a (W, n)
 int64 batch in one pass over all its rows: the syndromes and the Chien
 search are one matrix product each, Berlekamp-Massey runs in lockstep as
-array operations, and every word gets its message from one stacked
-solve, one dim x dim system per distinct located set, and its codeword
-from one re-encode.  A codeword locates nothing and re-encodes to
-itself; a word whose root count or distance is wrong is marked failed
-and zeroed in place, so no row is gathered or scattered.  A batch of
-codewords returns at the syndrome test, and a batch with a single word
-off the code runs the scalar recurrence and solve instead, which cost
-less for one word.  A single word is the batch of one.
+array operations, and every word gets its error values from one
+stacked solve, one tau x tau system per distinct located set, and its
+codeword from one re-encode.  A codeword locates nothing and re-encodes
+to itself; a word whose root count or distance is wrong is marked
+failed and zeroed in place, so no row is gathered or scattered.  A
+batch of codewords returns at the syndrome test, and a batch with a
+single word off the code runs the scalar recurrence and an L x L solve
+on Python ints instead, which cost less for one word.  A single word is
+the batch of one.  Every int64 step is exact for q < 2^31.
 ``oracle_decode`` is the brute-force counterpart used to cross-check
 the decoder, over any field; it enumerates every codeword, so it is
 guarded by an enumeration bound.
@@ -109,8 +112,7 @@ class GrsCode:
         """Read-only (dim, n) int64 array with entry (e, i) = m_i x_i^e; prime field only.
 
         A (W, dim) batch of messages, coefficient e in column e, times it
-        gives their codewords; its transpose on dim distinct positions is
-        the invertible system that gives a message back from a codeword.
+        gives their codewords.
         """
         F = self.field
         matrix = np.array(
@@ -120,6 +122,21 @@ class GrsCode:
         )
         matrix.flags.writeable = False
         return matrix
+
+    @functools.cached_property
+    def interpolation(self) -> np.ndarray:
+        """Read-only (dim, dim) int64 inverse of ``generator[:, :dim]``; prime field only.
+
+        A (W, dim) batch of codewords' first dim symbols times it gives
+        their messages.  The first dim points are distinct, so the system
+        is invertible; it is inverted once per code by ``solve_stacked``.
+        """
+        q, dim = self.field.q, self.dim
+        system = self.generator[None, :, :dim]
+        inverse, _ = linalg.solve_stacked(q, system, np.eye(dim, dtype=np.int64)[None])
+        inverse = inverse[0]
+        inverse.flags.writeable = False
+        return inverse
 
     @functools.cached_property
     def chien_powers(self) -> np.ndarray:
@@ -351,8 +368,13 @@ def grs_decode(code: GrsCode, received):
     locator is the reversal z^L C(1/z) = prod_(i in E)(z - x_i); C itself
     would lose the root of a point x_i = 0.  A Chien search over the n
     points (one product of the batch's locators with ``code.chien_powers``)
-    then finds exactly E, the first dim points outside E are clean, one
-    solve gives the message of c, and re-encoding gives c.
+    then finds exactly E.  The error values solve the first syndromes:
+    with y_i x_i^e = ``code.check_matrix[i, e]``, the L x L system
+    sum_(i in E) check_matrix[i, e] err_i = S_e for e < L is a
+    Vandermonde matrix on L distinct points times the nonzero y_i, so
+    it is invertible and err is its unique solution.  Then c = word - err,
+    whose first dim symbols times ``code.interpolation`` give its message,
+    and re-encoding the message gives c again.
 
     The words of a batch with a nonzero syndrome run Berlekamp-Massey in
     lockstep (``_lockstep_berlekamp_massey``), one array step per
@@ -370,41 +392,48 @@ def grs_decode(code: GrsCode, received):
     cost of building an array for one ``code.chien_powers`` product.
 
     When the lockstep has run, the located sets of all words are
-    deduplicated, and each distinct set's dim x dim system
-    (``code.generator`` transposed, on its clean positions) is inverted
-    in one stacked ``linalg.solve``; one product per word with its set's
-    inverse gives the messages, and one ``grs_encode`` of all of them the
-    codewords.  The stacked solve costs a fixed amount: at dim 7 over
-    GF(11), correcting one word takes about 64 us with the list solve
-    and 236 us stacked, and 100 words on 20 located sets about 7 ms one
-    word at a time and 0.43 ms stacked (medians of 15 interleaved
-    rounds, 2-CPU Xeon).  So the lone dirty word of a batch, as a
-    byzantine session decodes, solves the same system,
-    ``code.generator`` transposed on its clean positions, as int rows in
-    the list ``linalg.solve`` (``_corrected_alone``); its message is
-    then re-encoded as a (1, dim) batch, one product with the cached
-    ``code.generator`` in place of n polynomial evaluations (about
-    23 -> 10 us at dim 7 and 51 -> 7 us at dim 13).
+    deduplicated.  Each distinct set takes its located positions first,
+    padded with the first unlocated ones to tau, and its tau x tau system
+    (``code.check_matrix`` on them, first tau columns, transposed) is
+    inverted in one stacked ``linalg.solve``; any tau distinct points
+    give an invertible system, and the solution is 0 at the padding.
+    Each word's error values are its set's inverse times its first tau
+    syndromes, and one ``grs_encode`` re-encodes every corrected word
+    (``_corrected_words``).  The stacked solve costs a fixed amount: at
+    11 points, dim 7 and tau 2 over GF(11), correcting one word takes
+    about 23 us with the list solve and 130 us stacked, and 100 words on
+    20 located sets 2.2-3.3 ms one word at a time and 0.18-0.26 ms
+    stacked (best of 21 rounds, two runs, 2-CPU x86-64 host).  So the
+    lone dirty word of a batch, as a byzantine session decodes, solves
+    the same system without the padding, L x L on its L located
+    positions, as int rows in the list ``linalg.solve``
+    (``_corrected_alone``); its message, the corrected first dim symbols
+    times ``code.interpolation``, is then re-encoded as a (1, dim) batch,
+    one product with the cached ``code.generator`` in place of n
+    polynomial evaluations.  The re-encode is what gives the distance
+    guard meaning: the word minus its error differs from the word in at
+    most tau positions, the re-encoded codeword need not.
 
     The bookkeeping between these steps is one array pass: the syndromes
     are computed as (n - dim, W) rows, the lockstep's layout, and once
     two words are off the code every row runs the lockstep, the Chien
     product and the stacked correction, with no row gathered, copied or
     scattered.  A codeword leaves the recurrence with L = 0 and the
-    locator 1, shares the empty located set and re-encodes to itself.  A
-    failing row still gets a nonsingular system: any dim distinct points
-    give one, and where L > tau the zero locator locates every point.  A
-    row fails where its root count is not its length or its correction
+    locator 1, shares the empty located set, whose padded system gives
+    it the error 0, and re-encodes to itself.  A failing row still gets
+    a nonsingular system: it takes tau distinct points, its first tau
+    located ones where L > tau and the zero locator locates every point.
+    A row fails where its root count is not its length or its correction
     lies beyond tau, and is then zeroed.  Lists of syndrome and root rows
     cost as much as the arithmetic once a sweep chunk holds 2,000 words:
     at (11,1,2,8) such a chunk decoded in 5.3 ms with lists and 3.4 ms
     with arrays.
 
     A single dirty word stays on Python ints from the recurrence through
-    the Chien search and its message to its error positions and the
-    distance guard (``_decoded_alone``), with no root-count mask, and a
-    batch of one that is not a codeword is its own dirty word, so it
-    skips the scan.  The scan and the mask cost about 3 and 5 us, which every
+    the Chien search and its error values to its error positions and
+    the distance guard (``_decoded_alone``), with no root-count mask,
+    and a batch of one that is not a codeword is its own dirty word, so
+    it skips the scan.  The scan and the mask cost about 3 and 5 us, which every
     byzantine session's decode (about 80 us there) would pay for
     nothing.  Only the lone word's result rows are then written into the
     batch's arrays, about 3 us of bookkeeping where the whole-batch
@@ -417,10 +446,14 @@ def grs_decode(code: GrsCode, received):
     fails.  When both hold, the syndromes are those of an error on the
     located positions (its values solve the first L syndromes, and the
     recurrence extends them to the rest), so a codeword lies within
-    L <= tau, the clean positions give its message, and the re-encoded
-    word is that codeword; the distance check cannot fail and stays only
-    as a guard.  Every verdict is therefore the bounded-distance
-    decoder's (``oracle_decode``), failures included.
+    L <= tau, the word minus the solved error is that codeword, and the
+    re-encoded word is that codeword again; the distance check cannot
+    fail and stays only as a guard.  Every verdict is therefore the
+    bounded-distance decoder's (``oracle_decode``), failures included.
+
+    Exact for q < 2^31: every product of two field elements is below
+    2^62, ``linalg.matmul_mod`` reduces its partial sums before they
+    leave int64, and the stacked solve is exact there (``solve_stacked``).
     """
     if not isinstance(code.field, PrimeField):
         raise TypeError(f"grs_decode works over a prime field only, not over {code.field!r}")
@@ -447,7 +480,7 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
     # every row, clean ones too: a codeword locates nothing and re-encodes to itself
     locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes.T), tau)
     roots = linalg.matmul_mod(locators, code.chien_powers, F.q) == 0
-    corrected = _corrected_words(code, words, roots)
+    corrected = _corrected_words(code, words, roots, syndromes)
     errors = corrected != words
     # the Chien root count, then the distance guard
     failed = (roots.sum(axis=1) != lengths) | (errors.sum(axis=1) > tau)
@@ -460,10 +493,10 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
 def _decoded_alone(code: GrsCode, words: np.ndarray, row: int, syndrome: list) -> DecodedBatch:
     """The decoded batch whose only word off the code is row `row`, with that row's syndrome.
 
-    The recurrence, the Chien search by Horner's rule, the message solve
-    (``_corrected_alone``), the error positions and the distance guard
-    all run on the row's Python ints; the other rows are codewords and
-    are returned as they are.
+    The recurrence, the Chien search by Horner's rule, the error-value
+    solve (``_corrected_alone``), the error positions and the distance
+    guard all run on the row's Python ints; the other rows are codewords
+    and are returned as they are.
     """
     F, tau = code.field, code.radius
     conn, length = _berlekamp_massey(F, syndrome)
@@ -480,7 +513,7 @@ def _decoded_alone(code: GrsCode, words: np.ndarray, row: int, syndrome: list) -
     failed = np.zeros(len(words), dtype=bool)
     if located.count(True) == length:
         word = words[row].tolist()
-        codeword = _corrected_alone(code, word, located).tolist()
+        codeword = _corrected_alone(code, word, located, syndrome).tolist()
         wrong = [x != y for x, y in zip(codeword, word)]
         if wrong.count(True) <= tau:  # the distance guard
             corrected[row], errors[row] = codeword, wrong
@@ -489,42 +522,74 @@ def _decoded_alone(code: GrsCode, words: np.ndarray, row: int, syndrome: list) -
     return DecodedBatch(code, corrected, errors, failed)
 
 
-def _corrected_alone(code: GrsCode, word: list, located: list) -> np.ndarray:
+def _corrected_alone(code: GrsCode, word: list, located: list, syndrome: list) -> np.ndarray:
     """The codeword of one word whose errors sit exactly on the located positions, as an (n,) array.
 
-    Its clean positions are the first dim unlocated ones.  The message
-    solves ``code.generator.T`` on them against the word's symbols there,
-    the system ``_corrected_words`` stacks, here as a list solve on
-    Python ints; ``grs_encode`` re-encodes it as a (1, dim) batch: one
-    product with the cached ``code.generator``.
+    With L located positions, the error values there solve the L x L
+    system ``code.check_matrix[located, :L]`` transposed against the
+    first L syndromes, the system ``_corrected_words`` pads to tau and
+    stacks, here as a list solve on Python ints.  The word minus them is
+    re-encoded: its first dim symbols times ``code.interpolation`` give
+    its message, and ``grs_encode`` its codeword as a (1, dim) batch.
     """
-    clean = [i for i, hit in enumerate(located) if not hit][: code.dim]
-    message = linalg.solve(code.field, code.generator.T[clean].tolist(), [word[i] for i in clean])
-    return grs_encode(code, np.array([message], dtype=np.int64))[0]
+    q = code.field.q
+    positions = [i for i, hit in enumerate(located) if hit]
+    system = code.check_matrix[positions, : len(positions)].T.tolist()
+    values = linalg.solve(code.field, system, syndrome[: len(positions)])
+    corrected = list(word)
+    for i, value in zip(positions, values):
+        corrected[i] = (corrected[i] - value) % q
+    message = linalg.matmul_mod(np.array([corrected[: code.dim]], dtype=np.int64), code.interpolation, q)
+    return grs_encode(code, message)[0]
 
 
-def _corrected_words(code: GrsCode, words: np.ndarray, located: np.ndarray) -> np.ndarray:
+def _error_systems(code: GrsCode, located: np.ndarray) -> tuple:
+    """The padded positions and tau x tau error-value systems of (G, n) located masks.
+
+    Row g of the (G, tau) positions holds mask g's located positions
+    first, in order, then its first unlocated ones, tau in all.  System g
+    is ``code.check_matrix`` on them, first tau columns, transposed:
+    entry (e, j) is y_p x_p^e at position p = positions[g, j], a
+    Vandermonde matrix on tau distinct points times nonzero column
+    factors, so it is invertible.
+    """
+    tau = code.radius
+    positions = np.argsort(~located, axis=1, kind="stable")[:, :tau]
+    return positions, code.check_matrix[positions, :tau].transpose(0, 2, 1)
+
+
+def _corrected_words(
+    code: GrsCode, words: np.ndarray, located: np.ndarray, syndromes: np.ndarray
+) -> np.ndarray:
     """The codewords of (W, n) words whose errors sit exactly on the (W, n) located masks.
 
-    A row whose errors do not, or whose every position is located, still
-    gets one, from dim distinct points.  The masks are deduplicated
+    `syndromes` holds the words' syndromes as (n - dim, W) rows.  A row
+    whose errors do not sit on its mask, or whose mask holds more than
+    tau positions, still gets a codeword.  The masks are deduplicated
     through one exact key per row, its bits packed into bytes and read
-    as a single void value.  Each distinct set's clean positions are its
-    first dim unlocated ones; the G systems ``code.generator.T`` on them
-    are inverted in one stacked solve, each word's message is its set's
-    inverse times its clean symbols, and one ``grs_encode`` gives every
-    codeword.
+    as a single void value.  Each distinct set takes its located
+    positions first, padded with the first unlocated ones to tau
+    (``_error_systems``).  The G systems are inverted in one stacked
+    solve, each word's error values are its set's inverse times its
+    first tau syndromes, and the words minus them are re-encoded: their
+    first dim symbols times ``code.interpolation`` give the messages,
+    and one ``grs_encode`` every codeword.  The (W, tau, tau) gather of
+    the inverses is 32 bytes a word at tau = 2.
     """
-    q, dim = code.field.q, code.dim
+    q, dim, tau = code.field.q, code.dim, code.radius
     packed = np.packbits(located, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    clean = np.argsort(located[first], axis=1, kind="stable")[:, :dim]
-    systems = code.generator.T[clean]
-    identity = np.broadcast_to(np.eye(dim, dtype=np.int64), systems.shape)
+    positions, systems = _error_systems(code, located[first])
+    identity = np.broadcast_to(np.eye(tau, dtype=np.int64), systems.shape)
     inverses = linalg.solve(code.field, systems, identity)
-    symbols = np.take_along_axis(words, clean[which], axis=1)
-    messages = linalg.matmul_mod(inverses[which], symbols[:, :, None], q)[:, :, 0]
+    values = linalg.matmul_mod(inverses[which], syndromes[:tau].T[:, :, None], q)[:, :, 0]
+    at = positions[which]
+    corrected = words.copy()
+    symbols = np.take_along_axis(words, at, axis=1) - values
+    symbols %= q
+    np.put_along_axis(corrected, at, symbols, axis=1)
+    messages = linalg.matmul_mod(corrected[:, :dim], code.interpolation, q)
     return grs_encode(code, messages)
 
 

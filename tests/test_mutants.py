@@ -11,9 +11,10 @@ exits with WRONG_TREE unless the tracepir its tests imported lies in the
 copy: the `pythonpath` setting of pyproject.toml would otherwise put the
 real tree first.  Without the option only the file's consistency is
 checked, so no mutant silently stops applying when the code under it
-changes.
+changes, and no `killed_by` id names a test that is not there.
 """
 
+import ast
 import json
 import os
 import shutil
@@ -38,12 +39,30 @@ CHILD = (
 )
 
 
+def defined_tests(path: Path) -> set:
+    """The "function" and "Class::function" ids of the test functions defined in a test file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            methods = (item for item in node.body if isinstance(item, ast.FunctionDef))
+            names.update(f"{node.name}::{method.name}" for method in methods)
+    return {name for name in names if name.rpartition("::")[2].startswith("test_")}
+
+
 def test_every_mutant_applies_exactly_once():
+    # and every killed_by id names a test function of its file, so renaming
+    # a killer fails here and not only in the opt-in --mutants run
     assert "control" not in MUTANTS
     for name, mutant in MUTANTS.items():
         assert mutant["old"] != mutant["new"] and mutant["reason"] and mutant["killed_by"], name
         source = (ROOT / mutant["file"]).read_text(encoding="utf-8")
         assert source.count(mutant["old"]) == 1, name
+        for test in mutant["killed_by"]:
+            file, _, function = test.partition("::")
+            assert function.partition("[")[0] in defined_tests(ROOT / file), (name, test)
 
 
 @pytest.mark.parametrize("name", ["control", *MUTANTS])

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import build_tower
 
-from tracepir import polyring, rscodes
+from tracepir import linalg, pir, polyring, rscodes
 from tracepir.gf import PrimeField
 from tracepir.rscodes import (
     DecodeFailure,
@@ -378,16 +378,90 @@ class TestBatchDecode:
         words = [list(grs_encode(code, [rng.randrange(1, 11) for _ in range(5)])) for _ in range(3)]
         for row in rows:
             words[row][3] = (words[row][3] + 2) % 11
-        monkeypatch.setattr(rscodes, "_corrected_alone", lambda code, word, located: np.zeros(9, dtype=np.int64))
+        monkeypatch.setattr(
+            rscodes, "_corrected_alone", lambda code, word, located, syndrome: np.zeros(9, dtype=np.int64)
+        )
         monkeypatch.setattr(
             rscodes, "_corrected_words",
-            lambda code, words, located: np.where(located.any(axis=1)[:, None], 0, words),
+            lambda code, words, located, syndromes: np.where(located.any(axis=1)[:, None], 0, words),
         )
         batch = grs_decode(code, words)
         dirty = [row in rows for row in range(3)]
         assert batch.failed.tolist() == dirty
         assert not batch.errors.any()
         assert batch.corrected.tolist() == [[0] * 9 if bad else word for bad, word in zip(dirty, words)]
+
+    @pytest.mark.parametrize("q", [11, 2**31 - 1])
+    def test_every_padded_located_set_gives_an_invertible_system(self, q):
+        # every located set of size <= tau, its positions first and then the
+        # first unlocated ones up to tau, gives an invertible tau x tau
+        # system whose solution against a planted error's first tau
+        # syndromes is that error, 0 at the padding.  Over GF(11) every set
+        # on the (11,1,2,8) trace code's points, 0 among them; at
+        # q = 2^31 - 1 random sets of random points, tau = 4
+        rng = random.Random(q % 1009)
+        if q == 11:
+            code, _ = pir._trace_code_tables(pir.setup(11, 1, 2, 8, m=2))
+            assert 0 in code.points and code.radius == 2
+            sets = [located for size in range(code.radius + 1)
+                    for located in itertools.combinations(range(code.n), size)]
+        else:
+            code = GrsCode(field=PrimeField(q), points=tuple(rng.sample(range(q), 14)),
+                           multipliers=tuple(rng.randrange(1, q) for _ in range(14)), dim=6)
+            sets = [tuple(sorted(rng.sample(range(code.n), rng.randrange(code.radius + 1))))
+                    for _ in range(300)]
+        tau = code.radius
+        located = np.zeros((len(sets), code.n), dtype=bool)
+        errors = np.zeros((len(sets), code.n), dtype=np.int64)
+        for row, positions in enumerate(sets):
+            located[row, list(positions)] = True
+            errors[row, list(positions)] = [rng.randrange(1, q) for _ in positions]
+        positions, systems = rscodes._error_systems(code, located)
+        assert systems.shape == (len(sets), tau, tau)
+        _, invertible = linalg.solve_stacked(q, systems, np.zeros((len(sets), tau, 0), dtype=np.int64))
+        assert invertible.all()
+        syndromes = linalg.matmul_mod(errors, code.check_matrix[:, :tau], q)
+        values = linalg.solve(code.field, systems, syndromes[:, :, None])[:, :, 0]
+        for row, located_set in enumerate(sets):
+            padding = [i for i in range(code.n) if i not in located_set][: tau - len(located_set)]
+            assert positions[row].tolist() == list(located_set) + padding
+            assert values[row].tolist() == errors[row, positions[row]].tolist()
+
+    @pytest.mark.parametrize("q", [11, 2**31 - 1])
+    def test_interpolation_gives_back_the_message(self, q):
+        # a codeword's first dim symbols times the cached inverse of the
+        # generator's first dim columns are its message, the point 0 included
+        rng = random.Random(q % 1013)
+        points = (0, *rng.sample(range(1, q), 9))
+        code = GrsCode(field=PrimeField(q), points=points,
+                       multipliers=tuple(rng.randrange(1, q) for _ in range(10)), dim=6)
+        messages = np.array([[rng.randrange(q) for _ in range(6)] for _ in range(50)], dtype=np.int64)
+        codewords = grs_encode(code, messages)
+        assert linalg.matmul_mod(codewords[:, :6], code.interpolation, q).tolist() == messages.tolist()
+        assert code.interpolation.shape == (6, 6) and not code.interpolation.flags.writeable
+
+    def test_radius_0_code_fails_every_dirty_row_batched_and_alone(self):
+        # n - dim = 1: tau = 0, so the error-value systems are empty and every
+        # word off the code lies beyond the radius, in a batch with several
+        # such words as alone; the codewords pass as they are
+        code = GrsCode(field=PrimeField(11), points=tuple(range(6)), multipliers=(1, 2, 3, 4, 5, 6), dim=5)
+        assert code.radius == 0
+        rng = random.Random(33)
+        words = [list(grs_encode(code, [rng.randrange(11) for _ in range(5)])) for _ in range(8)]
+        dirty = [row in (1, 4, 5) for row in range(8)]
+        for row in (1, 4, 5):
+            pos = rng.randrange(6)
+            words[row][pos] = (words[row][pos] + rng.randrange(1, 11)) % 11
+        batch = grs_decode(code, words)
+        assert batch.failed.tolist() == dirty
+        assert not batch.errors.any()
+        assert batch.corrected.tolist() == [[0] * 6 if bad else word for bad, word in zip(dirty, words)]
+        for word, bad in zip(words, dirty):
+            if bad:
+                with pytest.raises(DecodeFailure):
+                    grs_decode(code, word)
+            else:
+                assert grs_decode(code, word).corrected_word == tuple(word)
 
     def test_mixed_batch_exact_near_q_2_to_the_31(self):
         # GF(2^31 - 1): honest words, words on several located sets and
@@ -519,7 +593,7 @@ class TestBatchDecode:
         decoded = grs_decode(code, words)
         assert 0 < decoded.failed.sum() < len(words) // 2 + 1
         assert np.count_nonzero(decoded.errors.any(axis=1)) == len(words) - decoded.failed.sum()
-        monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, located: words.copy())
+        monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, located, syndromes: words.copy())
         injected = grs_decode(code, words)
         assert injected.failed.tolist() == decoded.failed.tolist()
         assert not injected.errors.any()
