@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from . import pir
 from .gf import next_prime
-from .linalg import solve_stacked
+from .linalg import rank_stacked
 from .pir import (
     AnswerSet,
     ByzantineBudgetExceeded,
@@ -335,17 +335,18 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     EXHAUSTIVE_AUDIT_LIMIT, it raises EnumerationTooLarge before the
     first query is drawn.  Transfer mode checks instead that each
     t-subset's blinding-to-query map is a bijection (which forces
-    uniformity), in one stacked elimination of its (t*s) x (t*s)
-    expansion over F_q; the map is F_q-linear, so that is exact.  A `t_subset` must be a nonempty set of ids in [1, k] (else
-    InvalidParameters("subset")), and `mode` "exhaustive" or
-    "transfer-matrix" (else ValueError, before anything else).  The
-    transfer-matrix mode also refuses a subset of fewer than t servers
-    as InvalidParameters("subset"): its map is not square, and whether it
-    is onto needs a rank, which the elimination kernel does not give;
-    the exhaustive mode audits such a subset.  The exhaustive mode
-    refuses m = 1 as InvalidParameters("m >= 2") before it enumerates
-    anything: with one file there is no pair of indices to compare, and
-    a pass would certify nothing.
+    uniformity): its (t*s) x (t*s) expansions over F_q must have rank
+    t*s, all in one stacked rank test (`linalg.rank_stacked`); the map
+    is F_q-linear, so that is exact.  A `t_subset` must be a nonempty
+    set of ids in [1, k] (else InvalidParameters("subset")), and `mode`
+    "exhaustive" or "transfer-matrix" (else ValueError, before anything
+    else).  The transfer-matrix mode also refuses a subset of fewer than
+    t servers as InvalidParameters("subset"): its map is not square, and
+    whether it is onto would be a new verdict on a rank below t*s, not
+    this bijection test; the exhaustive mode audits such a subset.  The
+    exhaustive mode refuses m = 1 as InvalidParameters("m >= 2") before
+    it enumerates anything: with one file there is no pair of indices to
+    compare, and a pass would certify nothing.
     """
     if mode not in ("exhaustive", "transfer-matrix"):
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -373,10 +374,10 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
         # servers' query coefficients
         size = params.t * params.s
         matrices = curve[np.array(subsets) - 1].transpose(0, 2, 1, 3).reshape(len(subsets), size, -1)
-        _, invertible = solve_stacked(params.q, matrices, np.zeros((len(subsets), size, 0), dtype=np.int64))
+        singular = rank_stacked(params.q, matrices) < size
         failures = [
             {"subset": list(subsets[u]), "reason": "transfer matrix singular"}
-            for u in np.flatnonzero(~invertible).tolist()
+            for u in np.flatnonzero(singular).tolist()
         ]
         verdict, cases = "pass" if not failures else "fail", len(subsets)
     else:

@@ -1,20 +1,34 @@
 """Exact linear algebra over a field context, and exact int64 matrix products mod q.
 
-`solve_stacked` is the one elimination kernel: a stack of square int64
-systems over a prime field, eliminated at once as array operations.
-Setup, `gf.dual_basis`, the transfer-matrix audit (on F_q expansions),
-the decoder's batch error-value step (tau x tau systems) and a code's
-cached `interpolation` inverse run on it.  The list form, `solve` on row
-lists over either field class, serves the decoder's lone dirty word (an
-L x L error-value system, L <= tau) and `rscodes._message`
-(`message_poly`, dim x dim, also over F_{q^s} codes).  It eliminates to
-echelon form by the field's row operations, `scale_row` and
-`sub_row_multiple`, one call per row (plain int list comprehensions, one
-`% q` per entry, over a prime field), and back substitutes: one 2 x 2
-system over GF(11) took 7-11 us there against 50 us in the kernel, one
-7 x 7 system 35-39 us against 142-230 us, and one 13 x 13 system over
-GF(17) 166-170 us against 279-288 us (best of 21 x 1000 calls, two runs,
-on a 2-CPU x86-64 host).
+`_forward` is the one elimination kernel: a stack of int64 matrices over
+a prime field, forward-eliminated at once as array operations.  At each
+column every system takes a pivot row and replaces each row r by
+p * r - r_c * pivot row mod q (fraction-free, after Bareiss, Math. Comp.
+1968); the pivot row clears itself, so there is no row swap, and its
+copy from before the update goes to an upper-echelon stack.  The update
+is exact for q < 2^31: both products lie in [0, (q-1)^2], so their
+difference fits int64, and it is reduced before the next column.
+`rank_stacked` is that pass alone, for any (G, n, c) stack; the
+transfer-matrix audit is one call of it.  `solve_stacked` adds one
+vectorised Fermat inverse of the diagonal and back substitution; setup,
+`gf.dual_basis`, the decoder's batch error-value step (tau x tau
+systems) and a code's cached `interpolation` inverse run on it.  Against
+the row-swapping Gauss-Jordan solve it replaced (in-process,
+interleaved, p25 of 3,000 rounds on one CPU of a 2-CPU x86-64 host): 17
+stacked 4 x 4 invertibility tests took 58 us against 88 us, the
+transfer-matrix audit of (17,1,2,8) 89 us against 121 us, 20 stacked
+2 x 2 solves over GF(17) 58 us against 68 us, and one 13 x 13 solve
+225 us against 259 us.
+
+The list form, `solve` on row lists over either field class, serves the
+decoder's lone dirty word (an L x L error-value system, L <= tau) and
+`rscodes._message` (`message_poly`, dim x dim, also over F_{q^s} codes).
+It eliminates to echelon form by the field's row operations,
+`scale_row` and `sub_row_multiple`, one call per row (plain int list
+comprehensions, one `% q` per entry, over a prime field), and back
+substitutes: one 2 x 2 system over GF(11) took 6 us there against 34 us
+in the kernel, one 7 x 7 system 40 us against 91 us, and one 13 x 13
+system over GF(17) 144 us against 175 us (best of 21 x 1000 calls).
 
 `matmul_mod` is the one modular product of int64 arrays that every
 layer shares (the query curve, the answers, syndromes, the Chien search
@@ -166,61 +180,89 @@ def solve(field, rows, rhs):
     return x
 
 
+def _forward(q: int, aug, ncols: int):
+    """Forward-eliminate the first ncols columns of a (G, n, w) int64 stack, in place.
+
+    Returns the (G, ncols, w) upper-echelon stack of its pivot rows, with
+    the pivots on its diagonal: a zero diagonal entry is a column with no
+    pivot, so the rank is the count of nonzero ones.  At column c each
+    system takes its row with the largest entry there as its pivot row,
+    stored as row c as it is before the update, and every row r becomes
+    p * r - r_c * pivot row mod q, with p the pivot.  The pivot row
+    clears itself, so a used row drops out as zero with no swap, and the
+    rows not yet used keep zeros left of c.  A system with no pivot at c
+    is zero there and is scaled by 1, so it keeps its rank.
+    """
+    import numpy as np
+
+    count, height, width = aug.shape
+    every = np.arange(count)
+    upper = np.zeros((count, ncols, width), dtype=np.int64)
+    for col in range(ncols if height else 0):
+        column = aug[:, :, col]
+        pivot = column.argmax(axis=1)
+        pivot_rows = aug[every, pivot]
+        upper[:, col] = pivot_rows
+        update = column[:, :, None] * pivot_rows[:, None, :]
+        aug *= np.maximum(pivot_rows[:, col], 1)[:, None, None]
+        aug -= update
+        aug %= q
+    return upper
+
+
+def rank_stacked(q: int, rows):
+    """The (G,) int64 ranks over GF(q) of a (G, n, c) int64 stack with entries in [0, q).
+
+    Any shape: square, tall, wide, singular, and G, n or c zero.  The
+    forward pass of `_forward` on a copy, with no inverse taken.
+    """
+    import numpy as np
+
+    if rows.ndim != 3:
+        raise ValueError(f"a stack of matrices has three axes, not shape {rows.shape}")
+    columns = np.arange(rows.shape[2])
+    upper = _forward(q, rows.astype(np.int64), len(columns))
+    return np.count_nonzero(upper[:, columns, columns], axis=1)
+
+
 def solve_stacked(q: int, rows, rhs):
     """(X, invertible) for a (G, n, n) stack of systems and a (G, n, W) rhs mod q.
 
-    Entries lie in [0, q).  invertible is a (G,) bool mask; where it is
-    true, X[g] is the (n, W) int64 solution of rows[g] @ X[g] = rhs[g].
-    Where it is false, X[g] has entries in [0, q) and no meaning.  W may
-    be 0, which tests invertibility alone: the elimination then returns
-    the empty (G, n, 0) solutions without dividing out the diagonal.
+    Entries lie in [0, q).  invertible is a (G,) bool mask, true where
+    the system has rank n; there X[g] is the (n, W) int64 solution of
+    rows[g] @ X[g] = rhs[g].  Where it is false, X[g] has entries in
+    [0, q) and no meaning.  W may be 0, which tests invertibility alone:
+    the solve then stops after the forward pass.
 
-    Fraction-free Gauss-Jordan, every system in step: at column c each
-    system swaps its first row at or below c with a nonzero entry there
-    into row c, and every other row becomes p * row - f * pivot row, with
-    p the pivot and f the row's entry in column c.  That clears column c
-    outside the pivot row without an inverse and keeps the earlier
-    columns cleared, so the left part ends diagonal; one vectorised
-    Fermat power d^(q-2) of the diagonal then divides it out.  A system
-    with no nonzero entry at or below the diagonal in some column is
-    singular: it is marked so and carried on with pivot 1.  Every step is
-    an invertible row operation, so a system keeps its rank and is
-    singular exactly when some column of it finds no pivot.
-
-    Exact for q < 2^31: the update is computed as p * a + (q - f) * b
-    with all four factors in [0, q), which is below 2 q^2 < 2^63, and
-    every result is reduced mod q before the next step.
+    `_forward` eliminates the augmented rows into an upper-echelon stack.
+    One vectorised Fermat power d^(q-2) of its diagonal scales each row
+    to a unit pivot, and back substitution clears the columns above the
+    diagonal, last first, leaving X in place of the right-hand side.
     """
     import numpy as np
 
     count, n = rows.shape[:2]
     if rows.shape != (count, n, n) or rhs.ndim != 3 or rhs.shape[:2] != (count, n):
         raise ValueError(f"stacked systems {rows.shape} and right-hand sides {rhs.shape} do not match")
-    aug = np.concatenate([rows, rhs], axis=2, dtype=np.int64)
-    every = np.arange(count)
-    invertible = np.ones(count, dtype=bool)
-    for col in range(n):
-        nonzero = aug[:, col:, col] != 0
-        found = nonzero.any(axis=1)
-        invertible &= found
-        pivot = col + nonzero.argmax(axis=1)
-        pivot_rows = aug[every, pivot]
-        aug[every, pivot] = aug[:, col]
-        factors = (q - aug[:, :, col]) % q
-        aug *= np.where(found, pivot_rows[:, col], 1)[:, None, None]
-        aug += factors[:, :, None] * pivot_rows[:, None, :]
-        aug %= q
-        aug[:, col] = pivot_rows
+    upper = _forward(q, np.concatenate([rows, rhs], axis=2, dtype=np.int64), n)
+    power = upper[:, np.arange(n), np.arange(n)]
+    invertible = power.all(axis=1)
+    solution = upper[:, :, n:]
     if not rhs.shape[2]:
-        return aug[:, :, n:], invertible
+        return solution, invertible
     inverse = np.ones((count, n), dtype=np.int64)
-    power = aug[:, np.arange(n), np.arange(n)]
     exponent = q - 2
     while exponent:
         if exponent & 1:
-            inverse = inverse * power % q
-        power = power * power % q
+            inverse *= power
+            inverse %= q
         exponent >>= 1
-    solution = aug[:, :, n:] * inverse[:, :, None]
-    solution %= q
+        if exponent:
+            power = power * power % q
+    upper *= inverse[:, :, None]
+    upper %= q
+    for col in range(n - 1, 0, -1):
+        above = solution[:, :col]
+        above -= upper[:, :col, col, None] * solution[:, col, None, :]
+        above %= q
     return solution, invertible

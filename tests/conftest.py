@@ -20,7 +20,7 @@ def pytest_addoption(parser):
         "--mutants",
         action="store_true",
         default=False,
-        help="run the decoder tests against every mutant of tests/data/mutants.json",
+        help="run the decoder and elimination-kernel tests against every mutant of tests/data/mutants.json",
     )
 
 

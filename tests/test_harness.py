@@ -615,7 +615,7 @@ class TestPrivacyAudit:
 
         with monkeypatch.context() as patch:
             patch.setattr(pir, "_query_tables", no_work)
-            patch.setattr(harness, "solve_stacked", no_work)
+            patch.setattr(harness, "rank_stacked", no_work)
             for subset in ((3,), (1,), (10,)):
                 with pytest.raises(pir.InvalidParameters) as err:
                     privacy_audit(params, t_subset=subset, mode="transfer-matrix")

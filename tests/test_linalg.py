@@ -253,6 +253,67 @@ def test_stacked_solve_rejects_mismatched_shapes():
         linalg.solve(F7, np.zeros((2, 3, 4), dtype=np.int64), np.zeros((2, 3, 1), dtype=np.int64))
 
 
+def _rank(q, rows) -> int:
+    """The reference rank: the pivot count of the list elimination."""
+    return len(linalg._eliminate(PrimeField(q), [list(row) for row in rows], len(rows[0])))
+
+
+def _random_stack(q, shape, rng):
+    """Random matrices of one shape: full ones, products through a narrower middle (rank-deficient) and the zero matrix."""
+    nrows, ncols = shape
+    stack = [[[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)] for _ in range(8)]
+    for inner in range(1, min(shape)):
+        left = [[rng.randrange(q) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.randrange(q) for _ in range(ncols)] for _ in range(inner)]
+        stack.append([[sum(a * b for a, b in zip(row, column)) % q for column in zip(*right)] for row in left])
+    stack.append([[0] * ncols for _ in range(nrows)])
+    rng.shuffle(stack)
+    return stack
+
+
+@pytest.mark.parametrize("q", [2, 3, 11, 65521, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 6), (7, 3), (3, 7), (5, 2), (2, 5)])
+def test_rank_stacked_matches_the_list_elimination(q, shape):
+    rng = random.Random(q * 31 + shape[0] * 7 + shape[1])
+    stack = _random_stack(q, shape, rng)
+    got = linalg.rank_stacked(q, np.array(stack, dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (len(stack),)
+    assert got.tolist() == [_rank(q, rows) for rows in stack]
+    assert got.min() == 0 and got.max() == min(shape)
+
+
+def test_rank_stacked_of_empty_stacks_and_zero_columns():
+    assert linalg.rank_stacked(7, np.zeros((0, 3, 3), dtype=np.int64)).tolist() == []
+    assert linalg.rank_stacked(7, np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [0, 0]
+    assert linalg.rank_stacked(7, np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
+    # a column with no pivot is scaled by 1, not by its zero entry, and
+    # the pivot of a later column still counts
+    for rows in ([[0, 1], [0, 0]], [[0, 0], [0, 5]], [[0, 3, 1], [0, 6, 2]]):
+        assert linalg.rank_stacked(7, np.array([rows], dtype=np.int64)).tolist() == [1]
+    with pytest.raises(ValueError):
+        linalg.rank_stacked(7, np.zeros((3, 3), dtype=np.int64))
+
+
+def test_stacked_solve_near_q_2_to_the_31_matches_python_ints():
+    # entries near q - 1 make every product of the forward pass and the
+    # back substitution as large as it gets; the reference is Python ints
+    q, n = 2**31 - 1, 6
+    rng = random.Random(31)
+    stack = [[[q - 1 - rng.randrange(4) if rng.random() < 0.7 else rng.randrange(q) for _ in range(n)]
+              for _ in range(n)] for _ in range(10)]
+    stack += _singular(n, rng, q)
+    rhs = [[[q - 1 - rng.randrange(4) for _ in range(3)] for _ in range(n)] for _ in stack]
+    rows = np.array(stack, dtype=np.int64)
+    got, invertible = linalg.solve_stacked(q, rows, np.array(rhs, dtype=np.int64))
+    assert invertible.tolist() == (linalg.rank_stacked(q, rows) == n).tolist()
+    assert invertible.tolist() == [_is_invertible(PrimeField(q), m) for m in stack]
+    assert invertible[:10].all() and not invertible[10:].any()
+    for g in np.flatnonzero(invertible).tolist():
+        x = got[g].tolist()
+        product = [[sum(a * x[i][w] for i, a in enumerate(row)) % q for w in range(3)] for row in stack[g]]
+        assert product == rhs[g]
+
+
 @pytest.mark.parametrize("scheme", [(7, 1, 1, 5), (10, 2, 1, 7)], ids=["7115", "10217"])
 def test_setup_dual_basis_and_transfer_audit_make_no_solve_call(monkeypatch, scheme):
     # linalg.solve is the decoder's name: a benchmark reads its call count

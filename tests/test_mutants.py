@@ -1,4 +1,4 @@
-"""A mutation referee for the decoder: every mutant in tests/data/mutants.json must be killed.
+"""A mutation referee for the decoder and the F_q elimination kernel: every mutant in tests/data/mutants.json must be killed.
 
 `pytest --mutants tests/test_mutants.py` runs it.  A mutant names a
 file, an `old` text that occurs exactly once in it, the `new` text that
