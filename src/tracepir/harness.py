@@ -473,11 +473,15 @@ def _check_cases(params, db, iotas, byzantine, words, failures) -> int:
 
     Row w of the (W, k) array `words` is the answer word for file index
     iotas[w] with wrong values at the servers byzantine[w], a row of the
-    (W, b) array of server ids.  The missed cases are appended to
-    `failures`, in row order, until it holds SWEEP_REPORTED_FAILURES.
+    (W, b) array of server ids; `iotas` may also be one file index for
+    every row, whose planted file is then compared with every decoded
+    one by broadcasting, with no copy per row.  The missed cases are
+    appended to `failures`, in row order, until it holds
+    SWEEP_REPORTED_FAILURES.
     """
     files, _, failed = pir.retrieve_many(params, words)
     missed = np.flatnonzero(failed | (files != db.array[iotas - 1]).any(axis=(1, 2)))
+    iotas = np.broadcast_to(iotas, len(words))
     for w in missed[: SWEEP_REPORTED_FAILURES - len(failures)].tolist():
         failures.append({
             "iota": iotas[w].item(),
@@ -585,20 +589,20 @@ def byzantine_sweep(
         sets = np.array(list(itertools.combinations(range(1, k + 1), b)), dtype=np.int64)
         sets = sets.reshape(math.comb(k, b), b)
         per_chunk = max(1, SWEEP_CHUNK_WORDS // len(grid))
+        # (servers, grid values) of each chunk of sets; they do not depend on the file index
+        chunks = [
+            (np.repeat(chunk, len(grid), axis=0), np.tile(grid, (len(chunk), 1)))
+            for chunk in (sets[start : start + per_chunk] for start in range(0, len(sets), per_chunk))
+        ]
         for iota in range(1, params.m + 1):
             queries = gen_queries(params, iota, base_stream.fork(f"iota-{iota}"))
             honest = np.array(collect_answers(params, queries, db, "trace").values, dtype=np.int64)
-            for start in range(0, len(sets), per_chunk):
-                chunk = sets[start : start + per_chunk]
-                servers = np.repeat(chunk, len(grid), axis=0)
-                values = np.tile(grid, (len(chunk), 1))
+            for servers, values in chunks:
                 words = np.tile(honest, (len(servers), 1))
                 # grid value g maps to g + (g >= honest answer), which keeps its order
                 np.put_along_axis(words, servers - 1, values + (values >= honest[servers - 1]), axis=1)
                 cases += len(words)
-                failed += _check_cases(
-                    params, db, np.full(len(words), iota), servers, words, failures
-                )
+                failed += _check_cases(params, db, iota, servers, words, failures)
     elif scope == "randomized":
         per_chunk = max(1, SWEEP_CHUNK_WORDS // (params.m * params.delta * params.s))
         iotas, columns, words = [], [], []

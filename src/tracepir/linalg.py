@@ -36,9 +36,23 @@ and the file rebuild), and `integer_array`, with `field_array` adding
 the range, is the one check that turns caller input into int64
 operands.  numpy is imported where it is used, not when the module
 loads.
+
+`reduce_mod` is the one in-place reduction mod q of every int64 layer:
+the products, the elimination, the decoder's recurrence and its
+corrections.  numpy's ``%`` costs one hardware division per int64
+entry, while ``//`` by a scalar is one multiply and one shift, so an
+array of REDUCE_DIVIDE_MIN entries or more is reduced as a -= q (a // q),
+one slab of about REDUCE_SLAB entries at a time, and a smaller one by
+``%=``, whose single call wins there.  In place of int64 entries mod 11
+(best of 7 x 2,000 calls, one CPU of a 2-CPU x86-64 host), ``%=``
+against the division form took 0.9 against 1.7 us at 64 entries, 2.4
+against 2.3 us at 512, 4.1 against 2.9 us at 1,024 and 89 against 29 us
+at 22,000.
 """
 
 INT64_MAX = 2**63 - 1
+REDUCE_DIVIDE_MIN = 512  # entries from which `reduce_mod` divides; measured crossover
+REDUCE_SLAB = 4096  # entries `reduce_mod` divides per slab of leading rows
 
 
 def integer_array(values, what: str):
@@ -92,22 +106,42 @@ def matmul_mod(a, b, q: int):
     step = INT64_MAX // max((q - 1) ** 2, 1)
     inner = a.shape[-1]
     if inner <= step:
-        out = a @ b
-        out %= q
-        return out
+        return reduce_mod(a @ b, q)
 
     def part(start):
         rows = slice(start, start + step)
         return a[..., rows] @ (b[rows] if b.ndim == 1 else b[..., rows, :])
 
-    out = part(0)
-    out %= q
+    out = reduce_mod(part(0), q)
     for start in range(step, inner, step):
-        chunk = part(start)
-        chunk %= q
-        out += chunk
-        out %= q
+        out += reduce_mod(part(start), q)
+        out = reduce_mod(out, q)  # a 1-D a @ 1-D b is a scalar, reduced out of place
     return out
+
+
+def reduce_mod(a, q: int):
+    """a mod q in place for an int64 array a, entries of either sign; returns a.
+
+    Exact for every entry of magnitude below 2^63 - q; every caller stays
+    below 2^62.  Below REDUCE_DIVIDE_MIN entries it is ``a %= q``.  From
+    there on each slab of leading rows, about REDUCE_SLAB entries, becomes
+    a - q (a // q): numpy's floor division rounds toward minus infinity,
+    so q (a // q) lies in (a - q, a], which keeps it inside int64, and the
+    result lies in [0, q), as ``%`` gives.  A slab along axis 0 is a view
+    whatever a's layout, so a transposed or sliced a is reduced in place
+    too, and the quotient of one slab reuses the heap memory of the last
+    where one temporary of the whole array would be fresh pages.
+    """
+    if a.size < REDUCE_DIVIDE_MIN or not a.ndim:  # a 0-d array has no rows to slice
+        a %= q
+        return a
+    rows = max(1, REDUCE_SLAB * len(a) // max(a.size, 1))
+    for start in range(0, len(a), rows):
+        slab = a[start : start + rows]
+        quotient = slab // q
+        quotient *= q
+        slab -= quotient
+    return a
 
 
 def _eliminate(field, aug, ncols: int) -> list:
@@ -206,7 +240,7 @@ def _forward(q: int, aug, ncols: int):
         update = column[:, :, None] * pivot_rows[:, None, :]
         aug *= np.maximum(pivot_rows[:, col], 1)[:, None, None]
         aug -= update
-        aug %= q
+        reduce_mod(aug, q)
     return upper
 
 
@@ -255,14 +289,14 @@ def solve_stacked(q: int, rows, rhs):
     while exponent:
         if exponent & 1:
             inverse *= power
-            inverse %= q
+            reduce_mod(inverse, q)
         exponent >>= 1
         if exponent:
             power = power * power % q
     upper *= inverse[:, :, None]
-    upper %= q
+    reduce_mod(upper, q)
     for col in range(n - 1, 0, -1):
         above = solution[:, :col]
         above -= upper[:, :col, col, None] * solution[:, col, None, :]
-        above %= q
+        reduce_mod(above, q)
     return solution, invertible

@@ -853,11 +853,16 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
     of the beta points and P[j] = prod_l f_l(beta_j); every P[j] is
     nonzero because the evaluation sets are disjoint.  code is therefore
     the GRS code on the beta points with multipliers w_j / P[j], and its
-    cached check rows are P[j] beta_j^e for e < 2b.  recon is
-    the read-only (k, delta * s) matrix that maps its corrected word c to
-    the file: coordinate (i, :) of the file is -sum_d total_(i,d) theta_d,
-    with total_(i,d) = sum_j h_(i,d)(beta_j) P_excl[i][j] c_j, where
-    P_excl[i][j] leaves factor i out of the product P[j].
+    cached check rows are P[j] beta_j^e for e < 2b.  The file of a
+    codeword c is c times a (k, delta * s) matrix: coordinate (i, :) of
+    the file is -sum_d total_(i,d) theta_d, with
+    total_(i,d) = sum_j h_(i,d)(beta_j) P_excl[i][j] c_j, where
+    P_excl[i][j] leaves factor i out of the product P[j].  A codeword is
+    its first dim symbols times ``code.interpolation`` times
+    ``code.generator``, so recon is the read-only (dim, delta * s) matrix
+    interpolation @ generator @ that one, and the first dim symbols of c
+    times recon give the file: at k = 11 and b = 2, 7 of the 11 rows.  A
+    zero word, as a failed decode leaves, gives the zero file either way.
     """
     base = params.base
     evals = [
@@ -891,7 +896,8 @@ def _trace_code_tables(params: SchemeParams) -> tuple:
         multipliers=tuple(base.mul(w_j, base.inv(p_j)) for w_j, p_j in zip(w, P)),
         dim=params.k - 2 * params.b,
     )
-    return code, _frozen(recon.reshape(params.k, -1))
+    reencode = matmul_mod(code.interpolation, code.generator, params.q)
+    return code, _frozen(matmul_mod(reencode, recon.reshape(params.k, -1), params.q))
 
 
 @functools.lru_cache(maxsize=256)
@@ -977,9 +983,10 @@ def retrieve_many(params: SchemeParams, words) -> tuple:
     decoded by one ``grs_decode`` call (see there): honest rows have a
     zero syndrome and are used as they are, and up to b wrong answers
     per row are located and corrected.  One product of the corrected
-    words with a precomputed base-field matrix, which combines the
-    traces, the recovery polynomials and the dual basis, then rebuilds
-    every file.
+    words' first k - 2b symbols with a precomputed base-field matrix,
+    which combines the re-encode, the traces, the recovery polynomials
+    and the dual basis (``_trace_code_tables``), then rebuilds every
+    file.
 
     Returns (files, errors, failed): the (W, delta, s) int64 files, the
     (W, k) bool mask of the answers that were corrected, and the (W,)
@@ -991,7 +998,7 @@ def retrieve_many(params: SchemeParams, words) -> tuple:
     result = grs_decode(code, words)  # checks the entries too
     if not isinstance(result, DecodedBatch):
         raise ValueError(f"answer words form one word, expected a (W, {params.k}) array")
-    files = matmul_mod(result.corrected, recon, params.q).reshape(-1, params.delta, params.s)
+    files = matmul_mod(result.corrected[:, : code.dim], recon, params.q).reshape(-1, params.delta, params.s)
     return files, result.errors, result.failed
 
 

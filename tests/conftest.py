@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from tracepir import pir
+from tracepir import linalg, pir
 from tracepir.gf import MAX_FIELD_SIZE, ExtField, FieldTower, PrimeField, find_irreducibles
 
 
@@ -22,6 +22,13 @@ def pytest_addoption(parser):
         default=False,
         help="run the decoder and elimination-kernel tests against every mutant of tests/data/mutants.json",
     )
+
+
+@pytest.fixture(params=[0, linalg.INT64_MAX], ids=["divide-always", "remainder-always"])
+def forced_reduction(request, monkeypatch):
+    """`linalg.reduce_mod` on one branch for every array: the division form
+    from 0 entries on, or ``%=`` below a size no array reaches."""
+    monkeypatch.setattr(linalg, "REDUCE_DIVIDE_MIN", request.param)
 
 
 @pytest.fixture(scope="session")

@@ -314,6 +314,65 @@ def test_stacked_solve_near_q_2_to_the_31_matches_python_ints():
         assert product == rhs[g]
 
 
+@pytest.mark.usefixtures("forced_reduction")
+class TestStackedKernelOnEachReductionBranch:
+    """The stacked rank and solve tests again, with `linalg.reduce_mod`
+    forced onto its division form for every array, tiny ones included,
+    and onto ``%=`` for every array."""
+
+    test_stacked_solve_matches_scalar_solve_system_by_system = staticmethod(
+        test_stacked_solve_matches_scalar_solve_system_by_system
+    )
+    test_stacked_mask_matches_the_list_elimination = staticmethod(test_stacked_mask_matches_the_list_elimination)
+    test_stacked_solve_with_a_zero_width_rhs_tests_invertibility_alone = staticmethod(
+        test_stacked_solve_with_a_zero_width_rhs_tests_invertibility_alone
+    )
+    test_stacked_solve_against_the_identity_gives_inverses = staticmethod(
+        test_stacked_solve_against_the_identity_gives_inverses
+    )
+    test_rank_stacked_matches_the_list_elimination = staticmethod(test_rank_stacked_matches_the_list_elimination)
+    test_rank_stacked_of_empty_stacks_and_zero_columns = staticmethod(
+        test_rank_stacked_of_empty_stacks_and_zero_columns
+    )
+    test_stacked_solve_near_q_2_to_the_31_matches_python_ints = staticmethod(
+        test_stacked_solve_near_q_2_to_the_31_matches_python_ints
+    )
+
+
+def _laid_out(values, layout):
+    """A copy of values in a C-contiguous, a Fortran (a transpose's) or a strided (sliced) layout."""
+    if layout == "transposed":
+        return np.asfortranarray(values)
+    if layout == "sliced":
+        padded = np.zeros((2 * values.shape[0], *(d + 2 for d in values.shape[1:])), dtype=np.int64)
+        view = padded[(slice(None, None, 2), *(slice(1, d + 1) for d in values.shape[1:]))]
+        view[...] = values
+        return view
+    return values.copy()
+
+
+@pytest.mark.parametrize("q", [2, 3, 11, 65521, 2**31 - 1])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
+@pytest.mark.parametrize("shape", [
+    (7, 3),
+    (1, linalg.REDUCE_DIVIDE_MIN - 1),
+    (linalg.REDUCE_DIVIDE_MIN // 8, 8),
+    (linalg.REDUCE_DIVIDE_MIN + 1,),
+    (3 * linalg.REDUCE_SLAB // 11 + 5, 11),
+    (40, 6, 9),
+], ids=["tiny", "below", "at", "above", "slabs", "stack"])
+def test_reduce_mod_equals_the_remainder_in_place(q, layout, shape):
+    # entries from -(q - 1)^2, as the fraction-free update and the
+    # decoder's subtraction leave them, to 2^62; a transposed or sliced
+    # array must be reduced in place, not through a copy
+    rng = np.random.default_rng([q, len(shape), shape[-1]])
+    values = rng.integers(-((q - 1) ** 2), 2**62, size=shape, dtype=np.int64, endpoint=True)
+    values.reshape(-1)[:8] = [-((q - 1) ** 2), 2**62, 0, -1, 1, q, -q, q - 1]
+    array = _laid_out(values, layout)
+    assert linalg.reduce_mod(array, q) is array
+    assert array.tolist() == (values % q).tolist()
+
+
 @pytest.mark.parametrize("scheme", [(7, 1, 1, 5), (10, 2, 1, 7)], ids=["7115", "10217"])
 def test_setup_dual_basis_and_transfer_audit_make_no_solve_call(monkeypatch, scheme):
     # linalg.solve is the decoder's name: a benchmark reads its call count

@@ -5,7 +5,9 @@ b <= 3, so it reaches towers and byzantine budgets that no hand-picked
 case names.  Each drawn scheme that passes ``setup`` runs trace and
 full sessions with 0..b byzantine servers under the random, offset and
 default targeted strategies; every one must return the planted file and
-flag only byzantine servers.  Each also passes the transfer-matrix
+flag only byzantine servers.  Two schemes at the largest fields, where
+every int64 bound is tightest, must also flag exactly their byzantine
+servers.  Each also passes the transfer-matrix
 audit, whose verdicts on a sample of subsets are checked against a
 t x t elimination over F_{q^s}.
 """
@@ -20,7 +22,7 @@ from conftest import params_from_json_dict
 
 from tracepir import cli, linalg, pir
 from tracepir.gf import MAX_FIELD_SIZE, next_prime
-from tracepir.harness import AdversaryModel, privacy_audit, run_session
+from tracepir.harness import AdversaryModel, byzantine_sweep, privacy_audit, run_session
 from tracepir.rand import SeededStream
 
 SLICE = 20  # schemes that pass setup
@@ -149,3 +151,33 @@ def test_transfer_matrix_audit_passes(drawn, n):
         singular = len(linalg._eliminate(params.ext, matrix, params.t)) < params.t
         assert (subsets[i] in failing) == singular, (scheme, subsets[i])
 
+
+
+@pytest.mark.parametrize(
+    "scheme, q, s", [((8, 1, 2, 8), 2**31 - 1, 1), ((11, 1, 2, 8), 65521, 2)], ids=["2^31-1", "65521^2"]
+)
+def test_byzantine_sessions_at_the_largest_fields(scheme, q, s):
+    # the largest prime an int64 product of two symbols allows (s = 1) and
+    # the largest 16-bit prime, whose square is just under 2^32 (s = 2):
+    # every product of the decode and the rebuild is as large as it gets.
+    # Random and offset answers always differ from the honest ones, so
+    # exactly the byzantine servers asked are flagged
+    params = pir.setup(*scheme, q_hint=q, m=2)
+    assert (params.q, params.s) == (q, s)
+    stream = SeededStream(SEED, f"largest-{q}")
+    db = pir.random_database(params, stream.fork("db"))
+    for mode, asked in (("trace", params.k), ("full", params.r)):
+        for count in range(params.b + 1):
+            for strategy in ("random", "offset"):
+                byz = tuple(sorted(j + 1 for j in stream.sample(asked, count)))
+                offset = stream.randrange(q - 1) + 1
+                adversary = AdversaryModel(byzantine_set=byz, strategy=strategy, offset=offset)
+                iota = stream.randrange(params.m) + 1
+                report = run_session(params, db, iota, adversary, mode=mode, seed=stream.randrange(2**32))
+                case = (mode, byz, strategy)
+                assert report.ok, case
+                assert report.identified_error_positions == byz, case
+    # a randomized sweep decodes its cases as one batch, large enough for
+    # reduce_mod's division form
+    report = byzantine_sweep(params, db, scope="randomized", trials=300, seed=SEED)
+    assert (report.cases_total, report.cases_failed) == (300, 0)

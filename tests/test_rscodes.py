@@ -575,6 +575,54 @@ class TestBatchDecode:
             assert batch.result(row) == alone, word
             assert 1 <= len(alone.error_positions) <= code.radius, word
 
+    def test_stacked_error_values_exact_near_q_2_to_the_31_at_radius_4(self):
+        # at q = 2^31 - 1 two products below q^2 fill int64, so the error
+        # values' sum of tau = 4 products must be reduced on the way; words
+        # with 1..4 errors near q, on many located sets
+        q = 2**31 - 1
+        rng = random.Random(2147)
+        code = GrsCode(field=PrimeField(q), points=tuple(rng.sample(range(q), 14)),
+                       multipliers=tuple(rng.randrange(1, q) for _ in range(14)), dim=6)
+        assert code.radius == 4
+        words, planted = [], []
+        for _ in range(400):
+            codeword = grs_encode(code, [rng.randrange(q - 1000, q) for _ in range(code.dim)])
+            word = list(codeword)
+            for pos in rng.sample(range(code.n), rng.randrange(1, code.radius + 1)):
+                word[pos] = (word[pos] + rng.randrange(1, q)) % q
+            words.append(word)
+            planted.append(list(codeword))
+        batch = grs_decode(code, np.array(words, dtype=np.int64))
+        assert not batch.failed.any()
+        assert batch.corrected.tolist() == planted
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_located_set_keys_on_either_side_of_63_points(self, n):
+        # a code of at most 63 points keys each located set by one int64 of
+        # its mask's bits, a larger one by its packed bytes; on both sides,
+        # with errors on the last point (the highest bit), every row of a
+        # batch must be that word's decode alone
+        q = 67
+        rng = random.Random(n)
+        code = GrsCode(field=PrimeField(q), points=tuple(rng.sample(range(q), n)),
+                       multipliers=tuple(rng.randrange(1, q) for _ in range(n)), dim=n - 6)
+        messages = np.array([[rng.randrange(q) for _ in range(code.dim)] for _ in range(120)], dtype=np.int64)
+        words = grs_encode(code, messages)
+        for row, word in enumerate(words):
+            positions = rng.sample(range(n - 1), rng.randrange(code.radius + 2))
+            if row % 2:
+                positions = [n - 1, *positions][: code.radius]
+            word[positions] = (word[positions] + [rng.randrange(1, q) for _ in positions]) % q
+        batch = grs_decode(code, words)
+        assert 0 < batch.failed.sum() and batch.errors[:, n - 1].sum() >= 40
+        for row, word in enumerate(words):
+            try:
+                alone = grs_decode(code, word)
+            except DecodeFailure:
+                assert batch.failed[row], word
+                continue
+            assert batch.result(row) == alone, word
+
     def test_chien_check_alone_fails_the_words_beyond_the_radius(self, monkeypatch):
         # every word is off the code, half of them far beyond the radius.
         # With a correction step that returns every word as it is, the
@@ -674,6 +722,12 @@ class TestBatchDecode:
     def test_bad_words_rejected(self, received):
         with pytest.raises(ValueError):
             grs_decode(CODE_5_3, received)
+
+
+@pytest.mark.usefixtures("forced_reduction")
+class TestBatchDecodeOnEachReductionBranch(TestBatchDecode):
+    """Every batch-decoder test again, with `linalg.reduce_mod` forced onto
+    its division form for tiny arrays and onto ``%=`` for chunk-size ones."""
 
 
 class TestOracle:
