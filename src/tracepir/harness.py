@@ -543,11 +543,17 @@ def byzantine_sweep(
     each set repeated G times and the grid tiled n times, its values put
     at the set's columns.  Each chunk is decoded in one ``retrieve_many``
     call, so its dirty words find their error locators together (see
-    ``rscodes.grs_decode``).  The bound keeps the decode's arrays small:
-    at (11,1,2,8; m=2) a sweep raised a process's peak RSS by 4.7 MB with
-    one chunk per file index (5,500 words), 1.5 MB with 2^11 words and
-    0.6 MB with 2^10, against 0.25 MB with one chunk per set (ru_maxrss),
-    while 2^10 words swept about 15% slower than 2^11 (32 against 27 ms).
+    ``rscodes.grs_decode``).  The bound keeps the decode's arrays small.
+    At (11,1,2,8; m=2), whose code is located by its syndrome table, a
+    process's first sweep raised its peak RSS (ru_maxrss) by 0.62 MB
+    with one chunk per set (100 words), 0.75 MB with 2^10 or 2^11 words,
+    1.5 MB with 2^12 and 2.5 MB with one chunk per file index (5,500
+    words); 2^12 words took about 280 minor page faults per sweep and
+    5,500 about 770, against none for 2^11.  In 60 alternating rounds
+    in one process, twice, a sweep took 6.3-7.2 ms (medians) with 2^11
+    words, 7.5-8.6 with 2^10 and 7.2-7.7 with 2^12; 2^11 was the faster
+    in 117 of 120 rounds against 2^10 and 113 of 120 against 2^12
+    (2-CPU x86-64 host).
 
     Randomized scope samples `trials` >= 1 cases as batches of clients.
     Trial i draws from its stream, forked from the sweep's as "trial-i":

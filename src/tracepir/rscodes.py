@@ -5,34 +5,44 @@ polynomials h of degree below the dimension.  Decoding is errors-only and
 syndrome first.  The n - dim check rows y_i x_i^e, with y_i the inverse
 of m_i prod_{l != i}(x_i - x_l), give the syndromes of the received
 word; a zero syndrome means the word is a codeword and is returned as it
-is.  Otherwise Berlekamp-Massey finds the shortest linear recurrence of
-the syndromes, the reversal of its connection polynomial is the error
-locator, a Chien search finds its roots among the code points, and the
-error values there solve the first tau syndromes, a tau x tau system
-for tau = floor((n - dim) / 2).  The word minus its error is re-encoded
+is.  Otherwise a locator finds the error positions, the error values
+there solve the first tau syndromes, a tau x tau system for
+tau = floor((n - dim) / 2), the word minus its error is re-encoded
 through its first dim symbols, and the distance guard compares the
 codeword with the word.
 
+There are two locators.  Every error of weight at most tau has
+syndromes of its own, so for a code of at most 63 points whose
+q^(n - dim) syndromes fit SYNDROME_TABLE_ENTRIES, one cached table
+maps the syndrome index sum_e S_e q^e (below the budget) to the bit mask
+of the error's support, or to -1 where no codeword lies within tau
+(``_located_sets``): locating is one lookup.  Above the budget
+Berlekamp-Massey finds the shortest linear recurrence of the
+syndromes, the reversal of its connection polynomial is the error
+locator, and a Chien search finds its roots among the code points.
+
 ``grs_decode`` works over a prime field, where it decodes a (W, n)
-int64 batch in one pass over all its rows: the syndromes and the Chien
-search are one matrix product each, Berlekamp-Massey runs in lockstep as
-array operations, and every word gets its error values from one
-stacked solve, one tau x tau system per distinct located set, and its
-codeword from one re-encode.  A codeword locates nothing and re-encodes
-to itself; a word whose root count or distance is wrong is marked
-failed and zeroed in place, so no row is gathered or scattered.  A
-batch of codewords returns at the syndrome test, and a batch with a
-single word off the code runs the scalar recurrence and an L x L solve
-on Python ints instead, which cost less for one word.  A single word is
-the batch of one.  Every int64 step is exact for q < 2^31.
-``oracle_decode`` is the brute-force counterpart used to cross-check
-the decoder, over any field; it enumerates every codeword, so it is
-guarded by an enumeration bound.
+int64 batch in one pass over all its rows: the syndromes, the table's
+index and the Chien search are one matrix product each,
+Berlekamp-Massey runs in lockstep as array operations, and every word
+gets its error values from one stacked solve, one tau x tau system per
+distinct located set, and its codeword from one re-encode.  A codeword
+locates nothing and re-encodes to itself; a word that its locator or
+the distance guard rejects is marked failed and zeroed in place, so no
+row is gathered or scattered.  A batch of codewords returns at the
+syndrome test, and a batch with a single word off the code locates it
+through a Python-int table index, or the scalar recurrence, and solves
+an L x L system on Python ints instead, which cost less for one word.
+A single word is the batch of one.  Every int64 step is exact for
+q < 2^31.  ``oracle_decode`` is the brute-force counterpart used to
+cross-check the decoder, over any field; it enumerates every codeword,
+so it is guarded by an enumeration bound.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,7 @@ from .gf import ExtField, PrimeField
 
 ORACLE_MAX_CODEWORDS = 2**20
 ORACLE_MAX_FIELD = 4096
+SYNDROME_TABLE_ENTRIES = 2**17  # int64 entries of a code's located-set table: 1 MB
 
 
 class DecodeFailure(Exception):
@@ -358,26 +369,48 @@ def grs_decode(code: GrsCode, received):
 
     Otherwise write the word as c + err for a codeword c and an error
     err supported on E.  The syndromes depend on err alone:
-    S_e = sum_(i in E) Y_i x_i^e with Y_i = y_i err_i nonzero, a
-    sequence of linear complexity exactly |E|.  If |E| <= tau, its
-    n - dim >= 2|E| terms determine the shortest recurrence uniquely, so
-    Berlekamp-Massey returns length L = |E| and the connection
-    polynomial C = prod_(i in E, x_i != 0)(1 - x_i z).  The
-    locator is the reversal z^L C(1/z) = prod_(i in E)(z - x_i); C itself
-    would lose the root of a point x_i = 0.  A Chien search over the n
-    points (one product of the batch's locators with ``code.chien_powers``)
-    then finds exactly E.  The error values solve the first syndromes:
-    with y_i x_i^e = ``code.check_matrix[i, e]``, the L x L system
-    sum_(i in E) check_matrix[i, e] err_i = S_e for e < L is a
-    Vandermonde matrix on L distinct points times the nonzero y_i, so
-    it is invertible and err is its unique solution.  Then c = word - err,
-    whose first dim symbols times ``code.interpolation`` give its message,
-    and re-encoding the message gives c again.
+    S_e = sum_(i in E) Y_i x_i^e with Y_i = y_i err_i nonzero.  Two
+    errors of weight <= tau with the same syndromes would differ by a
+    codeword of weight <= 2 tau < n - dim + 1, the minimum distance, so
+    the syndromes of a word within tau of the code name its E alone.
+    The locator finds E, or says that no codeword lies within tau:
 
-    The words of a batch with a nonzero syndrome run Berlekamp-Massey in
-    lockstep (``_lockstep_berlekamp_massey``), one array step per
-    syndrome for all of them.  It is the inversion-free form
-    C <- gamma C - d z B, whose C is the scalar C times a nonzero
+    - By table, for a code of at most 63 points with at most
+      SYNDROME_TABLE_ENTRIES syndrome values (``_located_sets``): entry
+      sum_e S_e q^e, an index below q^(n - dim), holds E's bit mask, or
+      -1 when no error of weight <= tau has those syndromes.  A batch's
+      index is one product of a power row with its syndrome rows, and its
+      masks one ``np.take``.  The table is built when the code's first
+      dirty word arrives, so an honest session never pays for it.
+    - By recurrence, above the budget.  The syndromes are a sequence of
+      linear complexity exactly |E|.  If |E| <= tau, its n - dim >= 2|E|
+      terms determine the shortest recurrence uniquely, so
+      Berlekamp-Massey returns length L = |E| and the connection
+      polynomial C = prod_(i in E, x_i != 0)(1 - x_i z).  The locator is
+      the reversal z^L C(1/z) = prod_(i in E)(z - x_i); C itself would
+      lose the root of a point x_i = 0.  A Chien search over the n
+      points (one product of the batch's locators with
+      ``code.chien_powers``) then finds exactly E, and a root count other
+      than L means that no codeword lies within tau.
+
+    The error values solve the first syndromes: with
+    y_i x_i^e = ``code.check_matrix[i, e]``, the L x L system
+    sum_(i in E) check_matrix[i, e] err_i = S_e for e < L = |E| is a
+    Vandermonde matrix on L distinct points times the nonzero y_i, so it
+    is invertible and err is its unique solution.  Then c = word - err,
+    whose first dim symbols times ``code.interpolation`` give its
+    message, and re-encoding the message gives c again.  The solve and
+    the re-encode stay on both locators: the re-encode is what gives the
+    distance guard its meaning (the word minus its error differs from
+    the word in at most tau positions, the re-encoded codeword need
+    not), and the benchmark's traced pass counts one ``linalg.solve``
+    and one ``grs_encode`` per decode (ROADMAP item 21 takes the values
+    from the table once those counts go).
+
+    The words of a batch with a nonzero syndrome, above the budget, run
+    Berlekamp-Massey in lockstep (``_lockstep_berlekamp_massey``), one
+    array step per syndrome for all of them.  It is the inversion-free
+    form C <- gamma C - d z B, whose C is the scalar C times a nonzero
     constant: the same L, the same locator roots, the same located sets.
     Its numpy calls cost a fixed amount: with 4 syndromes over GF(11),
     the lockstep and the reversal to locators take about 100 us for one
@@ -388,10 +421,12 @@ def grs_decode(code: GrsCode, received):
     follows that observed count alone.  Its locator is then evaluated
     at the n points by Horner's rule on Python ints, about half the
     cost of building an array for one ``code.chien_powers`` product.
+    Within the budget that word's index is taken on Python ints too.
 
-    When the lockstep has run, the located sets of all words are
-    deduplicated.  Each distinct set takes its located positions first,
-    padded with the first unlocated ones to tau, and its tau x tau system
+    Each word is then keyed by its located set (the table's mask, or the
+    Chien roots' bits), and the distinct sets are deduplicated.  Each
+    distinct set takes its located positions first, padded with the
+    first unlocated ones to tau, and its tau x tau system
     (``code.check_matrix`` on them, first tau columns, transposed) is
     inverted in one stacked ``linalg.solve``; any tau distinct points
     give an invertible system, and the solution is 0 at the padding.
@@ -412,56 +447,59 @@ def grs_decode(code: GrsCode, received):
     (``_corrected_alone``); its message, the corrected first dim symbols
     times ``code.interpolation``, is then re-encoded as a (1, dim) batch,
     one product with the cached ``code.generator`` in place of n
-    polynomial evaluations.  The re-encode is what gives the distance
-    guard meaning: the word minus its error differs from the word in at
-    most tau positions, the re-encoded codeword need not.
+    polynomial evaluations.
 
     The bookkeeping between these steps is one array pass: the syndromes
     are computed as (n - dim, W) rows, the lockstep's layout, and once
-    two words are off the code every row runs the lockstep, the Chien
-    product and the stacked correction, with no row gathered, copied or
-    scattered.  A codeword leaves the recurrence with L = 0 and the
-    locator 1, shares the empty located set, whose padded system gives
-    it the error 0, and re-encodes to itself.  A failing row still gets
-    a nonsingular system: it takes tau distinct points, its first tau
-    located ones where L > tau and the zero locator locates every point.
-    A row fails where its root count is not its length or its correction
-    lies beyond tau, and is then zeroed; both counts are one product of
-    the bool rows with ones, about half the cost of a sum along them
-    (23 against 51 us for a 2,000-word chunk's roots).  Lists of
-    syndrome and root rows cost as much as the arithmetic once a sweep
-    chunk holds 2,000 words: at (11,1,2,8) such a chunk decoded in 5.3 ms
-    with lists and 3.4 ms with arrays.
+    two words are off the code every row is located and goes through the
+    stacked correction, with no row gathered, copied or scattered.  A
+    codeword has the empty located set (mask 0, or L = 0 and the locator
+    1), whose padded system gives it the error 0, and re-encodes to
+    itself.  A failing row still gets a nonsingular system: it takes tau
+    distinct points, its first tau located ones where the table's -1
+    sets every bit, where L > tau, or where the zero locator locates
+    every point.  Both locators share one guard line: a row fails where
+    its locator rejects it (no table entry, or a root count that is not
+    its length) or where its correction lies beyond tau, and is then
+    zeroed.  The counts are one product of the bool rows with ones,
+    about half the cost of a sum along them (23 against 51 us for a
+    2,000-word chunk's roots).  Lists of syndrome and root rows cost as
+    much as the arithmetic once a sweep chunk holds 2,000 words: at
+    (11,1,2,8) such a chunk decoded in 5.3 ms with lists and 3.4 ms with
+    arrays.
 
-    A single dirty word stays on Python ints from the recurrence through
-    the Chien search and its error values to its error positions and
-    the distance guard (``_decoded_alone``), with no root-count mask,
-    and a batch of one that is not a codeword is its own dirty word, so
-    it skips the scan.  The scan and the mask cost about 3 and 5 us, which every
-    byzantine session's decode (about 80 us there) would pay for
-    nothing.  Only the lone word's result rows are then written into the
-    batch's arrays, about 3 us of bookkeeping where the whole-batch
-    comparison, row sums and masks took 4.6 (at 11 points, dim 7, two
-    errors: a lone decode won 19 of 21 alternating in-process rounds, and
-    a failing word went from 25 to 18 us; 2-CPU Xeon).
+    A single dirty word stays on Python ints from its locator through
+    its error values to its error positions and the distance guard
+    (``_decoded_alone``), with no root-count mask, and a batch of one
+    that is not a codeword is its own dirty word, so it skips the scan.
+    The scan and the mask cost about 3 and 5 us, which every byzantine
+    session's decode (about 80 us there) would pay for nothing.  Only
+    the lone word's result rows are then written into the batch's
+    arrays, about 3 us of bookkeeping where the whole-batch comparison,
+    row sums and masks took 4.6 (at 11 points, dim 7, two errors: a lone
+    decode won 19 of 21 alternating in-process rounds, and a failing
+    word went from 25 to 18 us; 2-CPU Xeon).
 
-    So a codeword within tau forces L <= tau and exactly L located
-    roots; when either fails, no codeword lies within tau and the word
-    fails.  When both hold, the syndromes are those of an error on the
-    located positions (its values solve the first L syndromes, and the
-    recurrence extends them to the rest), so a codeword lies within
-    L <= tau, the word minus the solved error is that codeword, and the
-    re-encoded word is that codeword again; the distance check cannot
-    fail and stays only as a guard.  Every verdict is therefore the
-    bounded-distance decoder's (``oracle_decode``), failures included.
+    So a codeword within tau has a table entry, or forces L <= tau and
+    exactly L located roots; when either locator rejects a word, no
+    codeword lies within tau and the word fails.  When it accepts one,
+    the syndromes are those of an error on the located positions (its
+    values solve the first L syndromes, and the recurrence, or the
+    table's construction, extends them to the rest), so a codeword lies
+    within L <= tau, the word minus the solved error is that codeword,
+    and the re-encoded word is that codeword again; the distance check
+    cannot fail and stays only as a guard.  Every verdict is therefore
+    the bounded-distance decoder's (``oracle_decode``), failures
+    included.
 
     Exact for q < 2^31: every product of two field elements is below
     2^62, ``linalg.matmul_mod`` reduces its partial sums before they
     leave int64, the error values reduce their sum of tau products
     whenever one more would leave it, and the stacked solve is exact
-    there (``solve_stacked``).  Every reduction, in the recurrence and
-    the corrections as in the products, is ``linalg.reduce_mod``: ``%=``
-    on a small array, a - q (a // q) by slabs on a large one.
+    there (``solve_stacked``).  A table index is below the budget.
+    Every reduction, in the recurrence and the corrections as in the
+    products, is ``linalg.reduce_mod``: ``%=`` on a small array,
+    a - q (a // q) by slabs on a large one.
     """
     if not isinstance(code.field, PrimeField):
         raise TypeError(f"grs_decode works over a prime field only, not over {code.field!r}")
@@ -483,16 +521,23 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
         no_errors = np.zeros(words.shape, dtype=bool)
         return DecodedBatch(code, words.copy(), no_errors, np.zeros(len(words), dtype=bool))
     dirty = np.flatnonzero(syndromes.any(axis=0)) if len(words) > 1 else np.zeros(1, dtype=np.intp)
-    if len(dirty) == 1:  # one word: the scalar recurrence and solve beat the arrays' fixed cost
+    if len(dirty) == 1:  # one word: the scalar locator and solve beat the arrays' fixed cost
         return _decoded_alone(code, words, dirty[0], syndromes[:, dirty[0]].tolist())
     # every row, clean ones too: a codeword locates nothing and re-encodes to itself
-    locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes.T), tau)
-    roots = linalg.matmul_mod(locators, code.chien_powers, F.q) == 0
-    corrected = _corrected_words(code, words, roots, syndromes)
-    errors = corrected != words
-    # the Chien root count, then the distance guard; a bool row times ones counts its trues
     ones = np.ones(code.n, dtype=np.int64)
-    failed = (roots @ ones != lengths) | (errors @ ones > tau)
+    table = _located_sets(code)
+    if table is None:  # above the budget: the lockstep recurrence and the Chien search
+        locators, lengths = _reversed_locators(*_lockstep_berlekamp_massey(F.q, syndromes.T), tau)
+        roots = linalg.matmul_mod(locators, code.chien_powers, F.q) == 0
+        beyond = roots @ ones != lengths
+        keys = _located_keys(roots)
+    else:
+        keys = table.take(F.q ** np.arange(len(syndromes), dtype=np.int64) @ syndromes)
+        beyond = keys < 0
+    corrected = _corrected_words(code, words, keys, syndromes)
+    errors = corrected != words
+    # the locator's verdict, then the distance guard; a bool row times ones counts its trues
+    failed = beyond | (errors @ ones > tau)
     if failed.any():
         corrected[failed] = 0
         errors[failed] = False
@@ -502,25 +547,24 @@ def _decode_batch(code: GrsCode, words: np.ndarray) -> DecodedBatch:
 def _decoded_alone(code: GrsCode, words: np.ndarray, row: int, syndrome: list) -> DecodedBatch:
     """The decoded batch whose only word off the code is row `row`, with that row's syndrome.
 
-    The recurrence, the Chien search by Horner's rule, the error-value
+    The locator runs on the row's Python ints: within the budget the
+    located-set table at the index sum_e S_e q^e, taken by Horner's rule
+    from the last syndrome, and above it the scalar recurrence and the
+    Chien search (``_recurrence_positions``).  So do the error-value
     solve (``_corrected_alone``), the error positions and the distance
-    guard all run on the row's Python ints; the other rows are codewords
-    and are returned as they are.
+    guard; the other rows are codewords and are returned as they are.
     """
-    F, tau = code.field, code.radius
-    conn, length = _berlekamp_massey(F, syndrome)
-    located = []  # a length beyond tau locates nothing, and the word fails
-    if length <= tau:  # the locator z^L C(1/z) at every point, by Horner from C[0]
-        coefficients = (conn + [0] * length)[: length + 1]
-        for x in code.points:
-            value = 0
-            for c in coefficients:
-                value = (value * x + c) % F.q
-            located.append(not value)
+    q, n, tau = code.field.q, code.n, code.radius
+    table = _located_sets(code)
+    if table is None:
+        located = _recurrence_positions(code, syndrome)
+    else:
+        mask = table[functools.reduce(lambda index, s: index * q + s, reversed(syndrome), 0)].item()
+        located = None if mask < 0 else [i for i in range(n) if mask >> i & 1]
     corrected = words.copy()
     errors = np.zeros(words.shape, dtype=bool)
     failed = np.zeros(len(words), dtype=bool)
-    if located.count(True) == length:
+    if located is not None:
         word = words[row].tolist()
         codeword = _corrected_alone(code, word, located, syndrome).tolist()
         wrong = [x != y for x, y in zip(codeword, word)]
@@ -531,18 +575,40 @@ def _decoded_alone(code: GrsCode, words: np.ndarray, row: int, syndrome: list) -
     return DecodedBatch(code, corrected, errors, failed)
 
 
-def _corrected_alone(code: GrsCode, word: list, located: list, syndrome: list) -> np.ndarray:
+def _recurrence_positions(code: GrsCode, syndrome: list):
+    """The positions that the scalar recurrence locates from one word's syndrome, or None.
+
+    ``_berlekamp_massey`` gives the length L and the connection
+    polynomial C, and the locator z^L C(1/z) is evaluated at every point
+    by Horner's rule from C[0].  None when L > tau or when the roots are
+    not L in number: no codeword then lies within tau.
+    """
+    F = code.field
+    conn, length = _berlekamp_massey(F, syndrome)
+    if length > code.radius:
+        return None
+    coefficients = (conn + [0] * length)[: length + 1]
+    located = []
+    for i, x in enumerate(code.points):
+        value = 0
+        for c in coefficients:
+            value = (value * x + c) % F.q
+        if not value:
+            located.append(i)
+    return located if len(located) == length else None
+
+
+def _corrected_alone(code: GrsCode, word: list, positions: list, syndrome: list) -> np.ndarray:
     """The codeword of one word whose errors sit exactly on the located positions, as an (n,) array.
 
     With L located positions, the error values there solve the L x L
-    system ``code.check_matrix[located, :L]`` transposed against the
+    system ``code.check_matrix[positions, :L]`` transposed against the
     first L syndromes, the system ``_corrected_words`` pads to tau and
     stacks, here as a list solve on Python ints.  The word minus them is
     re-encoded: its first dim symbols times ``code.interpolation`` give
     its message, and ``grs_encode`` its codeword as a (1, dim) batch.
     """
     q = code.field.q
-    positions = [i for i, hit in enumerate(located) if hit]
     system = code.check_matrix[positions, : len(positions)].T.tolist()
     values = linalg.solve(code.field, system, syndrome[: len(positions)])
     corrected = list(word)
@@ -567,42 +633,51 @@ def _error_systems(code: GrsCode, located: np.ndarray) -> tuple:
     return positions, code.check_matrix[positions, :tau].transpose(0, 2, 1)
 
 
-def _corrected_words(
-    code: GrsCode, words: np.ndarray, located: np.ndarray, syndromes: np.ndarray
-) -> np.ndarray:
-    """The codewords of (W, n) words whose errors sit exactly on the (W, n) located masks.
+def _located_keys(located: np.ndarray) -> np.ndarray:
+    """One exact key per row of (W, n) located masks, whose distinct values give the masks back.
 
-    `syndromes` holds the words' syndromes as (n - dim, W) rows.  A row
-    whose errors do not sit on its mask, or whose mask holds more than
-    tau positions, still gets a codeword.  The masks are deduplicated
-    through one exact key per row: for a code of at most 63 points the
-    mask's bits as one int64, whose distinct values give the masks back,
-    and above that its bits packed into bytes and read as a single void
-    value.  Each distinct set takes its located positions first, padded
-    with the first unlocated ones to tau (``_error_systems``).  The G
-    systems are inverted in one stacked solve.  The error values are
-    then tau whole-row steps over the syndrome rows, step j adding
-    column j of each word's inverse, gathered by `np.take` from a
-    contiguous (tau, G) block, times syndrome row j: tau^2 row products
-    in all, with no (W, tau, tau) gather and no stacked product.  The
-    words minus them are re-encoded: their first dim symbols times
-    ``code.interpolation`` give the messages, and one ``grs_encode``
-    every codeword.  On a `verify` sweep chunk (2,000 words on 20
-    located sets, 11 points, tau = 2, GF(11); medians of 15 rounds on
-    one CPU of a 2-CPU x86-64 host) the int64 key deduplicates in 78 us
-    against 152 us for the void key, and the row steps take 28 us
-    against 95 us for the gather and stacked product.
+    For a code of at most 63 points the mask's bits as one int64, bit i
+    for position i, as the located-set table stores them; above that its
+    bits packed into bytes and read as a single void value.
+    """
+    if located.shape[1] < 64:
+        return located @ (1 << np.arange(located.shape[1], dtype=np.int64))
+    packed = np.packbits(located, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _corrected_words(
+    code: GrsCode, words: np.ndarray, keys: np.ndarray, syndromes: np.ndarray
+) -> np.ndarray:
+    """The codewords of (W, n) words whose errors sit exactly on the located sets of their (W,) keys.
+
+    `keys` are ``_located_keys``: int64 bit masks, the located-set
+    table's entries among them, or packed void rows.  An int64 key of -1
+    locates every position.  `syndromes` holds the words' syndromes as
+    (n - dim, W) rows.  A row whose errors do not sit on its set, or
+    whose set holds more than tau positions, still gets a codeword.  The
+    keys are deduplicated and give back one mask per distinct set.  Each
+    distinct set takes its located positions first, padded with the
+    first unlocated ones to tau (``_error_systems``).  The G systems are
+    inverted in one stacked solve.  The error values are then tau
+    whole-row steps over the syndrome rows, step j adding column j of
+    each word's inverse, gathered by `np.take` from a contiguous (tau, G)
+    block, times syndrome row j: tau^2 row products in all, with no
+    (W, tau, tau) gather and no stacked product.  The words minus them
+    are re-encoded: their first dim symbols times ``code.interpolation``
+    give the messages, and one ``grs_encode`` every codeword.  On a
+    `verify` sweep chunk (2,000 words on 20 located sets, 11 points,
+    tau = 2, GF(11); medians of 15 rounds on one CPU of a 2-CPU x86-64
+    host) the int64 key deduplicates in 78 us against 152 us for the
+    void key, and the row steps take 28 us against 95 us for the gather
+    and stacked product.
     """
     q, n, dim, tau = code.field.q, code.n, code.dim, code.radius
-    if n < 64:  # the mask's bits as one int64, whose distinct values give the masks back
-        keys = located @ (1 << np.arange(n, dtype=np.int64))
-        sets, which = np.unique(keys, return_inverse=True)
+    sets, which = np.unique(keys, return_inverse=True)
+    if sets.dtype == np.int64:
         masks = (sets[:, None] >> np.arange(n)) & 1 == 1
     else:
-        packed = np.packbits(located, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        masks = located[first]
+        masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1, count=n) == 1
     positions, systems = _error_systems(code, masks)
     identity = np.broadcast_to(np.eye(tau, dtype=np.int64), systems.shape)
     # column j of every set's inverse as a (tau, G) row block; `take` gathers
@@ -625,6 +700,56 @@ def _corrected_words(
     corrected.put(at, linalg.reduce_mod(words.take(at) - values, q))
     messages = linalg.matmul_mod(corrected[:, :dim], code.interpolation, q)
     return grs_encode(code, messages)
+
+
+@functools.lru_cache(maxsize=4)
+def _located_sets(code: GrsCode):
+    """The located-set table of `code` as a read-only int64 array, None above the budget; prime field.
+
+    Entry sum_e S_e q^e, for the n - dim syndromes S_e in [0, q) of a
+    word, holds the bit mask (bit i for position i) of the support of
+    the unique error of weight <= tau with those syndromes: 0 for a
+    codeword, and -1 where no such error exists, so that no codeword
+    lies within tau.  The table has q^(n - dim) entries, and every index
+    is below that.  It is None, before anything is allocated, when that
+    is above SYNDROME_TABLE_ENTRIES or when the code has more than 63
+    points, whose masks would leave int64.
+
+    It is built one weight w <= tau at a time, over the supports in
+    ``itertools.combinations`` order: the syndromes of an error are the
+    sums of its positions' single-error rows v y_i x_i^e, taken for every
+    support and every choice of its w nonzero values in one broadcast
+    sum of shape (C(n, w), q - 1, ..., q - 1, n - dim).  Two errors of
+    weight <= tau have distinct syndromes (the code is MDS, of minimum
+    distance n - dim + 1 > 2 tau), so no index is written twice; the
+    build counts the entries written and raises RuntimeError if one was.
+    At the `verify`, `bulk` and `small` codes the tables hold 14,641,
+    28,561 and 83,521 entries, of which 5,611, 11,389 and 35,089 are
+    errors.  The four most recently used codes keep theirs cached, as
+    the codeword tables of ``_oracle_table`` are.
+    """
+    q, n, redundancy = code.field.q, code.n, code.n - code.dim
+    if n > 63 or q**redundancy > SYNDROME_TABLE_ENTRIES:
+        return None
+    radix = q ** np.arange(redundancy, dtype=np.int64)
+    # block i, row v - 1: the syndromes of the error value v at position i alone
+    single = linalg.reduce_mod(np.arange(1, q, dtype=np.int64)[:, None] * code.check_matrix[:, None], q)
+    table = np.full(q**redundancy, -1, dtype=np.int64)
+    table[0], written = 0, 1
+    for weight in range(1, code.radius + 1):
+        supports = np.array(list(itertools.combinations(range(n), weight)), dtype=np.int64)
+        syndromes = np.zeros((len(supports),) + (q - 1,) * weight + (redundancy,), dtype=np.int64)
+        for j in range(weight):  # position j's values along axis j + 1
+            shape = [len(supports)] + [1] * weight + [redundancy]
+            shape[j + 1] = q - 1
+            syndromes += single[supports[:, j]].reshape(shape)
+        index = linalg.reduce_mod(syndromes, q) @ radix
+        table[index] = (1 << supports).sum(axis=1).reshape((-1,) + (1,) * weight)
+        written += index.size
+    if np.count_nonzero(table >= 0) != written:
+        raise RuntimeError(f"two errors of weight at most {code.radius} share a syndrome")
+    table.flags.writeable = False
+    return table
 
 
 @dataclass

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from tracepir import linalg, pir
+from tracepir import linalg, pir, rscodes
 from tracepir.gf import MAX_FIELD_SIZE, ExtField, FieldTower, PrimeField, find_irreducibles
 
 
@@ -29,6 +29,18 @@ def forced_reduction(request, monkeypatch):
     """`linalg.reduce_mod` on one branch for every array: the division form
     from 0 entries on, or ``%=`` below a size no array reaches."""
     monkeypatch.setattr(linalg, "REDUCE_DIVIDE_MIN", request.param)
+
+
+@pytest.fixture
+def forced_recurrence(monkeypatch):
+    """`rscodes.grs_decode` on the Berlekamp-Massey locator for every code: a
+    located-set table budget of 0 entries, and back to the default after.
+    The table cache is emptied on both sides, so no table built under one
+    budget is read under the other."""
+    monkeypatch.setattr(rscodes, "SYNDROME_TABLE_ENTRIES", 0)
+    rscodes._located_sets.cache_clear()
+    yield
+    rscodes._located_sets.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -40,15 +40,23 @@ CHILD = (
 
 
 def defined_tests(path: Path) -> set:
-    """The "function" and "Class::function" ids of the test functions defined in a test file."""
+    """The "function" and "Class::function" ids of the test functions defined in a test file.
+
+    A class has the methods of its bases defined earlier in the file too,
+    as pytest collects them: a subclass that reruns a class under a
+    fixture names its tests by its own name.
+    """
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    names = set()
+    names, classes = set(), {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             names.add(node.name)
         elif isinstance(node, ast.ClassDef):
-            methods = (item for item in node.body if isinstance(item, ast.FunctionDef))
-            names.update(f"{node.name}::{method.name}" for method in methods)
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            for base in node.bases:
+                methods |= classes.get(getattr(base, "id", None), set())
+            classes[node.name] = methods
+            names.update(f"{node.name}::{method}" for method in methods)
     return {name for name in names if name.rpartition("::")[2].startswith("test_")}
 
 

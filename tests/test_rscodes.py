@@ -1,6 +1,7 @@
 """RS/GRS codes: interpolation, encoding, syndrome decoding, oracle agreement."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -254,6 +255,30 @@ class TestDecode:
         assert "check_matrix" not in vars(code) and "chien_powers" not in vars(code)
 
 
+def assert_locator_alone_fails_beyond_the_radius(monkeypatch, code, rng):
+    """Every word is off the code, half of them far beyond the radius.
+    With a correction step that returns every word as it is, the distance
+    guard never trips, so the locator's own check must alone fail exactly
+    the rows that the real decode fails."""
+    q = code.field.q
+    words = []
+    for row in range(400):
+        word = list(grs_encode(code, [rng.randrange(q) for _ in range(code.dim)]))
+        weight = rng.randrange(1, code.radius + 1) if row % 2 else code.n
+        for pos in rng.sample(range(code.n), weight):
+            word[pos] = (word[pos] + rng.randrange(1, q)) % q
+        words.append(word)
+    words = np.array(words, dtype=np.int64)
+    decoded = grs_decode(code, words)
+    assert 0 < decoded.failed.sum() < len(words) // 2 + 1
+    assert np.count_nonzero(decoded.errors.any(axis=1)) == len(words) - decoded.failed.sum()
+    monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, keys, syndromes: words.copy())
+    injected = grs_decode(code, words)
+    assert injected.failed.tolist() == decoded.failed.tolist()
+    assert not injected.errors.any()
+    assert injected.corrected[~decoded.failed].tolist() == words[~decoded.failed].tolist()
+
+
 class TestBatchDecode:
     def test_every_word_of_the_space_matches_oracle_batched_and_alone(self):
         # all 7^5 words under CODE_5_3, as one batch and as batches of one
@@ -383,7 +408,7 @@ class TestBatchDecode:
         )
         monkeypatch.setattr(
             rscodes, "_corrected_words",
-            lambda code, words, located, syndromes: np.where(located.any(axis=1)[:, None], 0, words),
+            lambda code, words, keys, syndromes: np.where((keys != 0)[:, None], 0, words),
         )
         batch = grs_decode(code, words)
         dirty = [row in rows for row in range(3)]
@@ -624,28 +649,39 @@ class TestBatchDecode:
             assert batch.result(row) == alone, word
 
     def test_chien_check_alone_fails_the_words_beyond_the_radius(self, monkeypatch):
-        # every word is off the code, half of them far beyond the radius.
-        # With a correction step that returns every word as it is, the
-        # distance guard never trips, so the Chien root count alone must
-        # fail exactly the rows that the real decode fails
+        # the (11, 5) code's 11^6 syndrome values are above the table budget,
+        # so the Chien root count is its locator's check
         code = GrsCode(field=PrimeField(11), points=tuple(range(11)), multipliers=(1,) * 11, dim=5)
-        rng = random.Random(15)
-        words = []
-        for row in range(400):
-            word = list(grs_encode(code, [rng.randrange(11) for _ in range(code.dim)]))
-            weight = rng.randrange(1, code.radius + 1) if row % 2 else code.n
-            for pos in rng.sample(range(code.n), weight):
-                word[pos] = (word[pos] + rng.randrange(1, 11)) % 11
-            words.append(word)
-        words = np.array(words, dtype=np.int64)
-        decoded = grs_decode(code, words)
-        assert 0 < decoded.failed.sum() < len(words) // 2 + 1
-        assert np.count_nonzero(decoded.errors.any(axis=1)) == len(words) - decoded.failed.sum()
-        monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, located, syndromes: words.copy())
-        injected = grs_decode(code, words)
-        assert injected.failed.tolist() == decoded.failed.tolist()
-        assert not injected.errors.any()
-        assert injected.corrected[~decoded.failed].tolist() == words[~decoded.failed].tolist()
+        assert rscodes._located_sets(code) is None
+        assert_locator_alone_fails_beyond_the_radius(monkeypatch, code, random.Random(15))
+
+    def test_located_set_check_alone_fails_the_words_beyond_the_radius(self, monkeypatch):
+        # the (11, 7) code's 11^4 syndrome values fit the budget: the table's
+        # missing entries are its locator's check, and the Chien root count
+        # where the budget is forced to 0
+        code = GrsCode(field=PrimeField(11), points=tuple(range(11)), multipliers=(1,) * 11, dim=7)
+        assert (rscodes._located_sets(code) is None) == (rscodes.SYNDROME_TABLE_ENTRIES == 0)
+        assert_locator_alone_fails_beyond_the_radius(monkeypatch, code, random.Random(16))
+
+    def test_locator_follows_the_table_budget(self, monkeypatch):
+        # CODE_5_3's 49 syndrome values fit the budget: its dirty words are
+        # located by the table, batched and alone, and only with the budget
+        # forced to 0 by the lockstep and the scalar recurrence
+        calls = []
+        scalar, lockstep = rscodes._berlekamp_massey, rscodes._lockstep_berlekamp_massey
+        monkeypatch.setattr(
+            rscodes, "_berlekamp_massey", lambda *args: calls.append("scalar") or scalar(*args)
+        )
+        monkeypatch.setattr(
+            rscodes, "_lockstep_berlekamp_massey", lambda *args: calls.append("lockstep") or lockstep(*args)
+        )
+        words = [list(grs_encode(CODE_5_3, [a, 1, 2])) for a in range(4)]
+        for row in (1, 2):
+            words[row][row] = (words[row][row] + 3) % 7
+        batch = grs_decode(CODE_5_3, words)
+        assert grs_decode(CODE_5_3, words[1]) == batch.result(1)
+        assert batch.errors.sum() == 2 and not batch.failed.any()
+        assert calls == ([] if rscodes.SYNDROME_TABLE_ENTRIES else ["lockstep", "scalar"])
 
     @pytest.mark.parametrize("q", [11, 2**31 - 1])
     def test_random_batches_equal_each_row_decoded_alone(self, q):
@@ -728,6 +764,101 @@ class TestBatchDecode:
 class TestBatchDecodeOnEachReductionBranch(TestBatchDecode):
     """Every batch-decoder test again, with `linalg.reduce_mod` forced onto
     its division form for tiny arrays and onto ``%=`` for chunk-size ones."""
+
+
+@pytest.mark.usefixtures("forced_recurrence")
+class TestBatchDecodeOnTheRecurrence(TestBatchDecode):
+    """Every batch-decoder test again with the located-set table budget at
+    0, so that every code, those within the default budget too, is located
+    by the Berlekamp-Massey recurrence and the Chien search."""
+
+
+class TestLocatedSets:
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        # a test that moves the budget must leave no table, or no None, behind
+        rscodes._located_sets.cache_clear()
+        yield
+        rscodes._located_sets.cache_clear()
+
+    @pytest.mark.parametrize(
+        "scheme,sphere",
+        [((5, 1, 1, 4), 21), ((7, 1, 1, 5), 43), ((11, 1, 2, 8), 5611), ((13, 1, 2, 9), 11389),
+         ((17, 1, 2, 8), 35089)],
+        ids=["q5", "q7", "verify", "bulk", "small"],
+    )
+    def test_every_error_up_to_the_radius_maps_to_its_support(self, scheme, sphere):
+        # on trace codes, which all hold the point 0: entry sum_e S_e q^e of
+        # each error of weight <= tau is its support's bit mask, and every
+        # other entry is -1; the entries >= 0 number the Hamming sphere
+        # sum_w C(n, w) (q - 1)^w
+        code, _ = pir._trace_code_tables(pir.setup(*scheme, m=2))
+        q, n, tau = code.field.q, code.n, code.radius
+        assert 0 in code.points
+        table = rscodes._located_sets(code)
+        assert table.shape == (q ** (n - code.dim),) and table.dtype == np.int64
+        assert not table.flags.writeable
+        errors, masks = [], []
+        for weight in range(tau + 1):
+            for support in itertools.combinations(range(n), weight):
+                for values in itertools.product(range(1, q), repeat=weight):
+                    error = [0] * n
+                    for i, value in zip(support, values):
+                        error[i] = value
+                    errors.append(error)
+                    masks.append(sum(1 << i for i in support))
+        assert len(errors) == sphere == sum(math.comb(n, w) * (q - 1) ** w for w in range(tau + 1))
+        syndromes = linalg.matmul_mod(np.array(errors, dtype=np.int64), code.check_matrix, q).tolist()
+        index = [sum(s * q**e for e, s in enumerate(row)) for row in syndromes]
+        assert table[index].tolist() == masks
+        assert np.count_nonzero(table >= 0) == sphere
+        assert np.count_nonzero(table == -1) == len(table) - sphere
+
+    @pytest.mark.parametrize("scheme", [(20, 3, 3, 20), None], ids=["37^6-syndromes", "64-points"])
+    def test_over_the_budget_no_table_is_allocated_and_the_recurrence_decodes(self, monkeypatch, scheme):
+        # (20,3,3,20) has 37^6 syndrome values; a 64-point code only 67^2,
+        # but its masks would leave int64.  Neither allocates a table, and
+        # their dirty words run the lockstep recurrence
+        if scheme is None:
+            code = GrsCode(field=PrimeField(67), points=tuple(range(64)), multipliers=(1,) * 64, dim=62)
+        else:
+            code, _ = pir._trace_code_tables(pir.setup(*scheme, m=2))
+        q = code.field.q
+        rng = random.Random(code.n)
+        messages = np.array([[rng.randrange(q) for _ in range(code.dim)] for _ in range(30)], dtype=np.int64)
+        codewords = grs_encode(code, messages)
+        words = codewords.copy()
+        for word in words:
+            positions = rng.sample(range(code.n), rng.randrange(1, code.radius + 1))
+            word[positions] = (word[positions] + [rng.randrange(1, q) for _ in positions]) % q
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a syndrome table was allocated")
+
+        calls = []
+        lockstep = rscodes._lockstep_berlekamp_massey
+        monkeypatch.setattr(np, "full", refused)
+        monkeypatch.setattr(
+            rscodes, "_lockstep_berlekamp_massey", lambda *args: calls.append(1) or lockstep(*args)
+        )
+        assert rscodes._located_sets(code) is None
+        batch = grs_decode(code, words)
+        assert calls == [1] and not batch.failed.any()
+        assert batch.corrected.tolist() == codewords.tolist()
+
+    def test_the_budget_admits_exactly_its_entries(self, monkeypatch):
+        for budget, built in ((49, True), (48, False)):
+            monkeypatch.setattr(rscodes, "SYNDROME_TABLE_ENTRIES", budget)
+            rscodes._located_sets.cache_clear()
+            assert (rscodes._located_sets(CODE_5_3) is not None) == built
+
+    def test_an_index_written_twice_raises(self, monkeypatch):
+        # no two errors of weight <= tau share a syndrome on an MDS code; a
+        # radius one too large breaks that, and the build must raise, not
+        # keep the last error written
+        monkeypatch.setattr(GrsCode, "radius", property(lambda self: (self.n - self.dim) // 2 + 1))
+        with pytest.raises(RuntimeError, match="share a syndrome"):
+            rscodes._located_sets(CODE_5_3)
 
 
 class TestOracle:
