@@ -480,7 +480,9 @@ def _check_cases(params, db, iotas, byzantine, words, failures) -> int:
     SWEEP_REPORTED_FAILURES.
     """
     files, _, failed = pir.retrieve_many(params, words)
-    missed = np.flatnonzero(failed | (files != db.array[iotas - 1]).any(axis=(1, 2)))
+    # each file as one (delta * s) row, so the comparison reduces along one axis
+    planted = db.array[iotas - 1].reshape(np.shape(iotas) + (-1,))
+    missed = np.flatnonzero(failed | (files.reshape(len(files), -1) != planted).any(axis=1))
     iotas = np.broadcast_to(iotas, len(words))
     for w in missed[: SWEEP_REPORTED_FAILURES - len(failures)].tolist():
         failures.append({
@@ -541,18 +543,20 @@ def byzantine_sweep(
     order, are taken max(1, SWEEP_CHUNK_WORDS // G) at a time: a chunk
     of n sets is one (n * G, k) int64 array, the honest answers tiled,
     each set repeated G times and the grid tiled n times, its values put
-    at the set's columns.  Each chunk is decoded in one ``retrieve_many``
-    call, so its dirty words find their error locators together (see
-    ``rscodes.grs_decode``).  The bound keeps the decode's arrays small.
+    at the set's columns with one ``put``, at flat positions computed
+    once per sweep and not once per file index.  Each chunk is decoded
+    in one ``retrieve_many`` call, so its dirty words find their error
+    locators together (see ``rscodes.grs_decode``).  The bound keeps the
+    decode's arrays small.
     At (11,1,2,8; m=2), whose code is located by its syndrome table, a
     process's first sweep raised its peak RSS (ru_maxrss) by 0.62 MB
     with one chunk per set (100 words), 0.75 MB with 2^10 or 2^11 words,
     1.5 MB with 2^12 and 2.5 MB with one chunk per file index (5,500
     words); 2^12 words took about 280 minor page faults per sweep and
     5,500 about 770, against none for 2^11.  In 60 alternating rounds
-    in one process, twice, a sweep took 6.3-7.2 ms (medians) with 2^11
-    words, 7.5-8.6 with 2^10 and 7.2-7.7 with 2^12; 2^11 was the faster
-    in 117 of 120 rounds against 2^10 and 113 of 120 against 2^12
+    in one process, twice, a sweep took 5.6-6.1 ms (medians) with 2^11
+    words, 6.7-7.8 with 2^10 and 6.5-7.0 with 2^12; 2^11 was the faster
+    in 114 of 120 rounds against 2^10 and 109 of 120 against 2^12
     (2-CPU x86-64 host).
 
     Randomized scope samples `trials` >= 1 cases as batches of clients.
@@ -595,18 +599,20 @@ def byzantine_sweep(
         sets = np.array(list(itertools.combinations(range(1, k + 1), b)), dtype=np.int64)
         sets = sets.reshape(math.comb(k, b), b)
         per_chunk = max(1, SWEEP_CHUNK_WORDS // len(grid))
-        # (servers, grid values) of each chunk of sets; they do not depend on the file index
-        chunks = [
-            (np.repeat(chunk, len(grid), axis=0), np.tile(grid, (len(chunk), 1)))
-            for chunk in (sets[start : start + per_chunk] for start in range(0, len(sets), per_chunk))
-        ]
+        # (servers, flat word positions, grid values) of each chunk of sets;
+        # none depends on the file index
+        chunks = []
+        for chunk in (sets[start : start + per_chunk] for start in range(0, len(sets), per_chunk)):
+            servers = np.repeat(chunk, len(grid), axis=0)
+            at = servers - 1 + np.arange(0, len(servers) * k, k)[:, None]
+            chunks.append((servers, at, np.tile(grid, (len(chunk), 1))))
         for iota in range(1, params.m + 1):
             queries = gen_queries(params, iota, base_stream.fork(f"iota-{iota}"))
             honest = np.array(collect_answers(params, queries, db, "trace").values, dtype=np.int64)
-            for servers, values in chunks:
+            for servers, at, values in chunks:
                 words = np.tile(honest, (len(servers), 1))
                 # grid value g maps to g + (g >= honest answer), which keeps its order
-                np.put_along_axis(words, servers - 1, values + (values >= honest[servers - 1]), axis=1)
+                words.put(at, values + (values >= honest.take(servers - 1)))
                 cases += len(words)
                 failed += _check_cases(params, db, iota, servers, words, failures)
     elif scope == "randomized":

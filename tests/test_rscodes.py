@@ -272,7 +272,10 @@ def assert_locator_alone_fails_beyond_the_radius(monkeypatch, code, rng):
     decoded = grs_decode(code, words)
     assert 0 < decoded.failed.sum() < len(words) // 2 + 1
     assert np.count_nonzero(decoded.errors.any(axis=1)) == len(words) - decoded.failed.sum()
-    monkeypatch.setattr(rscodes, "_corrected_words", lambda code, words, keys, syndromes: words.copy())
+    monkeypatch.setattr(
+        rscodes, "_corrected_words",
+        lambda code, words, which, positions, systems, syndromes: words.copy(),
+    )
     injected = grs_decode(code, words)
     assert injected.failed.tolist() == decoded.failed.tolist()
     assert not injected.errors.any()
@@ -408,7 +411,8 @@ class TestBatchDecode:
         )
         monkeypatch.setattr(
             rscodes, "_corrected_words",
-            lambda code, words, keys, syndromes: np.where((keys != 0)[:, None], 0, words),
+            lambda code, words, which, positions, systems, syndromes:
+            np.where(syndromes.any(axis=0)[:, None], 0, words),
         )
         batch = grs_decode(code, words)
         dirty = [row in rows for row in range(3)]
@@ -788,31 +792,79 @@ class TestLocatedSets:
         ids=["q5", "q7", "verify", "bulk", "small"],
     )
     def test_every_error_up_to_the_radius_maps_to_its_support(self, scheme, sphere):
-        # on trace codes, which all hold the point 0: entry sum_e S_e q^e of
-        # each error of weight <= tau is its support's bit mask, and every
-        # other entry is -1; the entries >= 0 number the Hamming sphere
-        # sum_w C(n, w) (q - 1)^w
+        # on trace codes, which all hold the point 0: the ids number the
+        # supports of weight <= tau in combinations order, the empty one
+        # first, and entry sum_e S_e q^e of each error of weight <= tau is
+        # the id of its support; every other entry is -1, so the entries
+        # >= 0 number the Hamming sphere sum_w C(n, w) (q - 1)^w
         code, _ = pir._trace_code_tables(pir.setup(*scheme, m=2))
         q, n, tau = code.field.q, code.n, code.radius
         assert 0 in code.points
         table = rscodes._located_sets(code)
-        assert table.shape == (q ** (n - code.dim),) and table.dtype == np.int64
-        assert not table.flags.writeable
-        errors, masks = [], []
-        for weight in range(tau + 1):
-            for support in itertools.combinations(range(n), weight):
-                for values in itertools.product(range(1, q), repeat=weight):
-                    error = [0] * n
-                    for i, value in zip(support, values):
-                        error[i] = value
-                    errors.append(error)
-                    masks.append(sum(1 << i for i in support))
+        assert table.ids.shape == (q ** (n - code.dim),) and table.ids.dtype == np.int64
+        supports = [support for weight in range(tau + 1)
+                    for support in itertools.combinations(range(n), weight)]
+        assert table.masks.tolist() == [sum(1 << i for i in support) for support in supports]
+        errors, ids = [], []
+        for found, support in enumerate(supports):
+            for values in itertools.product(range(1, q), repeat=len(support)):
+                error = [0] * n
+                for i, value in zip(support, values):
+                    error[i] = value
+                errors.append(error)
+                ids.append(found)
         assert len(errors) == sphere == sum(math.comb(n, w) * (q - 1) ** w for w in range(tau + 1))
         syndromes = linalg.matmul_mod(np.array(errors, dtype=np.int64), code.check_matrix, q).tolist()
         index = [sum(s * q**e for e, s in enumerate(row)) for row in syndromes]
-        assert table[index].tolist() == masks
-        assert np.count_nonzero(table >= 0) == sphere
-        assert np.count_nonzero(table == -1) == len(table) - sphere
+        assert table.ids[index].tolist() == ids
+        assert np.unique(table.ids).tolist() == list(range(-1, len(supports)))
+        assert np.count_nonzero(table.ids >= 0) == sphere
+        assert np.count_nonzero(table.ids == -1) == len(table.ids) - sphere
+
+    @pytest.mark.parametrize(
+        "scheme,sets", [((11, 1, 2, 8), 67), ((13, 1, 2, 9), 92), ((17, 1, 2, 8), 154)],
+        ids=["verify", "bulk", "small"],
+    )
+    def test_cached_positions_and_systems_are_those_of_the_masks(self, scheme, sets):
+        # row id of the cached positions and systems is what _error_systems
+        # gives for that id's mask, and no array of the table can be written
+        code, _ = pir._trace_code_tables(pir.setup(*scheme, m=2))
+        tau = code.radius
+        table = rscodes._located_sets(code)
+        assert table.masks.shape == (sets,)
+        located = (table.masks[:, None] >> np.arange(code.n)) & 1 == 1
+        positions, systems = rscodes._error_systems(code, located)
+        assert table.positions.shape == (sets, tau) and table.systems.shape == (sets, tau, tau)
+        assert table.positions.tolist() == positions.tolist()
+        assert table.systems.tolist() == systems.tolist()
+        assert len(table) == 4 and not any(array.flags.writeable for array in table)
+        with pytest.raises(ValueError):
+            table.systems[0, 0, 0] = 1
+
+    def test_mixed_batch_equals_the_recurrence_row_for_row(self, monkeypatch):
+        # codewords (id 0), words beyond tau (id -1), and words on many
+        # located sets in one batch on the verify code: every row must be
+        # what the Berlekamp-Massey locator gives it
+        code, _ = pir._trace_code_tables(pir.setup(11, 1, 2, 8, m=2))
+        q, n, tau = code.field.q, code.n, code.radius
+        rng = random.Random(33)
+        messages = np.array([[rng.randrange(q) for _ in range(code.dim)] for _ in range(600)], dtype=np.int64)
+        words = grs_encode(code, messages)
+        for row, word in enumerate(words):
+            positions = rng.sample(range(n), [0, 1, 2, tau + 1, n][row % 5])
+            word[positions] = (word[positions] + [rng.randrange(1, q) for _ in positions]) % q
+        table = rscodes._located_sets(code)
+        syndromes = linalg.matmul_mod(words, code.check_matrix, q)
+        ids = table.ids[syndromes @ q ** np.arange(n - code.dim)]
+        assert {0, -1} <= set(ids.tolist()) and len(set(ids.tolist())) > 40
+        batch = grs_decode(code, words)
+        monkeypatch.setattr(rscodes, "SYNDROME_TABLE_ENTRIES", 0)
+        rscodes._located_sets.cache_clear()
+        recurrence = grs_decode(code, words)
+        assert 0 < batch.failed.sum() < len(words) // 2
+        assert batch.failed.tolist() == recurrence.failed.tolist()
+        assert batch.corrected.tolist() == recurrence.corrected.tolist()
+        assert batch.errors.tolist() == recurrence.errors.tolist()
 
     @pytest.mark.parametrize("scheme", [(20, 3, 3, 20), None], ids=["37^6-syndromes", "64-points"])
     def test_over_the_budget_no_table_is_allocated_and_the_recurrence_decodes(self, monkeypatch, scheme):
