@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -494,7 +495,13 @@ def _check_cases(params, db, iotas, byzantine, words, failures) -> int:
 
 
 def check_sweep_trials(trials: int) -> None:
-    """Reject a randomized sweep of no cases; ``byzantine_sweep`` and the CLI share it."""
+    """Reject a randomized sweep of no cases; ``byzantine_sweep`` and the CLI share it.
+
+    A bool or a non-integer count is refused too: True would sweep one
+    case and report it as "cases_total": true.
+    """
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise InvalidParameters("randomized", f"{trials!r} is not a whole number of cases")
     if trials < 1:
         raise InvalidParameters("randomized", f"{trials} cases, need at least 1")
 
@@ -559,25 +566,33 @@ def byzantine_sweep(
     in 114 of 120 rounds against 2^10 and 109 of 120 against 2^12
     (2-CPU x86-64 host).
 
-    Randomized scope samples `trials` >= 1 cases as batches of clients.
-    Trial i draws from its stream, forked from the sweep's as "trial-i":
-    the file index (``randrange(m)``), the blinding (from its own fork
+    Randomized scope samples `trials` >= 1 cases as batches of clients;
+    a bool or a non-integer count is refused before any draw.  Trial i
+    draws from its stream, forked from the sweep's as "trial-i": the
+    file index (``randrange(m)``), the blinding (from its own fork
     "query", as ``gen_queries`` draws it) and the byzantine set
     (``sample``).  The trials are taken max(1, SWEEP_CHUNK_WORDS //
     (m * delta * s)) at a time, so a chunk's (B, k, m, delta, s) queries
     hold at most SWEEP_CHUNK_WORDS * k entries, as many as an exhaustive
-    chunk's words, whatever the number of trials.  Per chunk, one
+    chunk's words, whatever the number of trials.  Per chunk, the loop
+    forks each trial's "query" stream, and one ``draw_blinding`` call
+    draws every blinding of the chunk in one ``randrange_rows`` pass;
+    each fork is a stream of its own, so drawing them after the trial
+    streams' samples changes no value.  Then one
     ``queries_from_blinding`` evaluates every blinding at its trial's
     file index, one ``collect_answers`` gives all the honest answers,
-    and then each trial's stream draws its wrong values
+    and each trial's stream draws its wrong values
     (``randrange_excluding``, one per byzantine server, in id order).
-    Every case is decoded in one ``retrieve_many`` call.  One trial is
-    a batch of one: against the unbatched query map it measured about
-    25 us more per sweep at (13,1,2,9; m=1024) (stacking, the indexed
-    indicator and the batched answer shape), inside the run-to-run
-    spread of a 2.5 ms sweep.  At (17,1,2,8; m=2), 85 clients a chunk,
-    2,000 trials swept in about 180 ms against 170 ms as one batch,
-    at a third of the traced peak memory (4.7 against 14.5 MB).
+    Every case is decoded in one ``retrieve_many`` call.  At (17,1,2,8;
+    m=2), 20 trials in one chunk, the batched draw took a sweep from
+    1.20 to 0.99 ms (x0.83, faster in 149 of 150 interleaved rounds).
+    One trial is a batch of one: at (13,1,2,9; m=1024) a one-trial sweep
+    took 778 us against 650 us for the same case through the unbatched
+    query map and answers (medians of 200 interleaved rounds, unbatched
+    faster in 194).  At (17,1,2,8; m=2), 85 clients a chunk, 2,000
+    trials swept in 65 ms against 69 ms as one batch (medians of 21
+    interleaved rounds, chunks faster in 17), at a tenth of the traced
+    peak memory (1.5 against 14.3 MB).
 
     Both scopes count the cases that miss their planted file with
     ``np.flatnonzero`` and report the first SWEEP_REPORTED_FAILURES in
@@ -619,14 +634,15 @@ def byzantine_sweep(
         per_chunk = max(1, SWEEP_CHUNK_WORDS // (params.m * params.delta * params.s))
         iotas, columns, words = [], [], []
         for start in range(0, trials, per_chunk):
-            streams, blindings, samples = [], [], []
+            streams, forks, samples = [], [], []
             for trial in range(start, min(trials, start + per_chunk)):
                 stream = base_stream.fork(f"trial-{trial}")
                 iotas.append(stream.randrange(params.m) + 1)
-                blindings.append(pir.draw_blinding(params, stream.fork("query")))
+                forks.append(stream.fork("query"))
                 samples.append(stream.sample(k, b))
                 streams.append(stream)
-            queries = queries_from_blinding(params, iotas[start:], np.stack(blindings))
+            # each fork is its own stream, so drawing them after the samples changes no value
+            queries = queries_from_blinding(params, iotas[start:], pir.draw_blinding(params, forks))
             honest = collect_answers(params, queries, db, "trace").values
             injected = [
                 [stream.randrange_excluding(q, answers[j]) for j in sample]

@@ -67,7 +67,7 @@ from .gf import (
     next_prime,
 )
 from .linalg import matmul_mod
-from .rand import SeededStream
+from .rand import SeededStream, randrange_rows
 from .rscodes import DecodedBatch, DecodeFailure, GrsCode, dual_multipliers, grs_decode
 
 
@@ -728,9 +728,19 @@ def queries_from_blinding(params: SchemeParams, iota, blinding) -> np.ndarray:
 
 
 def draw_blinding(params: SchemeParams, randomness) -> np.ndarray:
-    """The t blinding arrays of one query, as a (t, m, delta, s) int64 array."""
-    stream = _as_stream(randomness, "query")
+    """The t blinding arrays of one query, as a (t, m, delta, s) int64 array.
+
+    Given a list or tuple of B streams, one a client, the result is their
+    (B, t, m, delta, s) blindings: row i is what ``draw_blinding(params,
+    streams[i])`` returns, and each stream is left as that call leaves
+    it.  The B draws are one ``randrange_rows`` pass, faster than B
+    separate draws from about three streams on (see ``tracepir.rand``).
+    """
     shape = (params.t, params.m, params.delta, params.s)
+    if isinstance(randomness, (list, tuple)):
+        draws = randrange_rows(randomness, params.q, math.prod(shape))
+        return draws.reshape((len(randomness),) + shape)
+    stream = _as_stream(randomness, "query")
     return stream.randrange_array(params.q, math.prod(shape)).reshape(shape)
 
 

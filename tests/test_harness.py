@@ -365,7 +365,11 @@ class TestPrivacyByConstruction:
         assert byzantine_sweep(params_ext, db_ext, "randomized", trials=6, seed=13).cases_failed == 0
 
         assert len(queries) == 2 and all(type(q) is np.ndarray for q in queries)
-        assert len(blindings) == 2 * 2 + 6 + 1 and all(map(len, seen.values()))
+        # a session's draw and its query map's argument, then the sweep's one
+        # chunk: its six trials' blindings drawn in one call and stacked as
+        # the query map's argument
+        assert len(blindings) == 2 * 2 + 1 + 1 and all(map(len, seen.values()))
+        assert [len(b) for b in blindings[-2:]] == [6, 6]
         for name, calls in seen.items():
             for args in calls:
                 for arg in args:
@@ -844,16 +848,25 @@ class TestByzantineSweep:
         assert report.cases_total == 60
         assert report.cases_failed == 0
 
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_randomized_needs_a_case(self, monkeypatch, params_small, db_small, trials):
+    @pytest.mark.parametrize(
+        "trials, message",
+        [
+            (0, "0 cases, need at least 1"),
+            (-1, "-1 cases, need at least 1"),
+            (True, "True is not a whole number of cases"),
+            (2.0, "2.0 is not a whole number of cases"),
+        ],
+    )
+    def test_randomized_needs_a_case(self, monkeypatch, params_small, db_small, trials, message):
         def no_work(*args):
             raise AssertionError("the sweep started before checking its trials")
 
         monkeypatch.setattr(pir, "check_dimensions", no_work)
+        monkeypatch.setattr(pir, "draw_blinding", no_work)
         with pytest.raises(pir.InvalidParameters) as err:
             byzantine_sweep(params_small, db_small, scope="randomized", trials=trials)
         assert err.value.constraint == "randomized"
-        assert str(err.value) == f"{trials} cases, need at least 1"
+        assert str(err.value) == message
 
     def test_exhaustive_guard_suggests_randomized(self):
         # C(11,2) * 100^2 * 2 = 1.1e6 cases exceeds the guard

@@ -571,6 +571,18 @@ class TestQueryTable:
             assert queries.shape == expected.shape and queries.flags.c_contiguous
             assert np.array_equal(queries, expected)
 
+    def test_blinding_of_a_list_of_streams_stacks_each_stream_alone(self):
+        p = pir.setup(10, 2, 1, 7, m=3)
+        alone = [SeededStream(25, f"clients/{i}") for i in range(3)]
+        together = [SeededStream(25, f"clients/{i}") for i in range(3)]
+        for stream in (alone[1], together[1]):  # one client's stream has read bits already
+            stream.getbits(5)
+        expected = np.stack([pir.draw_blinding(p, stream) for stream in alone])
+        blindings = pir.draw_blinding(p, together)
+        assert blindings.shape == (3, p.t, p.m, p.delta, p.s) and blindings.dtype == np.int64
+        assert np.array_equal(blindings, expected)
+        assert [s.getbits(64) for s in together] == [s.getbits(64) for s in alone]
+
     def test_table_isolated_from_queries(self):
         # the indicator is added in place: it must land in the queries' own
         # memory, never in the cached table they were read from
