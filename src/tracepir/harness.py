@@ -242,9 +242,10 @@ def run_session(
     row, with its own stream, forked from the session's as "server-<id>".
     The report names only the byzantine servers the session asked, and
     the strategy "honest" when it asked none of them.  A decode failure
-    is reported as a failed session, never raised; an adversary that
-    ``check_adversary`` rejects raises InvalidParameters, and an unknown
-    mode ValueError, both before any query is drawn.
+    is reported as a failed session, never raised; a file index that is
+    a bool or not an integer in [1, m] raises IndexError, an adversary
+    that ``check_adversary`` rejects InvalidParameters, and an unknown
+    mode ValueError, all before any query is drawn.
 
     At a small scheme the session is mostly fixed cost, so what the
     scheme and mode fix (the params summary, sizes, rate and capacities)
@@ -258,6 +259,8 @@ def run_session(
     byz = tuple(sorted(adversary.byzantine_set))
     if any(not 1 <= j <= params.k for j in byz):
         raise IndexError("byzantine server id outside [1, k]")
+    if isinstance(iota, bool) or not isinstance(iota, (int, np.integer)) or not 1 <= iota <= params.m:
+        raise IndexError(f"file index {iota!r} is not an integer in [1, {params.m}]")
     check_adversary(params, byz, adversary.strategy, adversary.offset)
     if mode == "trace":
         ids = tuple(range(1, params.k + 1))
@@ -284,8 +287,8 @@ def run_session(
     summary, figures = _session_constants(params, mode)
     return SessionReport(
         params=summary.copy(),
-        seed=seed,
-        iota=iota,
+        seed=int(seed),
+        iota=int(iota),
         mode=mode,
         ok=match and error is None,
         retrieved_file=retrieval.symbols if retrieval else None,
@@ -511,7 +514,7 @@ def check_query_size(params: SchemeParams) -> None:
 
     Raises EnumerationTooLarge before any database is built or read, or
     any query drawn, so a huge m ends in a refusal and not in a long
-    hash loop and a MemoryError; ``run_session`` and the CLI share it.
+    hash loop and a MemoryError; sessions, sweeps and the CLI share it.
     """
     entries = params.k * params.m * params.delta * params.s
     if entries > QUERY_ENTRIES_LIMIT:
@@ -587,21 +590,23 @@ def byzantine_sweep(
     m=2), 20 trials in one chunk, the batched draw took a sweep from
     1.20 to 0.99 ms (x0.83, faster in 149 of 150 interleaved rounds).
     One trial is a batch of one: at (13,1,2,9; m=1024) a one-trial sweep
-    took 778 us against 650 us for the same case through the unbatched
-    query map and answers (medians of 200 interleaved rounds, unbatched
-    faster in 194).  At (17,1,2,8; m=2), 85 clients a chunk, 2,000
+    took 603 us against 561 us for the same case through the unbatched
+    query map and answers (medians of 400 interleaved rounds, unbatched
+    faster in 349).  At (17,1,2,8; m=2), 85 clients a chunk, 2,000
     trials swept in 65 ms against 69 ms as one batch (medians of 21
     interleaved rounds, chunks faster in 17), at a tenth of the traced
     peak memory (1.5 against 14.3 MB).
 
-    Both scopes count the cases that miss their planted file with
-    ``np.flatnonzero`` and report the first SWEEP_REPORTED_FAILURES in
-    enumeration order; none is silently swallowed.
+    Both scopes run ``check_query_size`` before the database check, and
+    count the cases that miss their planted file with ``np.flatnonzero``
+    and report the first SWEEP_REPORTED_FAILURES in enumeration order;
+    none is silently swallowed.
     """
     if scope == "randomized":
         check_sweep_trials(trials)
     elif scope == "exhaustive":
         check_exhaustive_sweep(params)
+    check_query_size(params)
     pir.check_dimensions(params, db)
     base_stream = SeededStream(seed, "sweep")
     failures: list = []
@@ -661,7 +666,7 @@ def byzantine_sweep(
         raise ValueError(f"unknown sweep scope {scope!r}")
     return SweepReport(
         params=_params_summary(params),
-        seed=seed,
+        seed=int(seed),
         scope=scope,
         cases_total=cases,
         cases_failed=failed,

@@ -689,16 +689,16 @@ def queries_from_blinding(params: SchemeParams, iota, blinding) -> np.ndarray:
     out in that layout, in new memory, so no query shares memory with
     the blinding or the table.  A (B, t, m, delta, s) blinding is a batch
     of B draws, which gives (B, k, m, delta, s) queries, draw-major, by
-    the same lookup or product.  With one file index every draw asks for
-    that file (the privacy audit); with a length-B sequence of them, as
-    B clients ask, draw n's indicator goes to row iota[n] of its own
-    queries.  Any index that is not an integer in [1, m] raises
-    IndexError.
+    the same product, or by the same read followed by one transpose copy
+    (none for B = 1).  With one file index every draw asks for that file
+    (the privacy audit); with a length-B sequence of them, as B clients
+    ask, draw n's indicator goes to row iota[n] of its own queries.  Any
+    index that is a bool or not an integer in [1, m] raises IndexError.
     """
     k, t, m, delta, s, q = params.k, params.t, params.m, params.delta, params.s, params.q
     batched_iota = not isinstance(iota, (int, np.integer)) and np.ndim(iota) == 1
     indices = tuple(iota) if batched_iota else (iota,)
-    if not all(isinstance(i, (int, np.integer)) and 1 <= i <= m for i in indices):
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 1 <= i <= m for i in indices):
         raise IndexError(f"file index {iota} is not an integer in [1, {m}]")
     blinding = _field_array(params, blinding, (t, m, delta, s), "blinding", batch=True)
     lead = blinding.shape[:-4]
@@ -711,13 +711,7 @@ def queries_from_blinding(params: SchemeParams, iota, blinding) -> np.ndarray:
         queries = matmul_mod(rows, curve, q)
     else:
         codes = rows @ q ** np.arange(t * s, dtype=np.int64)  # (..., 1, m*delta)
-        if lead:
-            # row j*q^(t*s) + c of the flat table is table[j, c]: (B, k, m*delta) flat rows
-            # read the batch draw-major, with no transpose and copy of a (k, B, ...) result
-            flat = codes + np.arange(0, table.size // s, table.shape[1])[:, None]
-            queries = np.take(table.reshape(-1, s), flat, axis=0)
-        else:
-            queries = np.take(table, codes, axis=1)  # (k, 1, m*delta, s)
+        queries = np.ascontiguousarray(np.take(table, codes, axis=1).swapaxes(0, -3))
     queries = queries.reshape(lead + (k, m, delta, s))
     if batched_iota:
         draws, asked = np.arange(len(indices)), np.array(indices, dtype=np.intp) - 1

@@ -160,6 +160,15 @@ class TestRunSession:
         with pytest.raises(rscodes.EnumerationTooLarge, match=f"^{entries} query entries"):
             run_session(p, db_small, 1)
 
+    @pytest.mark.parametrize("iota", [0, 4, True, 2.0])
+    def test_bad_file_index_raises_before_any_draw(self, params_small, db_small, monkeypatch, iota):
+        # m = 3, so 4 is one past the last file; True would run as file 1 and report "iota": true
+        draws = []
+        monkeypatch.setattr(pir, "draw_blinding", lambda *args: draws.append(args))
+        with pytest.raises(IndexError, match=rf"^file index {iota!r} is not an integer in \[1, 3\]$"):
+            run_session(params_small, db_small, iota)
+        assert draws == []
+
     def test_only_byzantine_servers_get_streams(self, params_small, db_small, monkeypatch):
         labels = []
         fork = SeededStream.fork
@@ -868,6 +877,20 @@ class TestByzantineSweep:
         assert err.value.constraint == "randomized"
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("scope", ["exhaustive", "randomized"])
+    def test_oversized_queries_are_refused_before_the_database(self, monkeypatch, db_small, scope):
+        # (4,1,1,4; m = 2^22 + 1) asks for k*m*delta*s = 2^24 + 4 query entries.  The
+        # stand-in database holds 3 files, so a sweep that checked it would raise ValueError
+        def no_draw(*args):
+            raise AssertionError("blinding drawn past the query size guard")
+
+        params = dataclasses.replace(pir.setup(4, 1, 1, 4, m=3), m=2**22 + 1)
+        monkeypatch.setattr(pir, "draw_blinding", no_draw)
+        # the exhaustive case count would refuse this m first; the query size guard must hold alone
+        monkeypatch.setattr(harness, "check_exhaustive_sweep", lambda params: None)
+        with pytest.raises(EnumerationTooLarge, match=f"^{2**24 + 4} query entries"):
+            byzantine_sweep(params, db_small, scope=scope, trials=5)
+
     def test_exhaustive_guard_suggests_randomized(self):
         # C(11,2) * 100^2 * 2 = 1.1e6 cases exceeds the guard
         params = pir.setup(11, 1, 2, 8, q_hint=101, m=2)
@@ -1047,6 +1070,25 @@ def _sweep(monkeypatch, scope, wrong_recon):
     return [report.to_json_dict()]
 
 
+def _numpy_int_session():
+    # numpy integers run the session the ints do, and the report holds the ints
+    params = pir.setup(4, 1, 1, 4, m=3)
+    db = pir.random_database(params, 1234)
+    report = run_session(params, db, np.int64(2), seed=np.uint64(5))
+    assert report == run_session(params, db, 2, seed=5)
+    assert type(report.iota) is type(report.seed) is int
+    return [report.to_json_dict()]
+
+
+def _numpy_seed_sweep():
+    params = pir.setup(7, 1, 1, 5, m=2)
+    db = pir.random_database(params, 3)
+    report = byzantine_sweep(params, db, scope="randomized", trials=30, seed=np.int64(5))
+    assert report == byzantine_sweep(params, db, scope="randomized", trials=30, seed=5)
+    assert type(report.seed) is int
+    return [report.to_json_dict()]
+
+
 def _one_payload(report):
     return [report.to_json_dict()]
 
@@ -1055,8 +1097,10 @@ REPORT_KINDS = {
     "session-honest": lambda mp: _session((), 1, "ok"),
     "session-corrected": lambda mp: _session((3,), 1, "ok"),
     "session-failed": lambda mp: _session((1, 2), 3, "failed"),
+    "session-numpy-ints": lambda mp: _numpy_int_session(),
     "sweep-exhaustive": lambda mp: _sweep(mp, "exhaustive", False),
     "sweep-counterexamples": lambda mp: _sweep(mp, "randomized", True),
+    "sweep-numpy-seed": lambda mp: _numpy_seed_sweep(),
     "audit-pass": lambda mp: _one_payload(privacy_audit(pir.setup(4, 1, 1, 4, m=2))),
     "audit-leaking": lambda mp: _leaking_audit(mp, "exhaustive"),
     "audit-leaking-transfer": lambda mp: _leaking_audit(mp, "transfer-matrix"),

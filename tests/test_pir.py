@@ -398,6 +398,8 @@ class TestQueries:
             pir.gen_queries(params_small, 0, 1)
         with pytest.raises(IndexError):
             pir.gen_queries(params_small, 4, 1)
+        with pytest.raises(IndexError):  # a bool is not a file index, though True == 1
+            pir.gen_queries(params_small, True, 1)
 
     def test_golden_query_set(self):
         # frozen once from the implementation itself; catches any silent
@@ -508,7 +510,7 @@ class TestQueries:
         assert np.array_equal(one[0], singles[0])
         with pytest.raises(IndexError):
             pir.queries_from_blinding(p, [1, 4], blindings[:2])
-        for bad in ([1.0, 2], [[1, 2]]):  # a non-integer index, a nested list
+        for bad in ([1.0, 2], [[1, 2]], [True, 2]):  # a non-integer index, a nested list, a bool
             with pytest.raises(IndexError):
                 pir.queries_from_blinding(p, bad, blindings[:2])
         with pytest.raises(IndexError):
@@ -560,6 +562,8 @@ class TestQueryTable:
         draws = stream.randrange_array(p.q, 5 * p.t * p.s).reshape(5, p.t, 1, 1, p.s)
         cases = [
             (2, one),
+            ([2], one[None]),  # a batch of one, as every bulk sweep chunk is
+            (2, one[None]),
             ([3, 1, 1, 2], clients),
             (3, np.broadcast_to(draws, (5,) + shape)),
             (1, np.zeros((0,) + shape, dtype=np.int64)),
