@@ -68,10 +68,9 @@ def cmd_params(args) -> int:
 
 def cmd_run(args) -> int:
     params = _setup_from_args(args)
-    if not 1 <= args.iota <= params.m:
-        raise InvalidParameters("iota", f"{args.iota} outside [1, {params.m}]")
-    if any(not 1 <= j <= params.k for j in args.byzantine):
-        raise InvalidParameters("byzantine", "server id outside [1, k]")
+    pir.check_int(args.iota, "file index", 1, params.m, "iota")
+    for j in args.byzantine:
+        pir.check_int(j, "server id", 1, params.k, "byzantine")
     harness.check_adversary(params, args.byzantine, args.strategy, args.offset)
     harness.check_query_size(params)
     db = _load_db(params, args)

@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -130,6 +129,7 @@ class AdversaryModel:
     targeted_fn: object = None
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", pir.check_int(self.offset, "offset", constraint="offset"))
         if self.strategy not in ("random", "offset", "targeted"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "offset" and self.offset == 0:
@@ -242,10 +242,9 @@ def run_session(
     row, with its own stream, forked from the session's as "server-<id>".
     The report names only the byzantine servers the session asked, and
     the strategy "honest" when it asked none of them.  A decode failure
-    is reported as a failed session, never raised; a file index that is
-    a bool or not an integer in [1, m] raises IndexError, an adversary
-    that ``check_adversary`` rejects InvalidParameters, and an unknown
-    mode ValueError, all before any query is drawn.
+    is reported as a failed session, never raised; a bad file index,
+    server id or seed (``pir.check_int``), a refused adversary
+    (``check_adversary``) or an unknown mode raises before any draw.
 
     At a small scheme the session is mostly fixed cost, so what the
     scheme and mode fix (the params summary, sizes, rate and capacities)
@@ -253,14 +252,11 @@ def run_session(
     and a session given no adversary uses the one honest model.  The
     report still gets a params dict of its own.
     """
+    seed = pir.check_int(seed, "seed", constraint="seed")
+    adversary = adversary or _HONEST
+    byz = tuple(sorted([pir.check_int(j, "server id", 1, params.k, None) for j in adversary.byzantine_set]))
     pir.check_dimensions(params, db)
     check_query_size(params)
-    adversary = adversary or _HONEST
-    byz = tuple(sorted(adversary.byzantine_set))
-    if any(not 1 <= j <= params.k for j in byz):
-        raise IndexError("byzantine server id outside [1, k]")
-    if isinstance(iota, bool) or not isinstance(iota, (int, np.integer)) or not 1 <= iota <= params.m:
-        raise IndexError(f"file index {iota!r} is not an integer in [1, {params.m}]")
     check_adversary(params, byz, adversary.strategy, adversary.offset)
     if mode == "trace":
         ids = tuple(range(1, params.k + 1))
@@ -287,7 +283,7 @@ def run_session(
     summary, figures = _session_constants(params, mode)
     return SessionReport(
         params=summary.copy(),
-        seed=int(seed),
+        seed=seed,
         iota=int(iota),
         mode=mode,
         ok=match and error is None,
@@ -355,11 +351,9 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     if mode not in ("exhaustive", "transfer-matrix"):
         raise ValueError(f"unknown audit mode {mode!r}")
     if t_subset is not None:
-        subset = tuple(sorted(t_subset))
-        if not subset or len(set(subset)) != len(subset) or not 1 <= subset[0] <= subset[-1] <= params.k:
-            raise InvalidParameters(
-                "subset", f"{list(subset)} is not a nonempty set of server ids in [1, {params.k}]"
-            )
+        subset = tuple(sorted(pir.check_int(j, "server id", 1, params.k, "subset") for j in t_subset))
+        if not subset or len(set(subset)) != len(subset):
+            raise InvalidParameters("subset", f"{list(subset)} is not a nonempty set of server ids")
         if mode == "transfer-matrix" and len(subset) < params.t:
             raise InvalidParameters(
                 "subset",
@@ -497,16 +491,9 @@ def _check_cases(params, db, iotas, byzantine, words, failures) -> int:
     return len(missed)
 
 
-def check_sweep_trials(trials: int) -> None:
-    """Reject a randomized sweep of no cases; ``byzantine_sweep`` and the CLI share it.
-
-    A bool or a non-integer count is refused too: True would sweep one
-    case and report it as "cases_total": true.
-    """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise InvalidParameters("randomized", f"{trials!r} is not a whole number of cases")
-    if trials < 1:
-        raise InvalidParameters("randomized", f"{trials} cases, need at least 1")
+def check_sweep_trials(trials: int) -> int:
+    """A randomized sweep's case count, at least 1; ``byzantine_sweep`` and the CLI share it."""
+    return pir.check_int(trials, "trials", 1, constraint="randomized")
 
 
 def check_query_size(params: SchemeParams) -> None:
@@ -569,10 +556,9 @@ def byzantine_sweep(
     in 114 of 120 rounds against 2^10 and 109 of 120 against 2^12
     (2-CPU x86-64 host).
 
-    Randomized scope samples `trials` >= 1 cases as batches of clients;
-    a bool or a non-integer count is refused before any draw.  Trial i
-    draws from its stream, forked from the sweep's as "trial-i": the
-    file index (``randrange(m)``), the blinding (from its own fork
+    Randomized scope samples `trials` >= 1 cases as batches of clients.
+    Trial i draws from its stream, forked from the sweep's as "trial-i":
+    the file index (``randrange(m)``), the blinding (from its own fork
     "query", as ``gen_queries`` draws it) and the byzantine set
     (``sample``).  The trials are taken max(1, SWEEP_CHUNK_WORDS //
     (m * delta * s)) at a time, so a chunk's (B, k, m, delta, s) queries
@@ -602,8 +588,9 @@ def byzantine_sweep(
     and report the first SWEEP_REPORTED_FAILURES in enumeration order;
     none is silently swallowed.
     """
+    seed = pir.check_int(seed, "seed", constraint="seed")
     if scope == "randomized":
-        check_sweep_trials(trials)
+        trials = check_sweep_trials(trials)
     elif scope == "exhaustive":
         check_exhaustive_sweep(params)
     check_query_size(params)
@@ -666,7 +653,7 @@ def byzantine_sweep(
         raise ValueError(f"unknown sweep scope {scope!r}")
     return SweepReport(
         params=_params_summary(params),
-        seed=int(seed),
+        seed=seed,
         scope=scope,
         cases_total=cases,
         cases_failed=failed,
@@ -810,18 +797,15 @@ def scheme_comparison(k: int, t: int, b: int, r: int, l: int = 1, q: int | None 
     ``pir.min_q``, the minimum setup applies; the default is the first
     prime from that minimum, the q setup picks where it admits the tuple.
     """
-    if l < 1:
-        raise InvalidParameters("l >= 1", f"repetition count l={l} must be at least 1")
+    k, t, b, r = (pir.check_int(value, name) for value, name in zip((k, t, b, r), "ktbr"))
+    l = pir.check_int(l, "l", 1, constraint="l >= 1")
     if t < 1 or b < 0 or r - 2 * b <= t or k < r:
         raise InvalidParameters(
             "t < r-2b <= k-2b",
             f"(k={k}, t={t}, b={b}, r={r}) violates t < r-2b and r <= k",
         )
     q_min = pir.min_q(k, t, b, r)
-    if q is None:
-        q = next_prime(q_min)
-    else:
-        pir.check_q(q, q_min)
+    q = next_prime(q_min) if q is None else pir.check_q(q, q_min)
     columns = (
         _trace_column("Pi1", k, t, 0, r, l, q),
         _trace_column("Pi2", k, t, b, r, l, q),

@@ -147,6 +147,26 @@ def _require(condition: bool, constraint: str, message: str):
         raise InvalidParameters(constraint, message)
 
 
+def check_int(value, name: str, low=None, high=None, constraint: str | None = "integer") -> int:
+    """`value` as a Python int, by the one rule for an integer argument.
+
+    An integer argument is a Python int or a numpy integer, never a bool
+    (True == 1 would run as 1 and be reported as true) nor a float, even
+    a whole one, within [low, high] (a missing bound is open).  It is
+    returned as an int, so no numpy scalar reaches a report or a cache
+    key.  A refusal names the argument and its range: InvalidParameters
+    (constraint), or IndexError where `constraint` is None (a file index
+    or a server id).  Every public entry point calls it before any draw,
+    allocation or database read; seeds too, as ``rand`` cannot import it.
+    """
+    if (isinstance(value, int) and not isinstance(value, bool)) or isinstance(value, np.integer):
+        if (low is None or low <= value) and (high is None or value <= high):
+            return int(value)
+    bounds = f" in [{low}, {high}]" if high is not None else "" if low is None else f" >= {low}"
+    message = f"{name} {value!r} is not an integer{bounds}"
+    raise IndexError(message) if constraint is None else InvalidParameters(constraint, message)
+
+
 def _trace_poly(ext: ExtField, frobenius_x, j: int) -> list:
     """T_j(x) = sum_(i < s) (xi^j)^(q^i) * frobenius_x[i](x), over ext.
 
@@ -236,12 +256,14 @@ def min_q(k: int, t: int, b: int, r: int) -> int:
     return k + delta + t if r == k else k
 
 
-def check_q(q, q_minimum: int) -> None:
-    """Refuse, as InvalidParameters("q"), a q that is not a prime below 2^31,
-    and, as InvalidParameters("k <= q"), one below q_minimum (`min_q`);
-    ``setup`` and ``harness.scheme_comparison`` share it."""
-    _require(isinstance(q, int) and q <= MAX_PRIME and is_prime(q), "q", f"q={q} is not a prime below 2^31")
+def check_q(q, q_minimum: int) -> int:
+    """`q` as an int; refuse, as InvalidParameters("q"), a q that is not a prime
+    below 2^31, and, as InvalidParameters("k <= q"), one below q_minimum
+    (`min_q`); ``setup`` and ``harness.scheme_comparison`` share it."""
+    q = check_int(q, "q", constraint="q")
+    _require(q <= MAX_PRIME and is_prime(q), "q", f"q={q} is not a prime below 2^31")
     _require(q >= q_minimum, "k <= q", f"q={q} is below the minimum {q_minimum} for these parameters")
+    return q
 
 
 def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1) -> SchemeParams:
@@ -265,12 +287,9 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     of 100 setups puts half of setup in root finding, and 11-14% each in
     `verify_params`, `dual_multipliers` and the irreducible search.
     """
-    for name, value in (("k", k), ("t", t), ("b", b), ("r", r), ("m", m)):
-        if not isinstance(value, int):
-            raise InvalidParameters("integer", f"{name} must be an integer")
-    _require(t >= 1, "t >= 1", f"collusion bound t={t} must be at least 1")
-    _require(b >= 0, "b >= 0", f"byzantine bound b={b} must be nonnegative")
-    _require(m >= 1, "m >= 1", f"file count m={m} must be at least 1")
+    k, t = check_int(k, "k"), check_int(t, "t", 1, constraint="t >= 1")
+    b, r = check_int(b, "b", 0, constraint="b >= 0"), check_int(r, "r")
+    m = check_int(m, "m", 1, constraint="m >= 1")
     delta = r - 2 * b - t
     _require(delta >= 1, "t < r-2b", f"need t < r-2b, got t={t}, r-2b={r - 2 * b}")
     rem = k - 2 * b - t
@@ -284,11 +303,7 @@ def setup(k: int, t: int, b: int, r: int, q_hint: int | None = None, m: int = 1)
     assert r <= k
     s = rem // delta
     q_min = min_q(k, t, b, r)
-    if q_hint is None:
-        q = next_prime(q_min)
-    else:
-        check_q(q_hint, q_min)
-        q = q_hint
+    q = next_prime(q_min) if q_hint is None else check_q(q_hint, q_min)
     _require(
         q**s <= MAX_FIELD_SIZE,
         "field-size-guard",
@@ -624,7 +639,7 @@ def lagrange_basis_values(params: SchemeParams) -> tuple:
 def _as_stream(randomness, default_label: str) -> SeededStream:
     if isinstance(randomness, SeededStream):
         return randomness
-    return SeededStream(int(randomness), default_label)
+    return SeededStream(check_int(randomness, "seed", constraint="seed"), default_label)
 
 
 @functools.lru_cache(maxsize=None)
@@ -692,14 +707,12 @@ def queries_from_blinding(params: SchemeParams, iota, blinding) -> np.ndarray:
     the same product, or by the same read followed by one transpose copy
     (none for B = 1).  With one file index every draw asks for that file
     (the privacy audit); with a length-B sequence of them, as B clients
-    ask, draw n's indicator goes to row iota[n] of its own queries.  Any
-    index that is a bool or not an integer in [1, m] raises IndexError.
+    ask, draw n's indicator goes to row iota[n] of its own queries.  Each
+    index is a file index in [1, m] (`check_int`).
     """
     k, t, m, delta, s, q = params.k, params.t, params.m, params.delta, params.s, params.q
     batched_iota = not isinstance(iota, (int, np.integer)) and np.ndim(iota) == 1
-    indices = tuple(iota) if batched_iota else (iota,)
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 1 <= i <= m for i in indices):
-        raise IndexError(f"file index {iota} is not an integer in [1, {m}]")
+    indices = [check_int(i, "file index", 1, m, None) for i in (iota if batched_iota else (iota,))]
     blinding = _field_array(params, blinding, (t, m, delta, s), "blinding", batch=True)
     lead = blinding.shape[:-4]
     if batched_iota and lead != (len(indices),):
@@ -739,7 +752,8 @@ def draw_blinding(params: SchemeParams, randomness) -> np.ndarray:
 
 
 def gen_queries(params: SchemeParams, iota: int, randomness) -> np.ndarray:
-    """Sample the t blinding arrays and evaluate the query curve: the (k, m, delta, s) queries."""
+    """Check the file index, then draw the blinding and evaluate the curve: the (k, m, delta, s) queries."""
+    iota = check_int(iota, "file index", 1, params.m, None)
     return queries_from_blinding(params, iota, draw_blinding(params, randomness))
 
 
@@ -1028,22 +1042,25 @@ def retrieve_from_k(params: SchemeParams, answers: AnswerSet) -> Retrieval:
 # --- capacity ---------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
 def capacity(t: int, b: int, k: int, m: int | None = None) -> Fraction:
     """Download capacity; finite-file version when m is given, else the limit.
 
     C_m = ((k-2b)/k) * (1 - t/(k-2b)) / (1 - (t/(k-2b))^m) and
-    C = (k-2b-t)/k.  Exact rational arithmetic throughout.  Cached: every
-    session asks for both figures of its scheme, and the exact power
-    (t/(k-2b))^m costs time that grows with m; a call that raises caches
-    nothing.
+    C = (k-2b-t)/k.  Exact rational arithmetic throughout.  Cached behind
+    the argument check (m = True would hit m = 1): every session asks for
+    both figures of its scheme, and the exact power (t/(k-2b))^m costs
+    time that grows with m; a call that raises caches nothing.
     """
+    m = None if m is None else check_int(m, "m", 1, constraint="m >= 1")
+    return _capacity(check_int(t, "t"), check_int(b, "b"), check_int(k, "k"), m)
+
+
+@functools.lru_cache(maxsize=256)
+def _capacity(t: int, b: int, k: int, m: int | None) -> Fraction:
     if 2 * b + t >= k:
         raise InvalidParameters("2b+t < k", f"need 2b+t < k, got 2b+t={2 * b + t}, k={k}")
     if m is None:
         return Fraction(k - 2 * b, k) * (1 - Fraction(t, k - 2 * b))
-    if m < 1:
-        raise InvalidParameters("m >= 1", f"file count m={m} must be at least 1")
     ratio = Fraction(t, k - 2 * b)
     return Fraction(k - 2 * b, k) * (1 - ratio) / (1 - ratio**m)
 

@@ -860,10 +860,10 @@ class TestByzantineSweep:
     @pytest.mark.parametrize(
         "trials, message",
         [
-            (0, "0 cases, need at least 1"),
-            (-1, "-1 cases, need at least 1"),
-            (True, "True is not a whole number of cases"),
-            (2.0, "2.0 is not a whole number of cases"),
+            (0, "trials 0 is not an integer >= 1"),
+            (-1, "trials -1 is not an integer >= 1"),
+            (True, "trials True is not an integer >= 1"),
+            (2.0, "trials 2.0 is not an integer >= 1"),
         ],
     )
     def test_randomized_needs_a_case(self, monkeypatch, params_small, db_small, trials, message):
