@@ -69,8 +69,7 @@ def cmd_params(args) -> int:
 def cmd_run(args) -> int:
     params = _setup_from_args(args)
     pir.check_int(args.iota, "file index", 1, params.m, "iota")
-    for j in args.byzantine:
-        pir.check_int(j, "server id", 1, params.k, "byzantine")
+    pir.check_server_ids(args.byzantine, params.k, "byzantine")
     harness.check_adversary(params, args.byzantine, args.strategy, args.offset)
     harness.check_query_size(params)
     db = _load_db(params, args)

@@ -79,8 +79,7 @@ class PrimeField:
     """The base field F_q for prime q; elements are ints in [0, q)."""
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or q < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {q!r}")
+        q = linalg.check_int(q, "modulus", 2, constraint="q")
         if q > MAX_PRIME:
             raise ValueError(f"modulus {q} exceeds the 2^31 safety bound")
         if not is_prime(q):

@@ -243,7 +243,7 @@ def run_session(
     The report names only the byzantine servers the session asked, and
     the strategy "honest" when it asked none of them.  A decode failure
     is reported as a failed session, never raised; a bad file index,
-    server id or seed (``pir.check_int``), a refused adversary
+    server id or seed (``linalg.check_int``), a refused adversary
     (``check_adversary``) or an unknown mode raises before any draw.
 
     At a small scheme the session is mostly fixed cost, so what the
@@ -252,9 +252,10 @@ def run_session(
     and a session given no adversary uses the one honest model.  The
     report still gets a params dict of its own.
     """
-    seed = pir.check_int(seed, "seed", constraint="seed")
+    stream = SeededStream(seed, "session")
+    iota = pir.check_int(iota, "file index", 1, params.m, None)
     adversary = adversary or _HONEST
-    byz = tuple(sorted([pir.check_int(j, "server id", 1, params.k, None) for j in adversary.byzantine_set]))
+    byz = tuple(sorted(pir.check_server_ids(adversary.byzantine_set, params.k)))
     pir.check_dimensions(params, db)
     check_query_size(params)
     check_adversary(params, byz, adversary.strategy, adversary.offset)
@@ -264,7 +265,6 @@ def run_session(
         ids = tuple(range(1, params.r + 1))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    stream = SeededStream(seed, "session")
     queries = gen_queries(params, iota, stream.fork("query"))
     values = list(ServerNode(server_id=ids, db=db).respond(params, queries[: len(ids)], mode))
     asked = tuple(j for j in byz if j <= len(ids))  # full mode never asks a server above r
@@ -283,8 +283,8 @@ def run_session(
     summary, figures = _session_constants(params, mode)
     return SessionReport(
         params=summary.copy(),
-        seed=seed,
-        iota=int(iota),
+        seed=stream.seed,
+        iota=iota,
         mode=mode,
         ok=match and error is None,
         retrieved_file=retrieval.symbols if retrieval else None,
@@ -351,7 +351,7 @@ def privacy_audit(params: SchemeParams, t_subset=None, mode: str = "exhaustive")
     if mode not in ("exhaustive", "transfer-matrix"):
         raise ValueError(f"unknown audit mode {mode!r}")
     if t_subset is not None:
-        subset = tuple(sorted(pir.check_int(j, "server id", 1, params.k, "subset") for j in t_subset))
+        subset = tuple(sorted(pir.check_server_ids(t_subset, params.k, "subset")))
         if not subset or len(set(subset)) != len(subset):
             raise InvalidParameters("subset", f"{list(subset)} is not a nonempty set of server ids")
         if mode == "transfer-matrix" and len(subset) < params.t:
@@ -588,14 +588,13 @@ def byzantine_sweep(
     and report the first SWEEP_REPORTED_FAILURES in enumeration order;
     none is silently swallowed.
     """
-    seed = pir.check_int(seed, "seed", constraint="seed")
+    base_stream = SeededStream(seed, "sweep")
     if scope == "randomized":
         trials = check_sweep_trials(trials)
     elif scope == "exhaustive":
         check_exhaustive_sweep(params)
     check_query_size(params)
     pir.check_dimensions(params, db)
-    base_stream = SeededStream(seed, "sweep")
     failures: list = []
     cases = failed = 0
     k, b, q = params.k, params.b, params.q
@@ -653,7 +652,7 @@ def byzantine_sweep(
         raise ValueError(f"unknown sweep scope {scope!r}")
     return SweepReport(
         params=_params_summary(params),
-        seed=seed,
+        seed=base_stream.seed,
         scope=scope,
         cases_total=cases,
         cases_failed=failed,

@@ -34,8 +34,9 @@ system over GF(17) 144 us against 175 us (best of 21 x 1000 calls).
 layer shares (the query curve, the answers, syndromes, the Chien search
 and the file rebuild), and `integer_array`, with `field_array` adding
 the range, is the one check that turns caller input into int64
-operands.  numpy is imported where it is used, not when the module
-loads.
+operands.  `check_int` is its scalar half, the one rule for an integer
+argument, a server id or a seed in every module, and `check_server_ids`
+applies it to a tuple of server ids.
 
 `reduce_mod` is the one in-place reduction mod q of every int64 layer:
 the products, the elimination, the decoder's recurrence and its
@@ -50,9 +51,52 @@ against 2.3 us at 512, 4.1 against 2.9 us at 1,024 and 89 against 29 us
 at 22,000.
 """
 
+import numpy as np
+
 INT64_MAX = 2**63 - 1
 REDUCE_DIVIDE_MIN = 512  # entries from which `reduce_mod` divides; measured crossover
 REDUCE_SLAB = 4096  # entries `reduce_mod` divides per slab of leading rows
+
+
+class InvalidParameters(ValueError):
+    """A scheme constraint is violated; `constraint` names the inequality."""
+
+    def __init__(self, constraint: str, message: str):
+        super().__init__(message)
+        self.constraint = constraint
+
+
+def check_int(value, name: str, low=None, high=None, constraint: str | None = "integer") -> int:
+    """`value` as a Python int, by the one rule for an integer argument.
+
+    An integer argument, a server id or a seed, is a Python int or a
+    numpy integer, never a bool (True == 1 would run as 1 and be reported
+    as true) nor a float, even a whole one, within [low, high] (a missing
+    bound is open).  It is returned as an int, so no numpy scalar reaches
+    a report or a cache key.  A refusal names the argument and its range:
+    InvalidParameters(constraint), or IndexError where `constraint` is
+    None (a file index or a server id).  Every public entry point calls
+    it before any draw, allocation or database read.
+    """
+    if (isinstance(value, int) and not isinstance(value, bool)) or isinstance(value, np.integer):
+        if (low is None or low <= value) and (high is None or value <= high):
+            return int(value)
+    bounds = f" in [{low}, {high}]" if high is not None else "" if low is None else f" >= {low}"
+    message = f"{name} {value!r} is not an integer{bounds}"
+    raise IndexError(message) if constraint is None else InvalidParameters(constraint, message)
+
+
+def check_server_ids(ids, k: int, constraint: str | None = None) -> tuple:
+    """`ids` as a tuple of Python ints in [1, k], each by ``check_int``'s rule.
+
+    Ids that are all of type int in range, as a session's are, pass in
+    one pass; any other id goes through ``check_int``, whose verdict and
+    message are the refusal.  Duplicates are the caller's to refuse.
+    """
+    ids = tuple(ids)
+    if all(type(j) is int and 1 <= j <= k for j in ids):
+        return ids
+    return tuple(check_int(j, "server id", 1, k, constraint) for j in ids)
 
 
 def integer_array(values, what: str):
@@ -64,8 +108,6 @@ def integer_array(values, what: str):
     refused rather than wrapped.  An empty array passes whatever its
     dtype.  An int64 array comes back as it is, not copied.
     """
-    import numpy as np
-
     try:
         array = np.asarray(values)
     except (ValueError, TypeError):
@@ -84,8 +126,6 @@ def field_array(values, q: int, what: str):
     The values must pass `integer_array`.  The shape is the caller's to
     check.
     """
-    import numpy as np
-
     array = integer_array(values, what)
     # read as unsigned, a negative entry is at least 2^63: one pass checks both ends.
     # The ufunc's own reduce skips the method's dispatch, a third of a small check
@@ -227,8 +267,6 @@ def _forward(q: int, aug, ncols: int):
     rows not yet used keep zeros left of c.  A system with no pivot at c
     is zero there and is scaled by 1, so it keeps its rank.
     """
-    import numpy as np
-
     count, height, width = aug.shape
     every = np.arange(count)
     upper = np.zeros((count, ncols, width), dtype=np.int64)
@@ -250,8 +288,6 @@ def rank_stacked(q: int, rows):
     Any shape: square, tall, wide, singular, and G, n or c zero.  The
     forward pass of `_forward` on a copy, with no inverse taken.
     """
-    import numpy as np
-
     if rows.ndim != 3:
         raise ValueError(f"a stack of matrices has three axes, not shape {rows.shape}")
     columns = np.arange(rows.shape[2])
@@ -273,8 +309,6 @@ def solve_stacked(q: int, rows, rhs):
     to a unit pivot, and back substitution clears the columns above the
     diagonal, last first, leaving X in place of the right-hand side.
     """
-    import numpy as np
-
     count, n = rows.shape[:2]
     if rows.shape != (count, n, n) or rhs.ndim != 3 or rhs.shape[:2] != (count, n):
         raise ValueError(f"stacked systems {rows.shape} and right-hand sides {rhs.shape} do not match")

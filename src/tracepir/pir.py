@@ -66,17 +66,9 @@ from .gf import (
     minimal_poly,
     next_prime,
 )
-from .linalg import matmul_mod
+from .linalg import InvalidParameters, check_int, check_server_ids, matmul_mod
 from .rand import SeededStream, randrange_rows
 from .rscodes import DecodedBatch, DecodeFailure, GrsCode, dual_multipliers, grs_decode
-
-
-class InvalidParameters(ValueError):
-    """A scheme constraint is violated; `constraint` names the inequality."""
-
-    def __init__(self, constraint: str, message: str):
-        super().__init__(message)
-        self.constraint = constraint
 
 
 class ByzantineBudgetExceeded(RuntimeError):
@@ -145,26 +137,6 @@ class SchemeParams:
 def _require(condition: bool, constraint: str, message: str):
     if not condition:
         raise InvalidParameters(constraint, message)
-
-
-def check_int(value, name: str, low=None, high=None, constraint: str | None = "integer") -> int:
-    """`value` as a Python int, by the one rule for an integer argument.
-
-    An integer argument is a Python int or a numpy integer, never a bool
-    (True == 1 would run as 1 and be reported as true) nor a float, even
-    a whole one, within [low, high] (a missing bound is open).  It is
-    returned as an int, so no numpy scalar reaches a report or a cache
-    key.  A refusal names the argument and its range: InvalidParameters
-    (constraint), or IndexError where `constraint` is None (a file index
-    or a server id).  Every public entry point calls it before any draw,
-    allocation or database read; seeds too, as ``rand`` cannot import it.
-    """
-    if (isinstance(value, int) and not isinstance(value, bool)) or isinstance(value, np.integer):
-        if (low is None or low <= value) and (high is None or value <= high):
-            return int(value)
-    bounds = f" in [{low}, {high}]" if high is not None else "" if low is None else f" >= {low}"
-    message = f"{name} {value!r} is not an integer{bounds}"
-    raise IndexError(message) if constraint is None else InvalidParameters(constraint, message)
 
 
 def _trace_poly(ext: ExtField, frobenius_x, j: int) -> list:
@@ -455,22 +427,20 @@ class OptimalityReport:
 def validate_optimality(params, delta: int | None = None, s: int | None = None) -> OptimalityReport:
     """File-size optimality flags for scheme parameters.
 
-    `params` is a SchemeParams or a (k, t, b, r) tuple; `delta` and `s`
-    override the derived sub-packetization for what-if reports.
+    `params` is a SchemeParams or a (k, t, b, r) tuple of integers; `delta`
+    and `s`, integers, override the derived sub-packetization for what-if
+    reports.
     """
     if isinstance(params, SchemeParams):
-        k, t, b, r = params.k, params.t, params.b, params.r
         delta = params.delta if delta is None else delta
         s = params.s if s is None else s
-    else:
-        k, t, b, r = params
+        params = params.k, params.t, params.b, params.r
+    k, t, b, r = (check_int(value, name) for value, name in zip(params, "ktbr", strict=True))
     rate_delta = r - 2 * b - t
     rem = k - 2 * b - t
     divisibility = rate_delta >= 1 and rem % rate_delta == 0
-    if delta is None:
-        delta = rate_delta
-    if s is None:
-        s = rem // rate_delta if divisibility else 0
+    delta = rate_delta if delta is None else check_int(delta, "delta")
+    s = (rem // rate_delta if divisibility else 0) if s is None else check_int(s, "s")
     balanced = rate_delta >= 1 and rem >= 1
     rate_optimal = delta == rate_delta
     size_lower_bound_ok = s * delta >= rem
@@ -532,8 +502,7 @@ class Database:
 
     def row(self, iota: int) -> tuple:
         """File iota (1-based), as a delta-tuple of element tuples."""
-        if not 1 <= iota <= len(self.array):
-            raise IndexError(f"file index {iota} outside [1, {len(self.array)}]")
+        iota = check_int(iota, "file index", 1, len(self.array), None)
         return tuple(map(tuple, self.array[iota - 1].tolist()))
 
 
@@ -637,9 +606,7 @@ def lagrange_basis_values(params: SchemeParams) -> tuple:
 
 
 def _as_stream(randomness, default_label: str) -> SeededStream:
-    if isinstance(randomness, SeededStream):
-        return randomness
-    return SeededStream(check_int(randomness, "seed", constraint="seed"), default_label)
+    return randomness if isinstance(randomness, SeededStream) else SeededStream(randomness, default_label)
 
 
 @functools.lru_cache(maxsize=None)
@@ -804,11 +771,9 @@ def server_answer(params: SchemeParams, j, query_j, db: Database, mode: str = "t
     then gives the answers as Python ints, or tuples of them in full mode.
     """
     single = not isinstance(j, tuple)
-    ids = (j,) if single else j
+    ids = check_server_ids((j,) if single else j, params.k)
     if not ids:
         raise ValueError("an empty tuple of server ids asks no server")
-    if not 1 <= min(ids) <= max(ids) <= params.k:
-        raise IndexError(f"server id {j} outside [1, {params.k}]")
     if mode not in ("trace", "full"):
         raise ValueError(f"unknown answer mode {mode!r}")
     check_dimensions(params, db)
@@ -841,7 +806,7 @@ def collect_answers(
     view, uncopied; any other ids as a copy of their rows, in the order
     given.
     """
-    server_ids = tuple(range(1, params.k + 1)) if server_ids is None else tuple(server_ids)
+    server_ids = tuple(range(1, params.k + 1)) if server_ids is None else check_server_ids(server_ids, params.k)
     n = len(server_ids)
     if server_ids == tuple(range(1, n + 1)):
         asked = queries[..., :n, :, :, :]
@@ -970,11 +935,9 @@ def retrieve_from_r(params: SchemeParams, answers: AnswerSet) -> Retrieval:
     """
     if answers.mode != "full":
         raise ValueError("retrieve_from_r needs full-mode answers")
-    ids = tuple(answers.server_ids)
+    ids = check_server_ids(answers.server_ids, params.k)
     if len(ids) != params.r or len(set(ids)) != len(ids):
         raise ValueError(f"need answers from exactly {params.r} distinct servers")
-    if any(not 1 <= j <= params.k for j in ids):
-        raise IndexError("server id outside [1, k]")
     word = _field_array(params, answers.values, (params.r, params.s), "full answers")
     code, recon = _full_code_tables(params, ids)
     planes = grs_decode(code, word.T)
@@ -1138,10 +1101,8 @@ _ELEMENT_TUPLES = frozenset(("omega_alpha", "omega_chi", "u", "v", "theta", "eta
 
 
 def _int_tree(value):
-    """An int, or nested tuples of ints, as ints in nested lists."""
-    if isinstance(value, tuple):
-        return [_int_tree(x) for x in value]
-    return int(value)
+    """An int, or nested tuples of ints, as ints in nested lists; setup's fields are Python ints."""
+    return [_int_tree(x) for x in value] if isinstance(value, tuple) else value
 
 
 def params_to_json_dict(params: SchemeParams) -> dict:

@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from .linalg import check_int
+
 # The first fetch of a row draw covers the mean number of groups plus this
 # many standard deviations, plus _SLACK_GROUPS, so a second round is rare.
 _SPREAD_SDS = 4
@@ -58,7 +60,7 @@ def _group_positions(bound: int, groups: int) -> tuple:
 
 class SeededStream:
     def __init__(self, seed: int, label: str = ""):
-        self.seed = int(seed)
+        self.seed = check_int(seed, "seed", constraint="seed")
         self.label = label
         self._counter = 0
         self._buffer = 0
@@ -113,6 +115,8 @@ class SeededStream:
         """Uniform over [0, bound) minus one excluded value."""
         if bound < 2:
             raise ValueError("need at least two values to exclude one")
+        if not 0 <= excluded < bound:
+            raise ValueError(f"excluded value {excluded!r} outside [0, {bound})")
         value = self.randrange(bound - 1)
         return value + 1 if value >= excluded else value
 

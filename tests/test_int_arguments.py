@@ -1,4 +1,4 @@
-"""One integer-argument rule at every public entry point (``pir.check_int``).
+"""One integer-argument rule at every public entry point (``linalg.check_int``).
 
 Each row of ROWS is one integer argument of one entry point: a call that
 takes the argument's value, a value it accepts, the values outside the
@@ -9,16 +9,19 @@ a fractional float, a whole float and each value out of range.  Each is
 refused with the message naming the value, and a spy on
 ``pir.draw_blinding`` records no draw.  A numpy integer gives what the
 int gives, is kept as a Python int, and its report serializes to the
-same bytes.
+same bytes.  The rule's text exists once in the package: an AST scan of
+src/tracepir finds no other integer test and no ``int()`` of a parameter.
 """
 
+import ast
 import json
-from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tracepir import pir
+import tracepir
+from tracepir import gf, linalg, pir
 from tracepir.harness import AdversaryModel, byzantine_sweep, privacy_audit, run_session, scheme_comparison
 from tracepir.pir import InvalidParameters
 from tracepir.rand import SeededStream
@@ -27,6 +30,15 @@ PARAMS = pir.setup(4, 1, 1, 4, m=3)  # GF(7): k = 4 servers, m = 3 files
 DB = pir.random_database(PARAMS, 1234)
 BLINDING = pir.draw_blinding(PARAMS, SeededStream(2, "blinding"))
 BLINDINGS = pir.draw_blinding(PARAMS, [SeededStream(n, "blinding") for n in (2, 3)])
+QUERIES = pir.gen_queries(PARAMS, 2, SeededStream(1, "queries"))
+FULL = pir.collect_answers(PARAMS, QUERIES, DB, "full").values  # servers 1..4 = r, honest
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "tracepir"
+
+
+def stream_draws(seed) -> tuple:
+    stream = SeededStream(seed, "draws")
+    return stream.seed, stream.randrange_array(7, 4).tolist()
+
 
 # name: (call, accepted value, values out of range, refusal, the kept argument)
 ROWS = {
@@ -72,6 +84,24 @@ ROWS = {
         lambda v: pir.queries_from_blinding(PARAMS, [1, v], BLINDINGS).tolist(), 2, (0, 4), IndexError, None
     ),
     "random_database-seed": (lambda v: pir.random_database(PARAMS, v), 5, (), "seed", None),
+    "stream-seed": (stream_draws, 5, ("5",), "seed", lambda r: r[0]),
+    "server_answer-id": (lambda v: pir.server_answer(PARAMS, v, QUERIES[1], DB), 2, (0, 5), IndexError, None),
+    "server_answer-ids": (
+        lambda v: pir.server_answer(PARAMS, (1, v), QUERIES[:2], DB), 2, (0, 5), IndexError, None
+    ),
+    "collect_answers-ids": (
+        lambda v: pir.collect_answers(PARAMS, QUERIES, DB, "trace", (1, v)),
+        2, (0, 5), IndexError, lambda a: a.server_ids[1],
+    ),
+    "retrieve_from_r-ids": (
+        lambda v: pir.retrieve_from_r(PARAMS, pir.AnswerSet("full", (1, 2, 3, v), FULL)),
+        4, (0, 5), IndexError, None,
+    ),
+    "PrimeField-q": (gf.PrimeField, 7, (1,), "q", lambda field: field.q),
+    "optimality-k": (lambda v: pir.validate_optimality((v, 1, 1, 4)), 4, (), "integer", None),
+    "optimality-delta": (lambda v: pir.validate_optimality(PARAMS, delta=v), 1, (), "integer", None),
+    "optimality-s": (lambda v: pir.validate_optimality(PARAMS, s=v), 1, (), "integer", None),
+    "Database.row": (DB.row, 2, (0, 4), IndexError, None),
 }
 
 
@@ -101,14 +131,18 @@ def draws(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, value", CASES)
-def test_bad_value_is_refused_before_any_draw(draws, name, value):
-    call, _, _, refusal, _ = ROWS[name]
+def assert_refused(call, value, refusal):
     with pytest.raises(IndexError if refusal is IndexError else InvalidParameters) as err:
         call(value)
     if refusal is not IndexError:
         assert err.value.constraint == refusal
     assert repr(value) in str(err.value)
+
+
+@pytest.mark.parametrize("name, value", CASES)
+def test_bad_value_is_refused_before_any_draw(draws, name, value):
+    call, _, _, refusal, _ = ROWS[name]
+    assert_refused(call, value, refusal)
     assert draws == []
 
 
@@ -124,11 +158,79 @@ def test_numpy_integer_is_taken_as_the_int(draws, name, integer):
         assert json.dumps(numpy.to_json_dict()) == json.dumps(plain.to_json_dict())
 
 
-def test_capacity_refuses_a_bool_or_float_m_in_front_of_its_cache():
-    # True == 1 and hash(True) == hash(1): a check inside the cached body
-    # would be skipped once m = 1 is cached
-    assert pir.capacity(1, 1, 5, m=1) == Fraction(3, 5)
-    for m in (True, 2.5):
-        with pytest.raises(InvalidParameters) as err:
-            pir.capacity(1, 1, 5, m=m)
-        assert err.value.constraint == "m >= 1"
+# name: (the call, the argument it takes in front of the cache, its cache, refusal);
+# True == 1, hash(True) == hash(1) and 1.0 == 1, so a check inside the
+# cached body, or a bad key on a cold cache, would decide the verdict
+CACHED = {
+    "capacity-m": (lambda v: pir.capacity(1, 1, 5, m=v), 1, pir._capacity, "m >= 1"),
+    "server_answer-id": (
+        lambda v: pir.server_answer(PARAMS, v, QUERIES[0], DB), 1, pir._trace_forms, IndexError
+    ),
+    "server_answer-ids": (
+        lambda v: pir.server_answer(PARAMS, (v, 2), QUERIES[:2], DB), 1, pir._trace_forms, IndexError
+    ),
+    "retrieve_from_r-ids": (
+        lambda v: pir.retrieve_from_r(PARAMS, pir.AnswerSet("full", (v, 2, 3, 4), FULL)),
+        1, pir._full_code_tables, IndexError,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5], ids=["bool", "whole-float", "fraction"])
+@pytest.mark.parametrize("name", CACHED)
+def test_bad_value_is_refused_in_front_of_a_cache(name, bad):
+    call, good, cache, refusal = CACHED[name]
+    cache.cache_clear()
+    for _ in ("cold", "after the int is cached"):
+        assert_refused(call, bad, refusal)
+        call(good)
+
+
+def _checks(tree: ast.AST, scope: str = "", params: frozenset = frozenset()):
+    """(scope, call) of every ``isinstance(x, int)``, alone or in a tuple, and every
+    ``int(p)`` of a parameter p, not annotated str, of the innermost function."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _checks(node, f"{scope}.{node.name}".lstrip("."), params)
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            names = frozenset(a.arg for a in arguments if getattr(a.annotation, "id", None) != "str")
+            inner = scope if isinstance(node, ast.Lambda) else f"{scope}.{node.name}".lstrip(".")
+            yield from _checks(node, inner, names)
+        else:
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                args = node.args
+                if node.func.id == "isinstance" and len(args) == 2:
+                    kinds = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+                    if any(getattr(kind, "id", None) == "int" for kind in kinds):
+                        yield scope, ast.unparse(node)
+                if node.func.id == "int" and len(args) == 1 and not node.keywords:
+                    if getattr(args[0], "id", None) in params:
+                        yield scope, ast.unparse(node)
+            yield from _checks(node, scope, params)
+
+
+# the rule itself; the element validators, which follow the field's own
+# contract (a canonical element is a plain int); and the query map's test
+# of one file index against a batch of them
+ALLOWED = {
+    ("linalg.py", "check_int"),
+    ("gf.py", "PrimeField.validate"),
+    ("gf.py", "ExtField.validate"),
+    ("pir.py", "queries_from_blinding"),
+}
+
+
+def test_the_rule_lives_in_linalg_and_pir_re_exports_it():
+    assert pir.check_int is linalg.check_int and pir.check_server_ids is linalg.check_server_ids
+    assert pir.InvalidParameters is linalg.InvalidParameters is tracepir.InvalidParameters
+
+
+def test_the_integer_rule_is_written_once():
+    found = {
+        (path.name, scope, call)
+        for path in sorted(SOURCE.glob("*.py"))
+        for scope, call in _checks(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert {where for where in found if where[:2] not in ALLOWED} == set()
+    assert ("linalg.py", "check_int") in {where[:2] for where in found}

@@ -182,3 +182,13 @@ def test_randrange_array_refuses_a_negative_count_before_reading(entry, held_bit
         else:
             randrange_rows(streams, 13, -1)
     assert [state(stream) for stream in streams] == before
+
+
+def test_randrange_excluding_refuses_an_excluded_value_outside_the_range():
+    # randrange_excluding(5, 7) drew below 4 and shifted nothing, so 4 never came
+    stream = SeededStream(1, "excluding")
+    for excluded in (-1, 5, 7):
+        with pytest.raises(ValueError, match=f"excluded value {excluded} outside"):
+            stream.randrange_excluding(5, excluded)
+    assert state(stream) == state(SeededStream(1, "excluding"))  # refused before a draw
+    assert {stream.randrange_excluding(5, 2) for _ in range(200)} == {0, 1, 3, 4}
